@@ -1,12 +1,21 @@
 """Data-dependence analysis within a basic block.
 
-The scheduler needs, for every pair of instructions in a block, the minimum
-issue distance (in bundles) that must separate them.  Distances encode the
-exposed delays of the Patmos pipeline: a consumer of a load result must issue
-at least ``1 + load_delay_slots`` bundles after the load, a consumer of an ALU
-result at least one bundle later (full forwarding), and instructions in the
-same bundle observe the *old* register values (VLIW semantics), so
+The scheduler needs the minimum issue distance (in bundles) that must
+separate dependent instructions.  Distances encode the exposed delays of the
+Patmos pipeline: a consumer of a load result must issue at least
+``1 + load_delay_slots`` bundles after the load, a consumer of an ALU result
+at least one bundle later (full forwarding), and instructions in the same
+bundle observe the *old* register values (VLIW semantics), so
 anti-dependences allow a distance of zero.
+
+The graph is built in one forward pass.  Each register (general-purpose,
+predicate or special) keeps a table of its definitions since its last real
+definition and of its readers since then; an instruction gets edges only from
+those table entries.  An earlier access that has dropped out of a table is
+still ordered through the chain of definitions that displaced it, whose
+distances add up to at least the direct edge's, so the schedule constraints
+and critical-path lengths equal those of a graph with an edge for every
+dependent pair, at a cost linear in the block length.
 """
 
 from __future__ import annotations
@@ -85,59 +94,49 @@ def build_dependence_graph(instructions: list[Instruction],
     split-load design enables (Section 3.3 of the paper).
     """
     graph = DependenceGraph(instructions=list(instructions))
-    count = len(instructions)
 
     def add(src: int, dst: int, distance: int, kind: str) -> None:
         graph.add_edge(Dependence(src=src, dst=dst, distance=distance, kind=kind))
 
-    # A decoupled main-memory load only commits its destination register when
-    # the matching wmem executes, so for dependence purposes the wmem acts as
-    # the defining instruction of that register.
-    wmem_defs: dict[int, frozenset[int]] = {}
-    pending_rd: frozenset[int] = frozenset()
-    for index, instr in enumerate(instructions):
+    # Per register: the instructions that defined it since its last real
+    # definition (inclusive), and those that read it since then.  Predicates
+    # are tagged to keep them apart from the general-purpose registers.
+    defs: dict[object, list[int]] = {}
+    readers: dict[object, list[int]] = {}
+    delays = [result_delay_slots(instr.info, pipeline) for instr in instructions]
+    pending_rd: int | None = None
+    for later, instr in enumerate(instructions):
+        uses = [*instr.gpr_uses(), *instr.special_uses()]
+        pred_uses = [("p", p) for p in instr.pred_uses()]
+        written = [*instr.gpr_defs(), *instr.special_defs(),
+                   *(("p", p) for p in instr.pred_defs())]
+        # True dependences (read after write): respect the exposed delay.
+        for src in sorted({i for r in uses for i in defs.get(r, ())}):
+            add(src, later, 1 + delays[src], "raw")
+        for src in sorted({i for r in pred_uses for i in defs.get(r, ())}):
+            add(src, later, 1, "raw-pred")
+        # Output dependences (write after write): the later write must
+        # commit after the earlier one.
+        for src in sorted({i for r in written for i in defs.get(r, ())}):
+            add(src, later, max(1, 1 + delays[src] - delays[later]), "waw")
+        # Anti dependences (write after read): same bundle is fine because
+        # all operands are read before any write commits.
+        for src in sorted({i for r in written for i in readers.get(r, ())}):
+            add(src, later, 0, "war")
+        for resource in uses + pred_uses:
+            readers.setdefault(resource, []).append(later)
+        for resource in written:
+            defs[resource] = [later]
+            readers[resource] = []
+        # A decoupled main-memory load only commits its destination register
+        # when the matching wmem executes, so the wmem also acts as a source
+        # definition of that register (it displaces no earlier access).
         if instr.info.is_decoupled_load and instr.rd is not None:
-            pending_rd = frozenset((instr.rd,))
+            pending_rd = instr.rd
         elif instr.opcode is Opcode.WMEM:
-            wmem_defs[index] = pending_rd
-            pending_rd = frozenset()
-
-    for later in range(count):
-        instr_j = instructions[later]
-        uses_j = instr_j.gpr_uses()
-        defs_j = instr_j.gpr_defs()
-        pred_uses_j = instr_j.pred_uses()
-        pred_defs_j = instr_j.pred_defs()
-        special_uses_j = instr_j.special_uses()
-        special_defs_j = instr_j.special_defs()
-        for earlier in range(later):
-            instr_i = instructions[earlier]
-            delay_i = result_delay_slots(instr_i.info, pipeline)
-            defs_i = instr_i.gpr_defs() | wmem_defs.get(earlier, frozenset())
-            uses_i = instr_i.gpr_uses()
-            pred_defs_i = instr_i.pred_defs()
-            pred_uses_i = instr_i.pred_uses()
-            special_defs_i = instr_i.special_defs()
-            special_uses_i = instr_i.special_uses()
-
-            # True dependences (read after write): respect the exposed delay.
-            if defs_i & uses_j or special_defs_i & special_uses_j:
-                add(earlier, later, 1 + delay_i, "raw")
-            if pred_defs_i & pred_uses_j:
-                add(earlier, later, 1, "raw-pred")
-
-            # Output dependences (write after write): the later write must
-            # commit after the earlier one.
-            if defs_i & defs_j or pred_defs_i & pred_defs_j \
-                    or special_defs_i & special_defs_j:
-                delay_j = result_delay_slots(instr_j.info, pipeline)
-                add(earlier, later, max(1, 1 + delay_i - delay_j), "waw")
-
-            # Anti dependences (write after read): same bundle is fine because
-            # all operands are read before any write commits.
-            if uses_i & defs_j or pred_uses_i & pred_defs_j \
-                    or special_uses_i & special_defs_j:
-                add(earlier, later, 0, "war")
+            if pending_rd is not None:
+                defs.setdefault(pending_rd, []).append(later)
+            pending_rd = None
 
     # Ordered side effects (memory accesses, stack control, waits, output)
     # keep program order; chaining consecutive ones is enough because the

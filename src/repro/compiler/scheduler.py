@@ -8,9 +8,13 @@ architectural number of delay-slot bundles follows them, padding with NOPs
 only when no useful instruction can be moved into the slots.
 
 The scheduler is a classic list scheduler over the block-local dependence
-graph with critical-path priority.  It is deliberately local (per basic
-block); global code motion is out of scope for this reproduction, as in the
-paper's early LLVM port (Section 5).
+graph with critical-path priority.  Each instruction counts its unscheduled
+predecessors and tracks its earliest issue cycle; committing a bundle updates
+both for the successors of its instructions and releases those whose count
+drops to zero, so each cycle picks from the released pool instead of
+rescanning the block.  It is deliberately local (per basic block); global
+code motion is out of scope for this reproduction, as in the paper's early
+LLVM port (Section 5).
 """
 
 from __future__ import annotations
@@ -65,10 +69,10 @@ class BlockScheduler:
         """Schedule the block's instructions and return its bundles."""
         terminator = block.terminator()
         body = block.body_instructions()
-        slots = self._schedule_body(body)
+        slots, issue_slot = self._schedule_body(body)
 
         if terminator is not None:
-            slots = self._place_terminator(slots, body, terminator)
+            slots = self._place_terminator(slots, issue_slot, body, terminator)
 
         bundles = [Bundle(*slot) for slot in slots]
         if stats is not None:
@@ -82,36 +86,32 @@ class BlockScheduler:
 
     # -- body scheduling ----------------------------------------------------------------
 
-    def _schedule_body(self, body: list[Instruction]) -> list[list[Instruction]]:
-        """List-schedule the block body; returns a list of slot lists."""
+    def _schedule_body(self, body: list[Instruction]
+                       ) -> tuple[list[list[Instruction]], list[int]]:
+        """List-schedule the block body.
+
+        Returns the slot lists and the issue cycle of each body instruction.
+        """
         if not body:
-            return []
+            return [], []
         graph = build_dependence_graph(
             body, self.config.pipeline,
             split_load_distance=self.split_load_distance)
         priorities = graph.critical_path_lengths()
         count = len(body)
-        issue_slot: dict[int, int] = {}
-        scheduled: set[int] = set()
+        waiting = [len(graph.predecessors(index)) for index in range(count)]
+        earliest = [0] * count
+        issue_slot = [0] * count
+        released = {index for index in range(count) if not waiting[index]}
         slots: list[list[Instruction]] = []
+        scheduled = 0
         cycle = 0
 
-        while len(scheduled) < count:
-            ready = []
-            for index in range(count):
-                if index in scheduled:
-                    continue
-                earliest = 0
-                ok = True
-                for edge in graph.predecessors(index):
-                    if edge.src not in scheduled:
-                        ok = False
-                        break
-                    earliest = max(earliest, issue_slot[edge.src] + edge.distance)
-                if ok and earliest <= cycle:
-                    ready.append(index)
+        while scheduled < count:
             # Highest priority first; preserve program order among ties.
-            ready.sort(key=lambda i: (-priorities[i], i))
+            ready = sorted((index for index in released
+                            if earliest[index] <= cycle),
+                           key=lambda i: (-priorities[i], i))
 
             bundle: list[Instruction] = []
             bundle_indices: list[int] = []
@@ -135,7 +135,14 @@ class BlockScheduler:
             slots.append([instr for _, instr in bundle_sorted])
             for index in bundle_indices:
                 issue_slot[index] = cycle
-                scheduled.add(index)
+                released.remove(index)
+                for edge in graph.successors(index):
+                    dst = edge.dst
+                    earliest[dst] = max(earliest[dst], cycle + edge.distance)
+                    waiting[dst] -= 1
+                    if not waiting[dst]:
+                        released.add(dst)
+            scheduled += len(bundle_indices)
             cycle += 1
 
         # Exposed delays must not leak across the block boundary: a consumer
@@ -144,12 +151,12 @@ class BlockScheduler:
         # within the block (the scheduler is block-local and has no liveness
         # information, so it pads conservatively).
         needed = 0
-        for index, issue in issue_slot.items():
+        for index, issue in enumerate(issue_slot):
             delay = result_delay_slots(body[index].info, self.config.pipeline)
             needed = max(needed, issue + 1 + delay)
         while len(slots) < needed:
             slots.append([NOP])
-        return slots
+        return slots, issue_slot
 
     def _fits(self, bundle: list[Instruction], instr: Instruction) -> bool:
         if not bundle:
@@ -166,7 +173,7 @@ class BlockScheduler:
     # -- terminator placement ---------------------------------------------------------------
 
     def _place_terminator(self, slots: list[list[Instruction]],
-                          body: list[Instruction],
+                          issue_slot: list[int], body: list[Instruction],
                           terminator: Instruction) -> list[list[Instruction]]:
         delay_slots = control_delay_slots(terminator.info, self.config.pipeline)
 
@@ -175,18 +182,8 @@ class BlockScheduler:
         deps = build_dependence_graph(
             body + [terminator], self.config.pipeline,
             split_load_distance=self.split_load_distance)
-        term_index = len(body)
-        issue_of: dict[int, int] = {}
-        for slot_index, slot in enumerate(slots):
-            for instr in slot:
-                for body_index, body_instr in enumerate(body):
-                    if body_instr is instr and body_index not in issue_of:
-                        issue_of[body_index] = slot_index
-                        break
-        earliest = 0
-        for edge in deps.predecessors(term_index):
-            if edge.src in issue_of:
-                earliest = max(earliest, issue_of[edge.src] + edge.distance)
+        earliest = max((issue_slot[edge.src] + edge.distance
+                        for edge in deps.predecessors(len(body))), default=0)
 
         n = len(slots)
         desired = max(earliest, n - delay_slots, 0)

@@ -18,17 +18,20 @@ Simulations are memoised per (kernel, hardware organisation, arbiter), so
 analysis-only variants (``always_miss``, ``naive``) reuse the simulation of
 the default variant and the full matrix stays CI-sized.
 
-The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` fans the
-scenario cells out over a process pool (the explore runner's worker
-pattern).  Cells are shipped in groups that share a simulation key, so
-per-worker harnesses keep the memoisation win, and the report is assembled
+The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` runs the
+scenario cells as journaled job cells on the :func:`repro.jobs.run_jobs`
+supervisor, the engine the explore runner uses too.  Cells are shipped in
+groups that share a simulation key, so per-worker harnesses keep the
+memoisation win, and the report is assembled
 in the deterministic scenario order regardless of completion order — a
 parallel run produces the same report as a sequential one (only the
 measured ``elapsed_s`` differs).
 
-A worker that *dies* (killed, OOM, segfault) does not abort the run: its
-scenario group is resubmitted to a fresh pool with capped backoff, and a
-group that keeps killing workers is recorded as a structured
+A worker that *dies* (killed, OOM, segfault) or stops heartbeating does not
+abort the run: the supervisor declares it lost, returns its leased group to
+the pending queue after a capped backoff for an idle worker to steal, and
+respawns a replacement.  A group that keeps killing workers exhausts its
+crash budget and is recorded as a structured
 :class:`~repro.errors.FailedCell` in the report while every other group
 still completes.  Errors *raised by* a scenario (functional mismatches)
 propagate exactly as in the sequential path — a broken execution must fail

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from repro.config import (
@@ -11,6 +13,39 @@ from repro.config import (
     SetAssocCacheConfig,
     StackCacheConfig,
 )
+
+#: Wall-clock budget of one test (setup, call and teardown), in seconds.  A
+#: test that overruns it fails with the traceback of where it hung instead
+#: of stalling the whole run.  ``@pytest.mark.timeout(seconds)`` overrides
+#: it per test; 0 disables the guard.
+DEFAULT_TIMEOUT_S = 300
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        f"timeout(seconds): wall-clock budget of the test (default "
+        f"{DEFAULT_TIMEOUT_S} s, 0 disables it)")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    marker = item.get_closest_marker("timeout")
+    seconds = int(marker.args[0]) if marker is not None else DEFAULT_TIMEOUT_S
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test exceeded its {seconds} s wall-clock budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the WCET-aware compiler passes."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -18,13 +20,22 @@ from repro.compiler import (
     single_path_function,
     split_program,
 )
+from repro.compiler.dependence import (
+    Dependence,
+    DependenceGraph,
+    _is_ordered_side_effect,
+)
 from repro.compiler.simplify import merge_straightline_blocks
 from repro.compiler.stack_alloc import allocate_function, frame_size_words
 from repro.config import MethodCacheConfig
 from repro.errors import CompilerError
 from repro.isa import Opcode
+from repro.isa.opcodes import result_delay_slots
+from repro.program.basic_block import BasicBlock
 from repro.workloads import (
+    KERNEL_BUILDERS,
     build_call_tree,
+    build_kernel,
     build_large_function,
     build_linear_search,
     build_saturate,
@@ -93,9 +104,220 @@ class TestDependenceGraph:
         assert lengths[0] > lengths[1] > lengths[2] == 0
 
 
+def _pairwise_graph(instructions, pipeline, split_load_distance=1):
+    """Differential oracle: the dependence graph with an edge for every
+    dependent pair of instructions, found by comparing all pairs."""
+    graph = DependenceGraph(instructions=list(instructions))
+    count = len(instructions)
+
+    def add(src: int, dst: int, distance: int, kind: str) -> None:
+        graph.add_edge(Dependence(src=src, dst=dst, distance=distance, kind=kind))
+
+    # A decoupled main-memory load only commits its destination register when
+    # the matching wmem executes, so for dependence purposes the wmem acts as
+    # the defining instruction of that register.
+    wmem_defs: dict[int, frozenset[int]] = {}
+    pending_rd: frozenset[int] = frozenset()
+    for index, instr in enumerate(instructions):
+        if instr.info.is_decoupled_load and instr.rd is not None:
+            pending_rd = frozenset((instr.rd,))
+        elif instr.opcode is Opcode.WMEM:
+            wmem_defs[index] = pending_rd
+            pending_rd = frozenset()
+
+    for later in range(count):
+        instr_j = instructions[later]
+        uses_j = instr_j.gpr_uses()
+        defs_j = instr_j.gpr_defs()
+        pred_uses_j = instr_j.pred_uses()
+        pred_defs_j = instr_j.pred_defs()
+        special_uses_j = instr_j.special_uses()
+        special_defs_j = instr_j.special_defs()
+        for earlier in range(later):
+            instr_i = instructions[earlier]
+            delay_i = result_delay_slots(instr_i.info, pipeline)
+            defs_i = instr_i.gpr_defs() | wmem_defs.get(earlier, frozenset())
+            uses_i = instr_i.gpr_uses()
+            pred_defs_i = instr_i.pred_defs()
+            pred_uses_i = instr_i.pred_uses()
+            special_defs_i = instr_i.special_defs()
+            special_uses_i = instr_i.special_uses()
+
+            # True dependences (read after write): respect the exposed delay.
+            if defs_i & uses_j or special_defs_i & special_uses_j:
+                add(earlier, later, 1 + delay_i, "raw")
+            if pred_defs_i & pred_uses_j:
+                add(earlier, later, 1, "raw-pred")
+
+            # Output dependences (write after write): the later write must
+            # commit after the earlier one.
+            if defs_i & defs_j or pred_defs_i & pred_defs_j \
+                    or special_defs_i & special_defs_j:
+                delay_j = result_delay_slots(instr_j.info, pipeline)
+                add(earlier, later, max(1, 1 + delay_i - delay_j), "waw")
+
+            # Anti dependences (write after read): same bundle is fine because
+            # all operands are read before any write commits.
+            if uses_i & defs_j or pred_uses_i & pred_defs_j \
+                    or special_uses_i & special_defs_j:
+                add(earlier, later, 0, "war")
+
+    # Ordered side effects (memory accesses, stack control, waits, output)
+    # keep program order; chaining consecutive ones is enough because the
+    # constraint is transitive.
+    previous_ordered: int | None = None
+    for index, instr in enumerate(instructions):
+        if not _is_ordered_side_effect(instr):
+            continue
+        if previous_ordered is not None:
+            distance = 1
+            # A split main-memory load and its wmem must stay ordered; aiming
+            # for `split_load_distance` bundles lets independent work hide
+            # the memory latency (Section 3.3).
+            if instructions[previous_ordered].info.is_decoupled_load \
+                    and instr.opcode is Opcode.WMEM:
+                distance = max(1, split_load_distance)
+            add(previous_ordered, index, distance, "order")
+        previous_ordered = index
+
+    return graph
+
+
+_REGS = ("r0", "r1", "r2", "r3", "r4", "r5")
+_PREDS = ("p1", "p2", "p3")
+
+
+def _random_block(seed):
+    """A short block body drawing on few registers, so accesses collide."""
+    rng = random.Random(seed)
+
+    def reg():
+        return rng.choice(_REGS)
+
+    def guard():
+        if rng.random() < 0.25:
+            return rng.choice(("", "!")) + rng.choice(_PREDS)
+        return None
+
+    makers = (
+        lambda: [_instr("add", reg(), reg(), reg(), pred=guard())],
+        lambda: [_instr("addi", reg(), reg(), rng.randrange(64), pred=guard())],
+        lambda: [_instr(rng.choice(("lil", "lih")), reg(), rng.randrange(1 << 16))],
+        lambda: [_instr("mul", reg(), reg()),
+                 _instr("mfs", reg(), rng.choice(("sl", "sh")))],
+        lambda: [_instr("mts", rng.choice(("sl", "sh", "st", "ss")), reg())],
+        lambda: [_instr("lwc", reg(), reg(), rng.randrange(8), pred=guard())],
+        lambda: [_instr("lwm", reg(), reg(), rng.randrange(8)), _instr("wmem")],
+        lambda: [_instr("swc", reg(), rng.randrange(8), reg(), pred=guard())],
+        lambda: [_instr(rng.choice(("sres", "sens")), rng.randrange(1, 5))],
+        lambda: [_instr("lws", reg(), reg(), rng.randrange(8))],
+        lambda: [_instr("cmplt", rng.choice(_PREDS), reg(), reg(), pred=guard())],
+        lambda: [_instr("cmpineq", rng.choice(_PREDS), reg(), rng.randrange(8))],
+        lambda: [_instr("por", rng.choice(_PREDS), rng.choice(_PREDS),
+                        rng.choice(_PREDS))],
+        lambda: [_instr("out", reg())],
+    )
+    instrs = []
+    for _ in range(rng.randrange(1, 30)):
+        if instrs and rng.random() < 0.1:
+            # The same Instruction object may occur twice in one block.
+            instrs.append(rng.choice(instrs))
+        else:
+            instrs.extend(rng.choice(makers)())
+    # The wmem of a split load sometimes drifts away from its load.
+    if rng.random() < 0.5:
+        rng.shuffle(instrs)
+    return instrs
+
+
+def _random_terminator(seed):
+    rng = random.Random(seed)
+    return rng.choice((
+        None,
+        _instr("br", "loop", pred=rng.choice(_PREDS)),
+        _instr("call", "callee"),
+        _instr("ret"),
+        _instr("halt"),
+    ))
+
+
+def _longest_paths_from(graph, source):
+    """Longest path distance from ``source`` to every later node, or None."""
+    longest = [None] * len(graph.instructions)
+    longest[source] = 0
+    for index in range(source, len(longest)):
+        if longest[index] is None:
+            continue
+        for edge in graph.successors(index):
+            distance = longest[index] + edge.distance
+            if longest[edge.dst] is None or distance > longest[edge.dst]:
+                longest[edge.dst] = distance
+    return longest
+
+
+_ORACLE_SEEDS = range(240)
+
+
+class TestDependenceOracle:
+    """The table-driven builder against the pairwise oracle."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        pipeline = PatmosConfig().pipeline
+        pairs = []
+        for seed in _ORACLE_SEEDS:
+            body = _random_block(seed)
+            distance = random.Random(seed).choice((1, 14))
+            pairs.append((
+                build_dependence_graph(body, pipeline,
+                                       split_load_distance=distance),
+                _pairwise_graph(body, pipeline, split_load_distance=distance)))
+        return pairs
+
+    def test_blocks_cover_every_dependence_kind(self, graphs):
+        kinds = {edge.kind for _, oracle in graphs for edge in oracle.edges}
+        assert kinds == {"raw", "raw-pred", "waw", "war", "order"}
+
+    def test_every_edge_is_an_oracle_edge(self, graphs):
+        for graph, oracle in graphs:
+            assert set(graph.edges) <= set(oracle.edges)
+            assert len(set(graph.edges)) == len(graph.edges)
+
+    def test_dropped_edges_are_implied_by_paths(self, graphs):
+        for graph, oracle in graphs:
+            for src in range(len(graph.instructions)):
+                longest = _longest_paths_from(graph, src)
+                for edge in oracle.successors(src):
+                    assert longest[edge.dst] is not None, edge
+                    assert longest[edge.dst] >= edge.distance, edge
+
+    def test_critical_path_lengths_agree(self, graphs):
+        for graph, oracle in graphs:
+            assert graph.critical_path_lengths() == oracle.critical_path_lengths()
+
+    @pytest.mark.parametrize("dual_issue", [True, False])
+    def test_scheduler_output_is_identical(self, config, monkeypatch,
+                                           dual_issue):
+        import repro.compiler.scheduler as scheduler_module
+        scheduler = BlockScheduler(config, dual_issue=dual_issue)
+
+        def schedule(seed):
+            instrs = _random_block(seed)
+            terminator = _random_terminator(seed)
+            if terminator is not None:
+                instrs.append(terminator)
+            bundles = scheduler.schedule_block(BasicBlock(label="b",
+                                                          instrs=instrs))
+            return [str(bundle) for bundle in bundles]
+
+        fast = [schedule(seed) for seed in _ORACLE_SEEDS]
+        monkeypatch.setattr(scheduler_module, "build_dependence_graph",
+                            _pairwise_graph)
+        assert [schedule(seed) for seed in _ORACLE_SEEDS] == fast
+
+
 class TestScheduler:
     def _schedule(self, instrs, config, **kwargs):
-        from repro.program.basic_block import BasicBlock
         block = BasicBlock(label="b", instrs=list(instrs))
         return BlockScheduler(config, **kwargs).schedule_block(block)
 
@@ -373,3 +595,55 @@ class TestPassManager:
         assert result.split.functions_split == 1
         run = CycleSimulator(image, config=config, strict=True).run()
         assert run.output == kernel.expected_output
+
+
+#: Compile variants of the golden schedule pin, in table column order.
+_GOLDEN_VARIANTS = (
+    CompileOptions(),
+    CompileOptions(dual_issue=False),
+    CompileOptions(if_convert=True),
+    CompileOptions(single_path=True),
+    CompileOptions(hide_split_loads=False),
+)
+
+#: Leading 16 hex digits of ``Image.content_hash()`` per kernel and variant;
+#: ``None`` marks a variant the compiler rejects (an unsplittable block).
+_GOLDEN_HASHES = {
+    "vector_sum": ('5c384443bc06851a', '583d786fefa8801f', '5c384443bc06851a', '35fadbd0b634eb47', '5c384443bc06851a'),
+    "dot_product": ('b7eee8beb0b748f2', '67168c320865336f', 'b7eee8beb0b748f2', '7054b2d5dcd7ae5d', 'b7eee8beb0b748f2'),
+    "checksum": ('1d1a35c923f7646b', 'da0360b75ab0fb50', '1d1a35c923f7646b', 'd9f334c433d7c8d7', '1d1a35c923f7646b'),
+    "fir_filter": ('bb80424771290ea6', 'b99cc7c497fb0e25', 'bb80424771290ea6', 'c4142fab19c3f645', 'bb80424771290ea6'),
+    "matmul": ('129178cc021c58aa', '7e75dcb1a099e106', '129178cc021c58aa', '29d97fc9b730aaf5', '129178cc021c58aa'),
+    "saturate": ('57a539b7910fd5f9', '3de48e26e4285cac', '6082528aa5701964', '83bf9b7c3090ff48', '57a539b7910fd5f9'),
+    "linear_search": ('92688a1b84b48e6c', '7ff9efda470549a0', '92688a1b84b48e6c', '7450f5821fc85217', '92688a1b84b48e6c'),
+    "bubble_sort": ('f8a2cce1a577c5ef', 'a0c7a47ab098ecc5', '95b02d45e0c36cfa', '2bb1aa7b45944425', 'f8a2cce1a577c5ef'),
+    "call_tree": ('00d6db2736f3d898', '8146385bd08ae7d1', '00d6db2736f3d898', '00d6db2736f3d898', '00d6db2736f3d898'),
+    "large_function": ('5b8f7c23802ec639', 'b2c615704a49635d', None, None, '5b8f7c23802ec639'),
+    "stack_chain": ('eb0c2a98ba50e984', '4007a0cb65f21995', 'eb0c2a98ba50e984', 'eb0c2a98ba50e984', 'eb0c2a98ba50e984'),
+    "stream_checksum": ('da15ffe11a131d50', 'c00229a3d5df13f9', 'da15ffe11a131d50', 'd88739756ab91556', '0e9204a6f5d14bb3'),
+    "pointer_chase": ('5d004c07dd45af3e', '61ba28cf5c82ad07', '5d004c07dd45af3e', '5ea47d840abf280b', '600305a059a2e1fa'),
+    "mixed_access": ('51e2c457347adf86', '8420c1e9da09f159', '51e2c457347adf86', '55edf5d3d9c8fe33', '51e2c457347adf86'),
+    "control_update": ('8d24549f16c5e20a', '58ab5f92047cd059', '8d24549f16c5e20a', 'b0f6206080061fa9', '8d24549f16c5e20a'),
+    "sensor_filter": ('2f4681de05ab6216', 'e4cf7f10c2b390d8', '2f4681de05ab6216', 'ef5d847892ffa07f', '2f4681de05ab6216'),
+    "crc_step": ('dc2781685d89c238', '2cfe3e215be9b7c1', 'dc2781685d89c238', 'ed4b91d416e906dc', 'dc2781685d89c238'),
+    "actuator_ramp": ('15dce0d2d91814d9', '7a568ab30b63f511', '73e3b84d549061fb', '76259cfe7742a2dc', '15dce0d2d91814d9'),
+}
+
+
+class TestGoldenSchedules:
+    """Pins the compiled image of every suite kernel, so any change to the
+    scheduler's output shows up here rather than in a simulator."""
+
+    def test_table_covers_the_suite(self):
+        assert set(_GOLDEN_HASHES) == set(KERNEL_BUILDERS)
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_HASHES))
+    def test_images_are_unchanged(self, config, name):
+        program = build_kernel(name).program
+        for options, expected in zip(_GOLDEN_VARIANTS, _GOLDEN_HASHES[name]):
+            if expected is None:
+                with pytest.raises(CompilerError):
+                    compile_and_link(program, config, options)
+                continue
+            image, _ = compile_and_link(program, config, options)
+            assert image.content_hash()[:16] == expected, options
