@@ -11,8 +11,8 @@ The scheduler is a classic list scheduler over the block-local dependence
 graph with critical-path priority.  Each instruction counts its unscheduled
 predecessors and tracks its earliest issue cycle; committing a bundle updates
 both for the successors of its instructions and releases those whose count
-drops to zero, so each cycle picks from the released pool instead of
-rescanning the block.  It is deliberately local (per basic block); global
+drops to zero, and each cycle picks the ready instructions from the released
+pool.  It is deliberately local (per basic block); global
 code motion is out of scope for this reproduction, as in the paper's early
 LLVM port (Section 5).
 """
@@ -104,10 +104,11 @@ class BlockScheduler:
         issue_slot = [0] * count
         released = {index for index in range(count) if not waiting[index]}
         slots: list[list[Instruction]] = []
-        scheduled = 0
         cycle = 0
 
-        while scheduled < count:
+        # The graph is acyclic, so the released pool empties only once every
+        # instruction is scheduled.
+        while released:
             # Highest priority first; preserve program order among ties.
             ready = sorted((index for index in released
                             if earliest[index] <= cycle),
@@ -142,7 +143,6 @@ class BlockScheduler:
                     waiting[dst] -= 1
                     if not waiting[dst]:
                         released.add(dst)
-            scheduled += len(bundle_indices)
             cycle += 1
 
         # Exposed delays must not leak across the block boundary: a consumer

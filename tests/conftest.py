@@ -14,38 +14,48 @@ from repro.config import (
     StackCacheConfig,
 )
 
-#: Wall-clock budget of one test (setup, call and teardown), in seconds.  A
-#: test that overruns it fails with the traceback of where it hung instead
-#: of stalling the whole run.  ``@pytest.mark.timeout(seconds)`` overrides
-#: it per test; 0 disables the guard.
-DEFAULT_TIMEOUT_S = 300
+#: Wall-clock budget of each test phase (setup, call, teardown), in seconds.
+#: A phase that overruns it fails with the traceback of where it hung
+#: instead of stalling the whole run.
+TIMEOUT_S = 300
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        f"timeout(seconds): wall-clock budget of the test (default "
-        f"{DEFAULT_TIMEOUT_S} s, 0 disables it)")
+def _alarm_guard():
+    """Hookwrapper body arming SIGALRM around one test phase.
 
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_protocol(item, nextitem):
-    marker = item.get_closest_marker("timeout")
-    seconds = int(marker.args[0]) if marker is not None else DEFAULT_TIMEOUT_S
+    The alarm covers only the wrapped phase, so the failure it raises always
+    lands inside pytest's per-phase call capture and is reported as a test
+    failure, never as an internal error of the session.
+    """
     if not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def expire(signum, frame):
-        pytest.fail(f"test exceeded its {seconds} s wall-clock budget")
+        pytest.fail(f"test phase exceeded its {TIMEOUT_S} s wall-clock budget")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.alarm(TIMEOUT_S)
     try:
         yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _alarm_guard()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _alarm_guard()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    yield from _alarm_guard()
 
 
 @pytest.fixture
