@@ -1,11 +1,12 @@
 """Worklist fixpoint engine over a function's control-flow graph.
 
-Blocks are visited in reverse post-order; at natural-loop headers the
-incoming state is *widened* against the previous round's state so that
-growing intervals jump to the respective domain bound instead of crawling
-towards it.  For reducible CFGs the loop headers cut every cycle, which
-together with the finite widening chains guarantees termination; on the
-(never produced by our builder, but possible in principle) irreducible
+Blocks are visited in the topological order of the CFG without its back
+edges (a DFS reverse postorder if the CFG is irreducible); at natural-loop
+headers the incoming state is *widened* against the previous round's state
+so that growing intervals jump to the respective domain bound instead of
+crawling towards it.  For reducible CFGs the loop headers cut every cycle,
+which together with the finite widening chains guarantees termination; on
+the (never produced by our builder, but possible in principle) irreducible
 case the engine falls back to widening at every block after a soft
 iteration cap.
 
@@ -125,7 +126,8 @@ def analyse_function(cfg: ControlFlowGraph,
     which is the sound assumption for an externally called function.
     """
     result = FixpointResult(cfg=cfg, may_writes=may_writes or {})
-    rpo = cfg.topological_order()
+    rpo = (cfg.topological_order() if cfg.is_reducible()
+           else cfg.reverse_postorder())
     if not rpo:
         return result
     back = set(cfg.back_edges())

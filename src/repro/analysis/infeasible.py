@@ -53,7 +53,7 @@ def _conditional_sites(cfg: ControlFlowGraph):
             continue
         if term.guard.is_always or not isinstance(term.target, str):
             continue
-        if term.target not in cfg.graph:
+        if not cfg.has_block(term.target):
             continue  # brcf into another function: out of scope here
         fallthrough = cfg.function.fallthrough_label(label)
         if fallthrough is None or fallthrough == term.target:

@@ -115,7 +115,6 @@ class _LoopContext:
     loop: Loop
     tail: str
     entry_state: AbsState
-    idom: dict
     innermost: dict
     gpr_defs: dict
     pred_defs: dict
@@ -124,17 +123,6 @@ class _LoopContext:
     clobber_gprs: frozenset
     clobber_preds: frozenset
     clobber_total: bool
-
-
-def _dominates(idom: dict, a: str, b: str) -> bool:
-    node = b
-    while True:
-        if node == a:
-            return True
-        parent = idom.get(node)
-        if parent is None or parent == node:
-            return a == node
-        node = parent
 
 
 def _build_context(cfg: ControlFlowGraph, fix: FixpointResult,
@@ -181,7 +169,7 @@ def _build_context(cfg: ControlFlowGraph, fix: FixpointResult,
             break
     return _LoopContext(
         cfg=cfg, fix=fix, loop=loop, tail=tail,
-        entry_state=entry_state, idom=cfg.dominators(),
+        entry_state=entry_state,
         innermost=innermost, gpr_defs=gpr_defs, pred_defs=pred_defs,
         positions=positions, term_index=term_index,
         clobber_gprs=frozenset(clobber_gprs),
@@ -204,7 +192,7 @@ def _once_per_iteration(ctx: _LoopContext, instr: Instruction) -> bool:
         # In the tail's branch-delay region: its result is only visible to
         # the *next* iteration's branch decision.
         return False
-    return _dominates(ctx.idom, label, ctx.tail)
+    return ctx.cfg.dominates(label, ctx.tail)
 
 
 def _expand_literal(ctx: _LoopContext, pred: int, negated: bool,
@@ -381,7 +369,7 @@ def _atom_bound(ctx: _LoopContext, instr: Instruction,
     if upos[0] == cpos[0]:
         update_first = upos[1] < cpos[1]
     else:
-        update_first = _dominates(ctx.idom, upos[0], cpos[0])
+        update_first = ctx.cfg.dominates(upos[0], cpos[0])
     uoff = 0 if update_first else 1
 
     bound = _relation_bound(relation, unsigned, v0, limit, step, uoff)

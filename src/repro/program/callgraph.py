@@ -9,24 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..errors import WcetError
+from .cfg import kahn_order
 from .program import Program
 
 
 @dataclass
 class CallGraph:
-    """Static call graph of a program (``call`` edges between functions)."""
+    """Static call graph of a program (``call`` edges between functions).
+
+    ``calls`` maps every function to its distinct callees.
+    """
 
     program: Program
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    calls: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, program: Program) -> "CallGraph":
         cg = cls(program=program)
         for func in program.functions.values():
-            cg.graph.add_node(func.name)
+            cg.calls[func.name] = []
         for func in program.functions.values():
             # Sub-functions created by the method-cache splitter share their
             # parent's frame and context; their calls are attributed to the
@@ -39,30 +41,39 @@ class CallGraph:
                 if callee not in program.functions:
                     raise WcetError(
                         f"{func.name} calls unknown function {callee!r}")
-                cg.graph.add_edge(caller, callee)
+                if callee not in cg.calls[caller]:
+                    cg.calls[caller].append(callee)
         return cg
 
     def callees(self, name: str) -> list[str]:
-        return list(self.graph.successors(name))
+        return list(self.calls[name])
 
     def callers(self, name: str) -> list[str]:
-        return list(self.graph.predecessors(name))
+        return [caller for caller, callees in self.calls.items()
+                if name in callees]
 
     def is_recursive(self) -> bool:
         """True if the call graph contains a cycle (direct or indirect recursion)."""
-        return not nx.is_directed_acyclic_graph(self.graph)
+        return kahn_order(self.calls) is None
 
     def reachable_from(self, name: str) -> set[str]:
         """Functions reachable from ``name``, including itself."""
-        if name not in self.graph:
+        if name not in self.calls:
             return set()
-        return set(nx.descendants(self.graph, name)) | {name}
+        seen = {name}
+        stack = [name]
+        while stack:
+            for callee in self.calls[stack.pop()]:
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append(callee)
+        return seen
 
     def topological_order(self, root: str | None = None) -> list[str]:
         """Callees-first order of functions (bottom-up over the call graph)."""
-        if self.is_recursive():
+        order = kahn_order(self.calls)
+        if order is None:
             raise WcetError("call graph is recursive; no topological order exists")
-        order = list(nx.topological_sort(self.graph))
         order.reverse()
         if root is not None:
             reachable = self.reachable_from(root)

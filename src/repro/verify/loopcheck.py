@@ -106,7 +106,7 @@ def check_loops(kernel: str, program: Program,
             back_tails = {tail for tail, _ in loop.back_edges}
             entries = sum(
                 counts.get(pred, 0)
-                for pred in cfg.graph.predecessors(loop.header)
+                for pred in cfg.predecessors(loop.header)
                 if pred not in back_tails)
             if loop.header == cfg.entry:
                 # The function entry is also entered by every call (once,

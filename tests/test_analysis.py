@@ -240,6 +240,47 @@ class TestLoopBoundInference:
             solve_ipet(cfg, costs)
 
 
+class TestIrreducibleControlFlow:
+    """A two-entry cycle: ``main`` enters it at ``a`` or at ``b``."""
+
+    def _program(self):
+        b = ProgramBuilder("irreducible")
+        f = b.function("main")
+        f.li("r1", 3)
+        f.li("r2", 0)
+        f.emit("cmpineq", "p1", "r1", 0)
+        f.br("b", pred="p1")
+        f.label("a")
+        f.emit("addi", "r2", "r2", 1)
+        f.emit("cmpilt", "p2", "r2", 5)
+        f.br("b", pred="p2")
+        f.br("out")
+        f.label("b")
+        f.emit("subi", "r1", "r1", 1)
+        f.emit("cmpineq", "p3", "r1", 0)
+        f.br("a", pred="p3")
+        f.label("out")
+        f.halt()
+        return b.build()
+
+    def test_value_analysis_widens_instead_of_failing(self):
+        program = self._program()
+        facts = _facts_of(program)
+        assert not facts.cfg.is_reducible()
+        assert facts.cfg.natural_loops() == []
+        assert set(facts.fixpoint.in_states) == facts.cfg.reachable()
+        assert facts.inferred_bounds == {}
+        # A run leaves the cycle with r2 == 2; r2 grows on every round
+        # through ``a``, so only widening lets the fixpoint terminate.
+        r2 = facts.fixpoint.in_states["out"].gpr(2).offset
+        assert r2.lo <= 2 and (r2.is_top or r2.hi >= 5)
+
+    def test_ipet_reports_the_unbounded_cycle(self):
+        image, _ = compile_and_link(self._program())
+        with pytest.raises(WcetError):
+            analyze_wcet(image)
+
+
 # ---------------------------------------------------------------------------
 # Infeasible paths
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the builder, CFG, call graph and linker."""
 
+import random
+
 import pytest
 
 from repro.config import PatmosConfig
@@ -9,6 +11,7 @@ from repro.program import (
     CallGraph,
     ControlFlowGraph,
     DataSpace,
+    Function,
     ProgramBuilder,
     link,
     parse_guard,
@@ -154,6 +157,108 @@ class TestControlFlowGraph:
         program = b.build()
         with pytest.raises(WcetError):
             ControlFlowGraph.build(program.function("main"))
+
+
+def _random_graph(seed):
+    """A random digraph on ``n0..nk`` entered at ``n0``; parts of it may be
+    unreachable or irreducible."""
+    rng = random.Random(seed)
+    labels = [f"n{i}" for i in range(rng.randrange(2, 12))]
+    successors = {label: [] for label in labels}
+    for label in labels:
+        for _ in range(rng.choice((0, 1, 2, 2, 3))):
+            succ = rng.choice(labels)
+            if succ not in successors[label]:
+                successors[label].append(succ)
+    return successors
+
+
+def _naive_dominators(successors, entry):
+    """Dominator sets by the textbook set-intersection fixpoint."""
+    reach, stack = {entry}, [entry]
+    while stack:
+        for succ in successors[stack.pop()]:
+            if succ not in reach:
+                reach.add(succ)
+                stack.append(succ)
+    dom = {label: set(reach) for label in reach}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for label in reach - {entry}:
+            preds = [p for p in reach if label in successors[p]]
+            new = {label} | set.intersection(*(dom[p] for p in preds))
+            if new != dom[label]:
+                dom[label] = new
+                changed = True
+    return dom
+
+
+def _reducible_by_t1_t2(successors, entry, reach):
+    """Reducibility by the T1/T2 transformations: the reachable graph must
+    shrink to one node by deleting self loops and merging each non-entry
+    node that has a single predecessor into it."""
+    preds = {label: {p for p in reach if label in successors[p]}
+             for label in reach}
+    changed = True
+    while changed:
+        changed = False
+        for label in list(preds):
+            preds[label].discard(label)
+            if label == entry or len(preds[label]) != 1:
+                continue
+            (into,) = preds.pop(label)
+            for others in preds.values():
+                if label in others:
+                    others.discard(label)
+                    others.add(into)
+            changed = True
+    return len(preds) == 1
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_dominators_match_naive_oracle(seed):
+    successors = _random_graph(seed)
+    cfg = ControlFlowGraph(Function("random"), successors, "n0", ["n0"])
+    dom = _naive_dominators(successors, "n0")
+    assert cfg.reachable() == dom.keys()
+    assert set(cfg.reverse_postorder()) == dom.keys()
+    assert cfg.reverse_postorder()[0] == "n0"
+    assert cfg.dominators() == {
+        label: next(d for d in strict if dom[d] == strict)
+        for label in dom if label != "n0"
+        for strict in [dom[label] - {label}]}
+    for a in successors:
+        for b in successors:
+            expected = a in dom[b] if b in dom else a == b
+            assert cfg.dominates(a, b) == expected, (a, b)
+    assert cfg.back_edges() == [
+        (tail, head) for tail in successors for head in successors[tail]
+        if tail in dom and head in dom[tail]]
+    reducible = _reducible_by_t1_t2(successors, "n0", dom.keys())
+    assert cfg.is_reducible() == reducible
+    if reducible:
+        order = cfg.topological_order()
+        assert sorted(order) == sorted(dom)
+        position = {label: i for i, label in enumerate(order)}
+        for tail in order:
+            for head in successors[tail]:
+                if (tail, head) not in cfg.back_edges():
+                    assert position[tail] < position[head]
+    else:
+        with pytest.raises(WcetError, match="irreducible"):
+            cfg.topological_order()
+
+
+def test_random_graphs_cover_unreachable_and_irreducible_parts():
+    unreachable = irreducible = 0
+    for seed in range(80):
+        successors = _random_graph(seed)
+        reach = _naive_dominators(successors, "n0").keys()
+        unreachable += len(reach) < len(successors)
+        irreducible += not _reducible_by_t1_t2(successors, "n0", reach)
+    assert unreachable >= 10 and irreducible >= 10
 
 
 class TestCallGraph:
