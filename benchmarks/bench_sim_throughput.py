@@ -1,25 +1,25 @@
-"""Simulator hot-loop throughput: reference vs micro-op vs generated code.
+"""Simulator hot-loop throughput: reference interpreter vs micro-op engine.
 
 Runs the workloads of the E2 (dual-issue), E3 (pipeline timing) and E7
-(single-path) experiments on all three execution engines (``reference``
-interpreter, ``fast`` micro-op engine, ``jit`` generated superblocks) and
-on both simulator classes (functional = no timing hooks, the pure hot-loop
-measure; cycle = the full memory hierarchy), measures bundles/sec, verifies
-that the engines produce identical results, and emits a machine-readable
-``BENCH_sim.json`` (schema v2)::
+(single-path) experiments on both execution engines (``reference``
+interpreter, ``fast`` micro-op engine) and on both simulator classes
+(functional = no timing hooks, the pure hot-loop measure; cycle = the full
+memory hierarchy), measures bundles/sec, verifies that the engines produce
+identical results, and emits a machine-readable ``BENCH_sim.json``
+(schema v3)::
 
     python benchmarks/bench_sim_throughput.py [--smoke] [--output PATH]
     python benchmarks/bench_sim_throughput.py \
-        --kernels checksum,fir_filter,matmul,saturate --min-speedup 3.0
+        --kernels checksum,fir_filter,matmul,saturate --min-speedup 5.0
 
 ``--smoke`` runs each workload once per engine (fast enough for CI) and the
 process exits non-zero if any workload loses golden equivalence, so a CI
 step catches an engine regression even without stable timing.  The full
 mode times repeated runs and reports per-workload and aggregate speed-ups.
 
-``--min-speedup X`` gates the *functional-simulator mean jit-over-fast*
-ratio: the run fails if the generated-code engine is less than ``X`` times
-the micro-op engine's hot-loop throughput averaged over the selected
+``--min-speedup X`` gates the *functional-simulator mean fast-over-reference*
+ratio: the run fails if the micro-op engine is less than ``X`` times the
+reference interpreter's hot-loop throughput averaged over the selected
 workloads.  (The cycle simulator's ratio is reported too, but its runtime
 is dominated by the shared timing hooks, which no engine can specialise
 away.)  ``--kernels`` restricts the workload set (by label) so CI can gate
@@ -43,11 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import CompileOptions, CycleSimulator, FunctionalSimulator, \
     PatmosConfig, compile_and_link  # noqa: E402
+from repro.sim import ENGINES  # noqa: E402
 from repro.workloads import PERFORMANCE_SUITE, build_kernel  # noqa: E402
 from repro.workloads.kernels import build_linear_search, build_saturate, \
     build_checksum, build_vector_sum  # noqa: E402
 
-ENGINES = ("reference", "fast", "jit")
 SIMS = (("functional", FunctionalSimulator), ("cycle", CycleSimulator))
 
 #: The experiment workloads the ISSUE's acceptance criterion names.
@@ -88,8 +88,7 @@ def _canonical(result) -> dict:
 def _measure(image, config, sim_cls, engine: str, min_seconds: float
              ) -> tuple[float, int, dict]:
     """Return (best bundles/sec, bundles per run, canonical result)."""
-    # Warm-up run: triggers the one-time decode pass (and, for the jit
-    # engine, code generation / the disk-cache hit) and gives us the result
+    # Warm-up run: triggers the one-time decode pass and gives us the result
     # for the equivalence check.  Only run() is timed — construction cost is
     # engine-independent and compilation is amortised over a sweep.  The
     # non-strict decode variant is measured (the constructor default and
@@ -133,7 +132,8 @@ def _load_baseline(path: Path) -> dict | None:
     except (OSError, ValueError):
         return None
     summary = data.get("summary", {})
-    if data.get("schema") == "bench_sim_throughput/v2":
+    if data.get("schema") in ("bench_sim_throughput/v2",
+                              "bench_sim_throughput/v3"):
         keep = summary
     else:
         # v1 timed the cycle simulator and reported fast-vs-reference only.
@@ -147,14 +147,13 @@ def run_benchmark(smoke: bool, kernels: list[str] | None) -> dict:
     config = PatmosConfig()
     min_seconds = 0.0 if smoke else 0.3
     report: dict = {
-        "schema": "bench_sim_throughput/v2",
+        "schema": "bench_sim_throughput/v3",
         "mode": "smoke" if smoke else "full",
         "engines": list(ENGINES),
         "simulators": [name for name, _ in SIMS],
         "experiments": {},
     }
-    ratios = {sim_name: {"fast_over_reference": [], "jit_over_reference": [],
-                         "jit_over_fast": []} for sim_name, _ in SIMS}
+    ratios: dict[str, list[float]] = {sim_name: [] for sim_name, _ in SIMS}
     failures = 0
     checked = 0
     selected = 0
@@ -186,16 +185,9 @@ def run_benchmark(smoke: bool, kernels: list[str] | None) -> dict:
                     equivalent = False
                     print(f"EQUIVALENCE FAILURE: {exp_name}/{label} "
                           f"({sim_name})", file=sys.stderr)
-                speedup = {
-                    "fast_over_reference": round(_ratio(
-                        throughput["fast"], throughput["reference"]), 3),
-                    "jit_over_reference": round(_ratio(
-                        throughput["jit"], throughput["reference"]), 3),
-                    "jit_over_fast": round(_ratio(
-                        throughput["jit"], throughput["fast"]), 3),
-                }
-                for key, value in speedup.items():
-                    ratios[sim_name][key].append(value)
+                speedup = {"fast_over_reference": round(_ratio(
+                    throughput["fast"], throughput["reference"]), 3)}
+                ratios[sim_name].append(speedup["fast_over_reference"])
                 record[sim_name] = {
                     "throughput_bundles_per_sec": throughput,
                     "speedup": speedup,
@@ -203,20 +195,18 @@ def run_benchmark(smoke: bool, kernels: list[str] | None) -> dict:
                 print(f"{exp_name:3s} {label:22s} {sim_name:10s} "
                       f"ref {throughput['reference'] / 1e3:8.1f}k/s  "
                       f"fast {throughput['fast'] / 1e3:8.1f}k/s  "
-                      f"jit {throughput['jit'] / 1e3:8.1f}k/s  "
-                      f"j/f {speedup['jit_over_fast']:5.2f}x  "
-                      f"j/r {speedup['jit_over_reference']:6.2f}x  "
+                      f"f/r {speedup['fast_over_reference']:6.2f}x  "
                       f"{'ok' if sim_equivalent else 'MISMATCH'}")
             record["equivalent"] = equivalent
             workloads[label] = record
         if not workloads:
             continue
-        jf = [w["functional"]["speedup"]["jit_over_fast"]
+        fr = [w["functional"]["speedup"]["fast_over_reference"]
               for w in workloads.values()]
         report["experiments"][exp_name] = {
             "workloads": workloads,
-            "functional_mean_jit_over_fast": round(_mean(jf), 3),
-            "functional_min_jit_over_fast": round(min(jf), 3),
+            "functional_mean_fast_over_reference": round(_mean(fr), 3),
+            "functional_min_fast_over_reference": round(min(fr), 3),
         }
     if kernels is not None and selected < len(kernels):
         known = {label for cases in EXPERIMENTS.values()
@@ -227,16 +217,9 @@ def run_benchmark(smoke: bool, kernels: list[str] | None) -> dict:
     report["equivalence"] = {"checked": checked, "failures": failures}
     report["summary"] = {
         sim_name: {
-            "mean_fast_over_reference": round(
-                _mean(values["fast_over_reference"]), 3),
-            "mean_jit_over_reference": round(
-                _mean(values["jit_over_reference"]), 3),
-            "mean_jit_over_fast": round(
-                _mean(values["jit_over_fast"]), 3),
-            "geomean_jit_over_fast": round(
-                _geomean(values["jit_over_fast"]), 3),
-            "min_jit_over_fast": round(
-                min(values["jit_over_fast"]), 3),
+            "mean_fast_over_reference": round(_mean(values), 3),
+            "geomean_fast_over_reference": round(_geomean(values), 3),
+            "min_fast_over_reference": round(min(values), 3),
         }
         for sim_name, values in ratios.items()
     }
@@ -255,7 +238,7 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         metavar="X",
                         help="fail unless the functional simulator's mean "
-                             "jit/fast speedup is >= X")
+                             "fast/reference speedup is >= X")
     parser.add_argument("--baseline", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_sim.json"),
         help="committed report to embed for comparison (informational)")
@@ -270,25 +253,22 @@ def main(argv=None) -> int:
     functional = report["summary"]["functional"]
     cycle = report["summary"]["cycle"]
     print(f"\nwrote {args.output}:")
-    print(f"  functional: mean jit/fast "
-          f"{functional['mean_jit_over_fast']}x, mean jit/ref "
-          f"{functional['mean_jit_over_reference']}x, mean fast/ref "
+    print(f"  functional: mean fast/ref "
           f"{functional['mean_fast_over_reference']}x")
-    print(f"  cycle:      mean jit/fast "
-          f"{cycle['mean_jit_over_fast']}x, mean jit/ref "
-          f"{cycle['mean_jit_over_reference']}x, mean fast/ref "
+    print(f"  cycle:      mean fast/ref "
           f"{cycle['mean_fast_over_reference']}x")
     if baseline and isinstance(baseline["summary"].get("functional"), dict):
-        print(f"  baseline functional mean jit/fast: "
-              f"{baseline['summary']['functional']['mean_jit_over_fast']}x")
+        base_functional = baseline["summary"]["functional"]
+        print(f"  baseline functional mean fast/ref: "
+              f"{base_functional.get('mean_fast_over_reference')}x")
     if report["equivalence"]["failures"]:
         print("an engine lost golden equivalence — failing", file=sys.stderr)
         return 1
     if (args.min_speedup is not None
-            and functional["mean_jit_over_fast"] < args.min_speedup):
-        print(f"jit perf gate FAILED: functional mean jit/fast "
-              f"{functional['mean_jit_over_fast']}x < {args.min_speedup}x",
-              file=sys.stderr)
+            and functional["mean_fast_over_reference"] < args.min_speedup):
+        print(f"engine perf gate FAILED: functional mean fast/reference "
+              f"{functional['mean_fast_over_reference']}x < "
+              f"{args.min_speedup}x", file=sys.stderr)
         return 1
     return 0
 

@@ -456,7 +456,7 @@ class MulticoreSystem:
                 cores, arbiter, max_bundles, injector=injector,
                 max_cycles=max_cycles, deadline=deadline,
                 max_wall_s=max_wall_s)
-        elif self.scheduler == "event" and self.engine in ("fast", "jit") \
+        elif self.scheduler == "event" and self.engine == "fast" \
                 and all(self._core_event_capable(core) for core in cores):
             stats = self._schedule_event(
                 cores, arbiter, max_bundles, max_cycles=max_cycles,
@@ -539,20 +539,14 @@ class MulticoreSystem:
         Called once per core when the heap first releases it.  The default
         performs the core's entry method-cache fill (its requests carry the
         core's current clock) and wraps the simulator in a synchronising
-        :class:`~repro.sim.engine.EngineContext` — the generated-code
-        :class:`~repro.sim.codegen.JitContext` under ``engine="jit"``, which
-        honours the same sync-pause protocol from compiled superblocks.
-        Agents that already speak the event protocol (``event_capable`` RTOS
-        task runtimes) are returned as-is.
+        :class:`~repro.sim.engine.EngineContext`.  Agents that already speak
+        the event protocol (``event_capable`` RTOS task runtimes) are
+        returned as-is.
         """
         if getattr(core, "event_capable", False):
             return core
         core._ensure_started()  # entry fill requests at cycle 0
-        if self.engine == "jit":
-            from ..sim.codegen import JitContext
-            context = JitContext(core)
-        else:
-            context = EngineContext(core)
+        context = EngineContext(core)
         context.enable_sync()
         return context
 

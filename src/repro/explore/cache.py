@@ -68,8 +68,8 @@ def _save_lock(path: Path):
 #: arbiter's preference order (a core catching up from behind yields the
 #: bus tie instead of keeping a scheduling-slice privilege), which can
 #: shift round-robin/priority interference timings by a few cycles.
-#: v5: the execution engine ("reference" | "fast" | "jit") joined the spec
-#: content hash, so pre-v5 keys no longer address the same design point.
+#: v5: the execution engine joined the spec content hash, so pre-v5 keys
+#: no longer address the same design point.
 #: v6: WCET options gained the ``analysis`` toggle (abstract-interpretation
 #: value analysis); bounds of cached records may differ from pre-v6 runs.
 CACHE_VERSION = 6

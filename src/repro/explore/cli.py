@@ -179,6 +179,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
             matrix = _build_matrix(args)
         space = _space_from_matrix(matrix)
+        # Expanding checks every axis value (a resumed run may name an
+        # engine or arbiter this version lacks) before the journal is
+        # created or appended to.
+        specs = space.specs()
         analyse_wcet = bool(matrix.get("analyse_wcet", True))
         # Validate the objectives before the sweep so a typo fails fast
         # instead of after a potentially long simulation run.
@@ -199,7 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"exploring {len(space)} design points "
               f"({len(space.kernels)} kernels x "
               f"{len(space) // max(len(space.kernels), 1)} configurations)")
-        outcome = runner.run(space, run_dir=run_dir,
+        outcome = runner.run(specs, run_dir=run_dir,
                              resume=bool(args.resume))
 
         print()

@@ -104,9 +104,9 @@ def execute_spec(spec: ExperimentSpec) -> SpecResult:
 
     if spec.cores == 1:
         # Sweeps are throughput-bound: the spec's engine defaults to the
-        # pre-decoded micro-op engine ("fast"; "jit" for generated code);
-        # equivalence to the reference interpreter is guaranteed by the
-        # golden suite in tests/test_engine_equivalence.py.
+        # pre-decoded micro-op engine ("fast"); equivalence to the reference
+        # interpreter is guaranteed by the golden suite in
+        # tests/test_engine_equivalence.py.
         sim = CycleSimulator(image, config=spec.config, strict=True,
                              engine=spec.engine).run()
         _check_output(spec, sim.output, kernel.expected_output)

@@ -20,9 +20,10 @@ Axes come in five kinds:
   (co-simulated against one shared memory);
 * the ``arbiter`` axis sweeps the memory arbitration policy
   (``tdma``, ``round_robin``, ``priority``);
-* the ``engine`` axis picks the execution engine (``reference``, ``fast``,
-  ``jit``); engines are bit-identical by the golden equivalence suite, but
-  the engine is still part of the cache key so sweeps never mix results;
+* the ``engine`` axis picks the execution engine (``fast`` or
+  ``reference``, :data:`repro.sim.ENGINES`); engines are bit-identical by
+  the golden equivalence suite, but the engine is still part of the cache
+  key so sweeps never mix results;
 * the ``slot_cycles`` axis sweeps the TDMA slot length;
 * the ``slot_weights`` axis sweeps per-core TDMA slot weights, written as
   colon-separated integers (``1:2:1:1``); the pattern is cycled over the
@@ -52,6 +53,7 @@ from typing import Any, Iterable, Optional, Sequence
 from ..compiler.passes import CompileOptions
 from ..config import PatmosConfig
 from ..errors import ExplorationError
+from ..sim.base import ENGINES
 from ..wcet.analyzer import WcetOptions
 from ..workloads.suite import resolve_kernels
 
@@ -141,9 +143,10 @@ class ExperimentSpec:
     wcet_overrides: tuple[tuple[str, Any], ...] = ()
     cores: int = 1
     arbiter: str = "tdma"
-    #: Execution engine for the simulated side ("reference" | "fast" |
-    #: "jit"); part of the content hash — results from different engines
-    #: must never alias in the cache even though they are required to agree.
+    #: Execution engine for the simulated side (one of
+    #: :data:`repro.sim.ENGINES`); part of the content hash — results from
+    #: different engines must never alias in the cache even though they are
+    #: required to agree.
     engine: str = "fast"
     slot_cycles: Optional[int] = None
     slot_weights: Optional[tuple[int, ...]] = None
@@ -347,14 +350,11 @@ class ParameterSpace:
         )
 
 
-_ENGINES = ("reference", "fast", "jit")
-
-
 def _parse_engine(value) -> str:
     name = str(value).strip().lower()
-    if name not in _ENGINES:
+    if name not in ENGINES:
         raise ExplorationError(
-            f"unknown engine {name!r}; available: {list(_ENGINES)}")
+            f"unknown engine {name!r}; available: {list(ENGINES)}")
     return name
 
 

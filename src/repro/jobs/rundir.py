@@ -12,8 +12,7 @@ axes, variants, engine, ...).  Re-running the same sweep therefore lands in
 the same directory — and ``--resume RUN_ID`` can find it by id alone.
 
 The runs root resolves, in order: an explicit ``root`` argument, the
-``REPRO_RUNS_DIR`` environment variable, then ``~/.cache/repro/runs``
-(the same user-cache convention as the generated-code engine's disk cache).
+``REPRO_RUNS_DIR`` environment variable, then ``~/.cache/repro/runs``.
 """
 
 from __future__ import annotations

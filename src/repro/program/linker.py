@@ -93,8 +93,8 @@ class Image:
         guards and immediates), function and block placement, symbols, the
         entry point and the initial memory/scratchpad contents.  Two images
         hash equally iff a simulator cannot tell them apart, so the digest
-        keys caches that persist across processes (the generated-code cache
-        of :mod:`repro.sim.codegen`).  Memoised per image.
+        pins compiler output across processes and machines (the golden
+        schedules of ``tests/test_compiler.py``).  Memoised per image.
         """
         cached = self.__dict__.get("_content_hash")
         if cached is None:

@@ -188,8 +188,8 @@ class CoreTaskRuntime:
 
         #: Event-scheduler capability flag consumed by
         #: :meth:`MulticoreSystem._core_event_capable`: the event protocol
-        #: needs the pre-decoded engine contexts (micro-op or generated).
-        self.event_capable = engine in ("fast", "jit")
+        #: needs the pre-decoded engine contexts.
+        self.event_capable = engine == "fast"
 
     # ------------------------------------------------------------------
     # Co-simulation scheduler protocols
@@ -439,10 +439,6 @@ class CoreTaskRuntime:
         self.cycles = sim.cycles
         if self.engine == "fast":
             job.context = EngineContext(sim)
-            job.context.enable_sync()
-        elif self.engine == "jit":
-            from ..sim.codegen import JitContext
-            job.context = JitContext(sim)
             job.context.enable_sync()
 
     def _sync_job_clock(self, job: _Job) -> None:

@@ -1,4 +1,4 @@
-"""Patmos simulators: functional and cycle-accurate, on three engines.
+"""Patmos simulators: functional and cycle-accurate, on two engines.
 
 Module map
 ----------
@@ -20,8 +20,9 @@ Module map
     image into a dense PC-indexed micro-op table once, and a dispatch-table
     interpreter executes it without per-step decoding.  Both simulator
     classes run on it by default (``engine="fast"``); pass
-    ``engine="reference"`` to force the interpreter.  The two are kept
-    observationally identical by the golden-equivalence suite
+    ``engine="reference"`` to force the interpreter.  :data:`ENGINES` lists
+    both; every layer that takes an engine accepts exactly these.  The two
+    are kept observationally identical by the golden-equivalence suite
     (``tests/test_engine_equivalence.py``).  Both engines are resumable
     through ``run_step`` (run-until-cycle / run-until-memory-event), which
     is how the multicore co-simulation (:mod:`repro.cmp`) interleaves N
@@ -32,19 +33,6 @@ Module map
     may register an arbitrated memory transfer; the event-driven co-sim
     scheduler holds one context per core and releases them in global time
     order (``tests/test_cosim_scheduler.py`` pins the equivalence).
-``codegen``
-    The generated-code *jit engine* (``engine="jit"``): a compiler pass
-    lowers each decoded program into straight-line Python superblocks —
-    operands inlined, configuration constant-folded, branch targets
-    pre-resolved — exec'd once and cached on disk keyed by image content,
-    decode variant, hook/sync signature and
-    :data:`~repro.sim.codegen.generator.CODEGEN_VERSION`.
-    :class:`~repro.sim.codegen.JitContext` subclasses
-    :class:`~repro.sim.engine.EngineContext`, so pause-before-memory-event
-    stepping, arbiter interleaving and the fault injector work unchanged;
-    ``REPRO_NO_JIT=1`` falls back to the micro-op engine.  Equivalence is
-    pinned by the same golden suite plus ``tests/test_codegen.py`` (cache
-    lifecycle) — see the README's "Execution engines" section.
 ``executor``
     Pure evaluation of ALU/compare/predicate/multiply semantics shared by
     the reference interpreter (the fast engine pre-binds its own inlined
@@ -57,8 +45,7 @@ Module map
     :class:`SimResult`, :class:`StallBreakdown`, :class:`TraceEntry`.
 """
 
-from .base import BaseSimulator
-from .codegen import JitContext, run_jit
+from .base import ENGINES, BaseSimulator
 from .cycle import CycleSimulator
 from .engine import DecodedProgram, EngineContext, decode_image
 from .functional import FunctionalSimulator
@@ -66,18 +53,17 @@ from .results import SimResult, StallBreakdown, TraceEntry
 from .state import ArchState, to_signed, to_unsigned
 
 __all__ = [
+    "ENGINES",
     "ArchState",
     "BaseSimulator",
     "CycleSimulator",
     "DecodedProgram",
     "EngineContext",
     "FunctionalSimulator",
-    "JitContext",
     "SimResult",
     "StallBreakdown",
     "TraceEntry",
     "decode_image",
-    "run_jit",
     "to_signed",
     "to_unsigned",
 ]

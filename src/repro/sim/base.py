@@ -83,6 +83,10 @@ _REFERENCE_SEMANTICS_METHODS = (
 
 _reference_semantics_cache: dict[type, bool] = {}
 
+#: The execution engines every simulator accepts: the pre-decoded micro-op
+#: engine (the default) and the reference interpreter it is checked against.
+ENGINES = ("fast", "reference")
+
 
 def _uses_reference_semantics(cls: type) -> bool:
     """True if ``cls`` keeps every execution internal of the base class."""
@@ -98,26 +102,23 @@ def _uses_reference_semantics(cls: type) -> bool:
 class BaseSimulator:
     """Functional Patmos simulator (architectural semantics, no timing).
 
-    Three execution engines share these semantics: the readable reference
-    interpreter implemented by :meth:`_step`/:meth:`_execute` below, the
-    pre-decoded fast engine of :mod:`repro.sim.engine` (the default), which
-    compiles the image into a micro-op table once and is several times
-    faster, and the jit engine of :mod:`repro.sim.codegen`
-    (``engine="jit"``), which generates straight-line Python superblocks per
-    program for another large speed-up.  Pass ``engine="reference"`` to
-    force the interpreter; subclasses that override any execution internal
-    (``_step``, ``_execute`` and the helpers they dispatch to) fall back to
-    it automatically.
+    Two execution engines (:data:`ENGINES`) share these semantics: the
+    readable reference interpreter implemented by :meth:`_step`/
+    :meth:`_execute` below, and the pre-decoded fast engine of
+    :mod:`repro.sim.engine` (the default), which compiles the image into a
+    micro-op table once and is several times faster.  Pass
+    ``engine="reference"`` to force the interpreter; subclasses that
+    override any execution internal (``_step``, ``_execute`` and the helpers
+    they dispatch to) fall back to it automatically.
     """
 
     def __init__(self, image: Image, config: Optional[PatmosConfig] = None,
                  strict: bool = False, trace: bool = False,
                  engine: str = "fast",
                  memory: Optional[MainMemory] = None):
-        if engine not in ("fast", "reference", "jit"):
+        if engine not in ENGINES:
             raise SimulationError(
-                f"unknown engine {engine!r}; use 'fast', 'reference' or "
-                f"'jit'")
+                f"unknown engine {engine!r}; use one of {list(ENGINES)}")
         self.image = image
         self.config = config or image.config or DEFAULT_CONFIG
         self.strict = strict
@@ -298,11 +299,7 @@ class BaseSimulator:
         self._ensure_started()
         source = self._memory_event_source() if stop_on_memory_event else None
         events_before = source.events if source is not None else 0
-        if self.engine == "jit" and _uses_reference_semantics(type(self)):
-            from .codegen import run_jit
-            run_jit(self, max_bundles, until_cycle=until_cycle,
-                    event_source=source)
-        elif self.engine == "fast" and _uses_reference_semantics(type(self)):
+        if self.engine == "fast" and _uses_reference_semantics(type(self)):
             from .engine import run_predecoded
             run_predecoded(self, max_bundles, until_cycle=until_cycle,
                            event_source=source)

@@ -51,7 +51,6 @@ Register indices are validated once at decode time; the hot loop then indexes
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..config import NUM_GPRS, NUM_PREDS
@@ -205,26 +204,9 @@ class DecodedProgram:
     ring_size: int
     strict: bool
     trace: bool
-    #: Stable content hash of this decode: image content, pipeline
-    #: configuration and the strict/trace variant.  Two decodes with equal
-    #: keys produce identical tables, so the key addresses the on-disk
-    #: generated-code cache of :mod:`repro.sim.codegen`.
-    codegen_key: str = ""
     #: Memoised per-bundle may-arbitrate flags, keyed by the cache/store
     #: organisation signature (see :meth:`EngineContext.enable_sync`).
     sync_flags_cache: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """Summary of the decode for cache diagnostics (JSON-safe)."""
-        return {
-            "base": self.base,
-            "length": len(self.table),
-            "bundles": sum(1 for rec in self.table if rec is not None),
-            "ring_size": self.ring_size,
-            "strict": self.strict,
-            "trace": self.trace,
-            "codegen_key": self.codegen_key,
-        }
 
 
 def decode_image(image: Image, pipeline, strict: bool,
@@ -252,17 +234,6 @@ def _validate_index(value, limit: int, what: str) -> int:
     return value
 
 
-def _codegen_key(image: Image, pipeline, strict: bool, trace: bool) -> str:
-    """Content hash of one decode variant (see ``DecodedProgram.codegen_key``).
-
-    ``pipeline`` is a frozen dataclass whose ``repr`` spells out every field,
-    so the digest changes whenever issue width or any delay-slot count does.
-    """
-    payload = (f"{image.content_hash()}|{pipeline!r}|"
-               f"strict={strict}|trace={trace}")
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _ring_size(pipeline) -> int:
     needed = max(pipeline.load_delay_slots, pipeline.mul_delay_slots) + 2
     size = 2
@@ -277,9 +248,7 @@ def _decode(image: Image, pipeline, strict: bool,
     if not bundles:
         return DecodedProgram(table=[], base=image.entry_addr,
                               ring_size=_ring_size(pipeline), strict=strict,
-                              trace=trace,
-                              codegen_key=_codegen_key(image, pipeline,
-                                                       strict, trace))
+                              trace=trace)
     base = min(bundles)
     length = ((max(bundles) - base) >> 2) + 1
     table: list = [None] * length
@@ -314,9 +283,7 @@ def _decode(image: Image, pipeline, strict: bool,
         )
     return DecodedProgram(table=table, base=base,
                           ring_size=_ring_size(pipeline), strict=strict,
-                          trace=trace,
-                          codegen_key=_codegen_key(image, pipeline, strict,
-                                                   trace))
+                          trace=trace)
 
 
 def _read_sets(instr: Instruction, info: OpInfo
@@ -723,27 +690,29 @@ class EngineContext:
         #: (:meth:`enable_sync`); ``None`` disables the pause protocol.
         self.sync_flags = None
 
-    def _sync_key(self):
-        """The cache/store organisation signature of this core (or ``None``).
+    def enable_sync(self) -> None:
+        """Classify every bundle for the pause-before-memory-event protocol.
 
-        ``None`` means no shared arbiter is attached, so no bundle can ever
-        register a transfer; otherwise the tuple captures exactly the
-        configuration bits :func:`_uop_may_arbitrate` classifies against.
+        The flags depend on the core's cache organisation and store-buffer
+        configuration, not just on the image, so they are per-context rather
+        than part of the shared decode cache.  They are memoised on the
+        decode per organisation signature: ``None`` when no shared arbiter
+        is attached (no bundle can ever register a transfer), otherwise
+        exactly the configuration bits :func:`_uop_may_arbitrate`
+        classifies against.
         """
         sim = self.sim
         hierarchy = getattr(sim, "hierarchy", None)
         controller = getattr(sim, "controller", None)
         if controller is None or controller.arbiter is None:
-            return None  # no arbiter: no bundle can ever request
-        uses_mc = hierarchy is not None and hierarchy.uses_method_cache
-        options = hierarchy.options if hierarchy is not None else None
-        return (uses_mc,
-                options is not None and options.unified_data_cache,
-                options is not None and options.ideal_data_caches,
-                controller.store_buffer_entries == 0)
-
-    def _sync_flags_for(self, key) -> list:
-        """Memoised per-bundle may-arbitrate flags for one signature."""
+            key = None
+        else:
+            uses_mc = hierarchy is not None and hierarchy.uses_method_cache
+            options = hierarchy.options if hierarchy is not None else None
+            key = (uses_mc,
+                   options is not None and options.unified_data_cache,
+                   options is not None and options.ideal_data_caches,
+                   controller.store_buffer_entries == 0)
         flags = self.program.sync_flags_cache.get(key)
         if flags is None:
             flags = [False] * self.tlen
@@ -758,16 +727,7 @@ class EngineContext:
                             flags[index] = True
                             break
             self.program.sync_flags_cache[key] = flags
-        return flags
-
-    def enable_sync(self) -> None:
-        """Classify every bundle for the pause-before-memory-event protocol.
-
-        The flags depend on the core's cache organisation and store-buffer
-        configuration, not just on the image, so they are per-context rather
-        than part of the shared decode cache.
-        """
-        self.sync_flags = self._sync_flags_for(self._sync_key())
+        self.sync_flags = flags
 
     def export(self) -> None:
         """Write the in-flight state back to the simulator (idempotent)."""

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from ..errors import ReproError, SweepInterrupted
 from ..jobs import RunDirectory
+from ..sim.base import ENGINES
 from ..workloads.suite import resolve_kernels
 from .harness import count_cells, run_conformance
 from .scenarios import (DEFAULT_ARBITERS, DEFAULT_RTOS_SCENARIOS,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-rtos", action="store_true",
                         help="skip the RTOS response-time soundness cells")
     parser.add_argument("--engine", default="fast",
-                        choices=("reference", "fast", "jit"),
+                        choices=ENGINES,
                         help="execution engine for the simulated side of "
                              "the matrix (default: fast); the report must "
                              "be identical across engines")
@@ -158,6 +159,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.arbiters = ",".join(matrix["arbiters"])
             args.no_rtos = bool(matrix.get("no_rtos", False))
             args.engine = matrix.get("engine", args.engine)
+            # Checked here, before mark_resumed appends to the journal: a
+            # run recorded under an engine this version lacks must fail
+            # without touching it.
+            if args.engine not in ENGINES:
+                raise ReproError(
+                    f"run {args.resume} was recorded with unknown engine "
+                    f"{args.engine!r}; available: {list(ENGINES)}")
         variants = _select(DEFAULT_VARIANTS, args.variants, "variant")
         arbiters = _select(DEFAULT_ARBITERS, args.arbiters, "arbiter")
         kernels = resolve_kernels(

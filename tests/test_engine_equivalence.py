@@ -1,9 +1,8 @@
-"""Golden-equivalence harness: fast and jit engines vs reference interpreter.
+"""Golden-equivalence harness: fast engine vs reference interpreter.
 
-The fast engine of :mod:`repro.sim.engine` and the generated-code jit
-engine of :mod:`repro.sim.codegen` must be observationally identical to the
-reference ``_step``/``_execute`` interpreter.  This suite proves it by
-running every kernel of :mod:`repro.workloads` on all engines — functional
+The fast engine of :mod:`repro.sim.engine` must be observationally identical
+to the reference ``_step``/``_execute`` interpreter.  This suite proves it by
+running every kernel of :mod:`repro.workloads` on both engines — functional
 and cycle-accurate, strict on/off, trace on/off — and comparing the complete
 :class:`~repro.sim.results.SimResult` (cycles, stalls by category, output,
 block/call counts, cache statistics and the trace), plus targeted checks of
@@ -40,14 +39,7 @@ MODES = tuple((strict, trace) for strict in (False, True)
               for trace in (False, True))
 
 #: The engines checked against the reference interpreter.
-ENGINES = ("fast", "jit")
-
-
-@pytest.fixture(autouse=True)
-def _isolated_jit_cache(tmp_path, monkeypatch):
-    """Never read or write the user's real on-disk jit cache."""
-    monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jitcache"))
-    monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+ENGINES = ("fast",)
 
 
 def canonical(result):

@@ -20,6 +20,7 @@ from repro.explore import (
 )
 from repro.explore import runner as runner_module
 from repro.explore.cli import coerce_value, main, parse_axis
+from repro.jobs import RunDirectory
 
 
 class TestAxisResolution:
@@ -131,23 +132,8 @@ class TestSpecKey:
         config = PatmosConfig()
         keys = {ExperimentSpec(kernel="vector_sum", config=config,
                                engine=engine).key()
-                for engine in ("reference", "fast", "jit")}
-        assert len(keys) == 3
-
-    def test_engine_axis_sweeps_identical_figures(self, tmp_path,
-                                                  monkeypatch):
-        """An engine axis expands, and both engines report the same
-        cycles/bundles for the same design point."""
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jit"))
-        space = (ParameterSpace(["vector_sum"])
-                 .axis("engine", ["fast", "jit"]))
-        outcome = ExplorationRunner().run(space)
-        assert len(outcome) == 2
-        fast, jit = outcome.results
-        assert {fast.parameters["engine"], jit.parameters["engine"]} \
-            == {"fast", "jit"}
-        assert fast.cycles == jit.cycles
-        assert fast.stalls == jit.stalls
+                for engine in ("reference", "fast")}
+        assert len(keys) == 2
 
     def test_unknown_engine_rejected(self):
         from repro.errors import ExplorationError
@@ -663,6 +649,22 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "wcet_cycles" not in out
+
+    def test_resume_with_unknown_engine_leaves_journal_untouched(
+            self, tmp_path, capsys):
+        """Every axis value of a resumed sweep is checked before the resume
+        marker is appended to its journal."""
+        engine = "jit"  # an engine value older runs may have recorded
+        matrix = {"kernels": ["vector_sum"],
+                  "axes": [["engine", [engine]]], "analyse_wcet": False}
+        run = RunDirectory.create("explore", matrix, cells=1, root=tmp_path)
+        run.close()
+        before = run.journal_path.read_bytes()
+        code = main(["--resume", run.run_id, "--runs-root", str(tmp_path),
+                     "--no-cache"])
+        assert code == 1
+        assert f"unknown engine {engine!r}" in capsys.readouterr().err
+        assert run.journal_path.read_bytes() == before
 
     def test_unknown_objective_fails_before_sweeping(self, capsys):
         code = main(["--kernels", "vector_sum", "--no-cache",

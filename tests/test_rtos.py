@@ -280,18 +280,6 @@ class TestGoldenDeterminism:
         assert res_f.timing_dict() == res_r.timing_dict()
         assert mem_f == mem_r
 
-    def test_jit_engine_identical(self, tasksets_by_seed, tmp_path,
-                                  monkeypatch):
-        """Generated code under preemption: jit-run task sets stay
-        bit-identical to the micro-op engine (itself pinned above)."""
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jit"))
-        tasksets = tasksets_by_seed(1)
-        for arbiter in ("tdma", "round_robin"):
-            res_j, mem_j = _run(tasksets, 1, arbiter=arbiter, engine="jit")
-            res_f, mem_f = _run(tasksets, 1, arbiter=arbiter, engine="fast")
-            assert res_j.timing_dict() == res_f.timing_dict()
-            assert mem_j == mem_f
-
     def test_interrupts_preempt_and_complete(self, tasksets_by_seed):
         result, _ = _run(tasksets_by_seed(1), 1)
         stats = result.scheduler_stats

@@ -15,7 +15,10 @@ import pytest
 
 from repro import PatmosConfig, compile_and_link
 from repro.cmp import MulticoreSystem
-from repro.errors import VerificationError, WcetError
+from repro.errors import (ExplorationError, SimulationError,
+                          VerificationError, WcetError)
+from repro.explore import ParameterSpace
+from repro.jobs import RunDirectory
 from repro.memory import TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
@@ -32,6 +35,7 @@ from repro.verify import (
 )
 from repro.verify.cli import main
 from repro.wcet import WcetOptions, analyze_wcet
+from repro.workloads import build_kernel
 from repro.workloads.synthetic import random_alu_kernel
 
 CONFIG = PatmosConfig()
@@ -39,6 +43,9 @@ CONFIG = PatmosConfig()
 #: A fast sub-matrix used by the harness-mechanics tests.
 FAST_ARBITERS = tuple(a for a in DEFAULT_ARBITERS
                       if a.name in ("single", "tdma2", "priority2"))
+
+#: An engine value older runs may have recorded; no layer accepts it now.
+REMOVED_ENGINE = "jit"
 
 
 class TestScenarioMatrix:
@@ -94,19 +101,6 @@ class TestHarness:
         json.dumps(payload)  # JSON-serializable end to end
         assert "bound/obs" in report.table()
         assert "0 soundness violations" in report.summary()
-
-    def test_engine_choice_does_not_change_the_report(self, tmp_path,
-                                                      monkeypatch):
-        """The conformance verdicts are engine-independent: the jit-run
-        matrix must reproduce the fast-engine report outcome for outcome."""
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path / "jit"))
-        reports = [run_conformance(kernels=["vector_sum"],
-                                   arbiters=FAST_ARBITERS,
-                                   rtos_scenarios=(), engine=engine)
-                   for engine in ("fast", "jit")]
-        fast, jit = [[outcome.to_dict() for outcome in report.outcomes]
-                     for report in reports]
-        assert fast == jit
 
     def test_simulations_shared_across_analysis_variants(self):
         harness = ConformanceHarness(config=CONFIG)
@@ -185,6 +179,39 @@ class TestCli:
     def test_invalid_jobs_rejected(self, capsys):
         assert main(["--kernels", "vector_sum", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_removed_engine_rejected(self, capsys):
+        """The simulator, the explore engine axis and the verify CLI all
+        reject an engine outside ``repro.sim.ENGINES``."""
+        image, _ = compile_and_link(build_kernel("vector_sum").program,
+                                    CONFIG)
+        with pytest.raises(SimulationError, match=REMOVED_ENGINE):
+            CycleSimulator(image, config=CONFIG, engine=REMOVED_ENGINE)
+        with pytest.raises(ExplorationError, match=REMOVED_ENGINE):
+            (ParameterSpace(["vector_sum"])
+             .axis("engine", [REMOVED_ENGINE])).specs()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--engine", REMOVED_ENGINE])
+        assert exit_info.value.code == 2
+        assert REMOVED_ENGINE in capsys.readouterr().err
+
+    def test_resume_with_unknown_engine_leaves_journal_untouched(
+            self, tmp_path, capsys):
+        """A pending run recorded under an unknown engine fails before the
+        resume marker is appended to its journal."""
+        matrix = {"kernels": ["vector_sum"],
+                  "variants": [DEFAULT_VARIANTS[0].name],
+                  "arbiters": ["single"], "no_rtos": True,
+                  "engine": REMOVED_ENGINE}
+        run = RunDirectory.create("verify", matrix, cells=1, root=tmp_path)
+        run.close()
+        before = run.journal_path.read_bytes()
+        code = main(["--resume", run.run_id, "--runs-root", str(tmp_path),
+                     "--quiet"])
+        assert code == 2
+        assert f"unknown engine {REMOVED_ENGINE!r}" in \
+            capsys.readouterr().err
+        assert run.journal_path.read_bytes() == before
 
 
 class TestParallelMatrix:
