@@ -8,13 +8,16 @@ machine-readable ``BENCH_wcet.json``::
 
     python benchmarks/bench_wcet_conformance.py [--smoke] [--output PATH]
                                                 [--jobs N] [--profile]
+                                                [--max-rss-mb N]
 
-The process exits non-zero if
+The report also records ``peak_rss_mb``, the peak resident set of this
+process and of its worker processes.  The process exits non-zero if
 
 * any scenario observes more cycles than its static bound (a soundness
   violation), or
 * the refined TDMA bound does not yield a strictly lower mean tightness
-  ratio than the blanket bound on the weighted TDMA configuration.
+  ratio than the blanket bound on the weighted TDMA configuration, or
+* ``--max-rss-mb`` is given and ``peak_rss_mb`` exceeds it.
 
 ``--smoke`` restricts the matrix to the performance suite (fast enough for
 CI); the JSON schema is identical, so the recorded per-scenario tightness
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -104,6 +108,14 @@ def tdma_refinement(kernels, config: PatmosConfig) -> dict:
     }
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set of this process and its reaped children, in MB."""
+    scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss unit
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF,
+                           resource.RUSAGE_CHILDREN)) / scale
+
+
 def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
     config = PatmosConfig()
     kernel_set = ("performance",) if smoke else ("all",)
@@ -121,6 +133,7 @@ def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
         "conformance": payload["summary"],
         "scenarios": payload["scenarios"],
         "tdma_refinement": refinement,
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
 
 
@@ -135,6 +148,9 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 20 "
                              "functions by cumulative time")
+    parser.add_argument("--max-rss-mb", type=float, default=None,
+                        metavar="N",
+                        help="fail if the peak resident set exceeds N MB")
     args = parser.parse_args(argv)
 
     jobs = args.jobs
@@ -159,6 +175,7 @@ def main(argv=None) -> int:
           f"tightness {refinement['mean_refined_tightness']} vs blanket "
           f"{refinement['mean_blanket_tightness']} "
           f"(-{refinement['bound_reduction_pct']}%)")
+    print(f"peak RSS {report['peak_rss_mb']} MB")
     print(f"wrote {args.output}")
 
     failed = False
@@ -174,6 +191,11 @@ def main(argv=None) -> int:
     if not refinement["refined_all_sound"]:
         print("SOUNDNESS VIOLATION: a refined TDMA bound fell below its "
               "co-simulated execution — failing", file=sys.stderr)
+        failed = True
+    if args.max_rss_mb is not None and report["peak_rss_mb"] > args.max_rss_mb:
+        print(f"MEMORY REGRESSION: peak RSS {report['peak_rss_mb']} MB "
+              f"exceeds --max-rss-mb {args.max_rss_mb:g} — failing",
+              file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -22,7 +22,9 @@ Supervision model (``jobs > 1``):
   of aborting the sweep;
 * each worker leases at most one cell at a time, so the lease table is
   exact: a crash can only ever lose (and re-run) the cells that were
-  actually in flight.
+  actually in flight;
+* each worker reports over its own result pipe, so a worker killed while
+  writing can tear only its own pipe, never block the others' results.
 
 Errors a cell *raises* are deterministic and are never retried: the
 ``contain`` predicate decides per error whether it becomes a ``FailedCell``
@@ -42,6 +44,7 @@ KeyboardInterrupt drains in the same journal-consistent way).
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import threading
@@ -92,7 +95,7 @@ class CellError:
                    traceback=traceback.format_exc(), exception=exc)
 
     def encode(self) -> dict:
-        """Picklable form for the result queue (exception best-effort)."""
+        """Picklable form for the result pipe (exception best-effort)."""
         try:
             pickled = pickle.dumps(self.exception)
         except Exception:
@@ -166,19 +169,27 @@ def _timeout_failure(cell: JobCell, attempts: int,
 # Worker side
 # ----------------------------------------------------------------------
 
-def _worker_main(slot: int, task_queue, result_queue, heartbeats,
+def _worker_main(slot: int, task_queue, result_conn, heartbeats,
                  interval_s: float, worker_fn, worker_init,
                  init_args: tuple) -> None:
-    """One pool worker: heartbeat thread + lease-execute-report loop."""
+    """One pool worker: heartbeat thread + lease-execute-report loop.
+
+    Results go back over the worker's own pipe, written synchronously by
+    this thread: no lock is shared with other workers, so a worker killed
+    mid-write can only tear its own pipe.
+    """
     # The supervisor owns shutdown: workers must survive the terminal's
     # SIGINT (sent to the whole foreground process group) so in-flight
     # cells can finish during a graceful drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     stop = threading.Event()
+    supervisor = os.getppid()
 
     def beat() -> None:
         while not stop.is_set():
+            if os.getppid() != supervisor:
+                os._exit(1)  # orphaned: no one will lease or read again
             heartbeats[slot] = time.monotonic()
             stop.wait(interval_s)
 
@@ -187,21 +198,19 @@ def _worker_main(slot: int, task_queue, result_queue, heartbeats,
         try:
             worker_init(*init_args)
         except BaseException as exc:
-            result_queue.put(("init_error", slot,
+            result_conn.send(("init_error",
                               CellError.from_exception(exc).encode()))
             return
     while True:
         item = task_queue.get()
         if item is None:
             break
-        key, payload, attempt = item
         try:
-            value = worker_fn(payload)
+            value = worker_fn(item[0])
         except Exception as exc:
-            result_queue.put(("error", slot, key, attempt,
-                              CellError.from_exception(exc).encode()))
+            result_conn.send(("error", CellError.from_exception(exc).encode()))
         else:
-            result_queue.put(("ok", slot, key, attempt, value))
+            result_conn.send(("ok", value))
     stop.set()
 
 
@@ -216,6 +225,7 @@ class _Slot:
         self.index = index
         self.process = None
         self.task_queue = None
+        self.result_conn = None
         self.lease: Optional[tuple[JobCell, int]] = None  # (cell, attempt)
         self.lease_started = 0.0
 
@@ -321,7 +331,6 @@ class _Supervisor:
                 context = multiprocessing.get_context()
             width = min(self.jobs, max(len(self.cells), 1))
             self.context = context
-            self.result_queue = context.Queue()
             self.heartbeats = context.Array("d", width, lock=False)
             self.slots = [_Slot(index) for index in range(width)]
             for slot in self.slots:
@@ -356,14 +365,16 @@ class _Supervisor:
 
     def _spawn(self, slot: _Slot) -> None:
         slot.task_queue = self.context.SimpleQueue()
+        slot.result_conn, writer = self.context.Pipe(duplex=False)
         self.heartbeats[slot.index] = time.monotonic()
         slot.process = self.context.Process(
             target=_worker_main,
-            args=(slot.index, slot.task_queue, self.result_queue,
+            args=(slot.index, slot.task_queue, writer,
                   self.heartbeats, self.policy.heartbeat_interval_s,
                   self.worker_fn, self.worker_init, self.init_args),
             daemon=True)
         slot.process.start()
+        writer.close()  # the worker holds the only write end: EOF on death
 
     def _request_drain(self, signum, frame) -> None:
         if self.draining:
@@ -384,43 +395,30 @@ class _Supervisor:
             slot.lease_started = now
             self._journal_cell(cell.key, "running", attempt,
                                worker=slot.index)
-            slot.task_queue.put((cell.key, cell.payload, attempt))
+            slot.task_queue.put((cell.payload,))  # None means shut down
 
     def _receive(self) -> None:
-        import queue as queue_module
-        block = True
-        while True:
+        from multiprocessing.connection import wait
+        slots = {slot.result_conn: slot for slot in self.slots
+                 if slot.result_conn is not None}
+        for conn in wait(list(slots), timeout=_POLL_S):
+            slot = slots[conn]
             try:
-                message = self.result_queue.get(
-                    timeout=_POLL_S if block else 0)
-            except queue_module.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            block = False
-            self._handle(message)
+                while conn.poll():
+                    self._handle(slot, conn.recv())
+            except (EOFError, OSError):
+                # The worker died; the liveness sweep declares it lost.
+                conn.close()
+                slot.result_conn = None
 
-    def _slot_for(self, index: int) -> _Slot:
-        return self.slots[index]
-
-    def _handle(self, message: tuple) -> None:
-        kind = message[0]
+    def _handle(self, slot: _Slot, message: tuple) -> None:
+        kind, data = message
         if kind == "init_error":
-            _, _, encoded = message
             self._commit()
-            CellError.decode(encoded).raise_()
-        _, slot_index, key, attempt, data = message
-        slot = self._slot_for(slot_index)
-        cell = None
-        if slot.lease is not None and slot.lease[0].key == key:
-            cell = slot.lease[0]
-            slot.lease = None
-        else:
-            # A stale delivery from a worker we already declared lost; the
-            # cell may have been re-leased elsewhere, so find it by key.
-            cell = next((c for c in self.cells if c.key == key), None)
-            if cell is None:  # pragma: no cover - defensive
-                return
+            CellError.decode(data).raise_()
+        # A worker holds one lease and answers only for it.
+        cell, attempt = slot.lease
+        slot.lease = None
         if kind == "ok":
             self._complete(cell, attempt, data)
         elif kind == "error":
@@ -462,6 +460,9 @@ class _Supervisor:
                 self._spawn(slot)
 
     def _kill(self, slot: _Slot) -> None:
+        if slot.result_conn is not None:
+            slot.result_conn.close()  # drops any reply of the lost lease
+            slot.result_conn = None
         process = slot.process
         slot.process = None
         if process is None:
@@ -489,7 +490,9 @@ class _Supervisor:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.kill()
                 process.join(timeout=1.0)
-        self.result_queue.close()
+        for slot in self.slots:
+            if slot.result_conn is not None:
+                slot.result_conn.close()
         self._commit()
 
 

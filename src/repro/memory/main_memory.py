@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import mmap
 
 from ..config import WORD_SIZE
 from ..errors import MemoryAccessError
@@ -13,14 +14,17 @@ class MainMemory:
 
     Values are stored little-endian.  Reads of uninitialised locations return
     zero, which keeps workload setup simple while still detecting out-of-range
-    accesses.
+    accesses.  The storage is a private anonymous mapping: the kernel hands
+    out zero pages on first touch, so allocation is O(1) and resident memory
+    tracks the pages a program writes; ``MAP_PRIVATE`` keeps a forked
+    worker's writes out of its parent's copy.
     """
 
     def __init__(self, size_bytes: int):
         if size_bytes <= 0:
             raise MemoryAccessError("memory size must be positive")
         self.size_bytes = size_bytes
-        self._data = bytearray(size_bytes)
+        self._data = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
 
     # -- raw access ---------------------------------------------------------------
 

@@ -79,10 +79,10 @@ class Image:
         # The pre-decoded micro-op cache (repro.sim.engine) holds pre-bound
         # evaluation functions that cannot be pickled; it is a pure cache, so
         # drop it and let the engine re-decode after unpickling.  The content
-        # hash is a pure cache too (cheap to recompute, guaranteed fresh).
+        # hash and the WCET layout (repro.wcet.analyzer) are pure caches too.
         state = dict(self.__dict__)
-        state.pop("_predecoded", None)
-        state.pop("_content_hash", None)
+        for cache in ("_predecoded", "_content_hash", "_wcet_layout"):
+            state.pop(cache, None)
         return state
 
     def content_hash(self) -> str:

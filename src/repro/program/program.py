@@ -7,6 +7,7 @@ from enum import Enum
 from typing import Iterable
 
 from ..errors import CompilerError, LinkError
+from ..isa.opcodes import Opcode
 from .function import Function
 
 
@@ -84,6 +85,11 @@ class Program:
         except KeyError as exc:
             raise LinkError(f"unknown data item {name!r}") from exc
 
+    def subfunctions(self, parent: str) -> list[Function]:
+        """The method-cache sub-functions split off ``parent``, in order."""
+        return [func for func in self.functions.values()
+                if func.is_subfunction and func.parent == parent]
+
     def functions_in_order(self) -> list[Function]:
         return list(self.functions.values())
 
@@ -122,6 +128,30 @@ class Program:
         for item in self.data.values():
             clone.data[item.name] = DataItem(item.name, list(item.words), item.space)
         return clone
+
+    def merged_function(self, function: Function) -> Function:
+        """``function`` merged with its sub-functions into one analysis CFG.
+
+        ``brcf`` transfers into a sub-function become plain branches to its
+        entry label, so the CFG sees them as ordinary edges; the WCET
+        analysis still charges their method-cache cost from the summaries of
+        the original blocks.  Without sub-functions this is ``function``.
+        """
+        subfunctions = self.subfunctions(function.name)
+        if not subfunctions:
+            return function
+        merged = function.copy()
+        entry_labels = {sub.name: sub.entry_block().label
+                        for sub in subfunctions}
+        for sub in subfunctions:
+            merged.blocks.extend(block.copy() for block in sub.blocks)
+        for block in merged.blocks:
+            # Only branch targets change, so the copied schedule still holds.
+            block.instrs = [
+                instr.with_target(entry_labels[instr.target])
+                if instr.opcode is Opcode.BRCF and instr.target in entry_labels
+                else instr for instr in block.instrs]
+        return merged
 
     def __str__(self) -> str:
         parts: Iterable[str] = (str(func) for func in self.functions.values())

@@ -16,7 +16,11 @@ skipped, so the report also documents where the paper says no bound exists.
 
 Simulations are memoised per (kernel, hardware organisation, arbiter), so
 analysis-only variants (``always_miss``, ``naive``) reuse the simulation of
-the default variant and the full matrix stays CI-sized.
+the default variant and the full matrix stays CI-sized.  The memo keeps
+only each core's observed cycles and analysis options; the simulated system
+(its shared memory and cores) is dropped once the run is checked.  Each
+compiled image caches its option-independent WCET work, so the analyses of
+one kernel across variants and arbiters price blocks and solve IPET only.
 
 The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` runs the
 scenario cells as journaled job cells on the :func:`repro.jobs.run_jobs`
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..cmp.system import MulticoreSystem
@@ -265,12 +269,14 @@ class ConformanceHarness:
         self.engine = engine
         self._images: dict[str, object] = {}
         self._expected: dict[str, list[int]] = {}
-        #: (kernel, hardware, arbiter config) -> (per-core cycles,
-        #: system|None).  Keyed by the frozen ArbiterConfig value, not its
-        #: display name, so two configs that happen to share a name can
-        #: never reuse each other's simulation.
+        #: (kernel, hardware, arbiter config) -> (per-core cycles, per-core
+        #: WcetOptions|None before the variant's overrides).  Keyed by the
+        #: frozen ArbiterConfig value, not its display name, so two configs
+        #: that happen to share a name can never reuse each other's
+        #: simulation.  The system itself is not kept: its shared memory and
+        #: cores would stay alive for the whole matrix.
         self._sims: dict[tuple[str, str, ArbiterConfig],
-                         tuple[list[int], Optional[MulticoreSystem]]] = {}
+                         tuple[list[int], list[Optional[WcetOptions]]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -284,8 +290,8 @@ class ConformanceHarness:
 
     def _simulate(self, kernel: str, variant: CacheModelVariant,
                   arbiter: ArbiterConfig
-                  ) -> tuple[list[int], Optional[MulticoreSystem]]:
-        """Per-core observed cycles (and the system, for multicore runs)."""
+                  ) -> tuple[list[int], list[Optional[WcetOptions]]]:
+        """Per-core observed cycles and analysis options of one hardware."""
         key = (kernel, variant.hardware, arbiter)
         if key in self._sims:
             return self._sims[key]
@@ -296,7 +302,7 @@ class ConformanceHarness:
                 image, config=self.config, strict=self.strict,
                 engine=self.engine, hierarchy_options=hierarchy).run()
             self._check_output(kernel, variant, arbiter, 0, result.output)
-            value = ([result.cycles], None)
+            value = ([result.cycles], [WcetOptions()])
         else:
             system = MulticoreSystem(
                 [image] * arbiter.cores, self.config,
@@ -308,7 +314,9 @@ class ConformanceHarness:
             for core in cmp_result.cores:
                 self._check_output(kernel, variant, arbiter, core.core_id,
                                    core.sim.output)
-            value = (cmp_result.observed_by_core(), system)
+            value = (cmp_result.observed_by_core(),
+                     [system.wcet_options_for_core(core_id)
+                      for core_id in range(arbiter.cores)])
         self._sims[key] = value
         return value
 
@@ -322,28 +330,22 @@ class ConformanceHarness:
                 f"functional mismatch — simulated output {observed[:4]} "
                 f"differs from reference {expected[:4]}")
 
-    def _wcet_options(self, variant: CacheModelVariant,
-                      arbiter: ArbiterConfig, core_id: int,
-                      system: Optional[MulticoreSystem]
-                      ) -> Optional[WcetOptions]:
-        overrides = dict(variant.wcet_overrides)
-        if system is not None:
-            return system.wcet_options_for_core(core_id, **overrides)
-        return WcetOptions(**overrides)
-
     # ------------------------------------------------------------------
 
     def run_scenario(self, scenario: Scenario) -> list[ScenarioOutcome]:
         """Run one scenario; returns one outcome per core."""
-        cycles_by_core, system = self._simulate(
+        cycles_by_core, options_by_core = self._simulate(
             scenario.kernel, scenario.variant, scenario.arbiter)
         image = self._image(scenario.kernel)
+        overrides = dict(scenario.variant.wcet_overrides)
         outcomes = []
-        for core_id, cycles in enumerate(cycles_by_core):
-            options = self._wcet_options(
-                scenario.variant, scenario.arbiter, core_id, system)
+        for core_id, (cycles, options) in enumerate(
+                zip(cycles_by_core, options_by_core)):
+            # The variant's overrides win over the hardware-implied fields,
+            # as in MulticoreSystem.wcet_options_for_core.
             wcet = (None if options is None else
-                    analyze_wcet(image, self.config, options=options)
+                    analyze_wcet(image, self.config,
+                                 options=replace(options, **overrides))
                     .wcet_cycles)
             outcomes.append(ScenarioOutcome(
                 kernel=scenario.kernel,

@@ -19,6 +19,7 @@ breakdown that the experiments compare against cycle-accurate simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..config import DEFAULT_CONFIG, PatmosConfig
@@ -202,6 +203,66 @@ class WcetResult:
         return "\n".join(lines)
 
 
+class _ImageLayout:
+    """The option-independent part of the analysis of one linked image.
+
+    Built once per image and cached on it (``Image._wcet_layout``, dropped
+    on pickling).  Every part is computed on first use, so ``analyze()``
+    raises in the same order as if it rebuilt them, and a part that raised
+    is not cached and raises again on the next call.  The block summaries
+    are shared by every analysis of the image and must not be mutated.
+    """
+
+    def __init__(self, image: Image):
+        self.program = image.program
+        #: Fill size in words of every linked function (method-cache events).
+        self.fill_words = {record.name: -(-record.size_bytes // 4)
+                           for record in image.functions}
+        self._functions: dict[str, tuple[ControlFlowGraph,
+                                         list[BlockSummary]]] = {}
+
+    @classmethod
+    def of(cls, image: Image) -> "_ImageLayout":
+        layout = image.__dict__.get("_wcet_layout")
+        if layout is None:
+            layout = image.__dict__["_wcet_layout"] = cls(image)
+        return layout
+
+    @cached_property
+    def frame_words(self) -> dict[str, int]:
+        """Words reserved by each function's sres (0 for frameless ones)."""
+        return {
+            function.name: max([0, *(
+                instr.imm for block in function.blocks
+                for instr in block.instrs if instr.opcode is Opcode.SRES)])
+            for function in self.program.functions.values()}
+
+    @cached_property
+    def call_graph(self) -> CallGraph:
+        return CallGraph.build(self.program)
+
+    def function(self, function: Function
+                 ) -> tuple[ControlFlowGraph, list[BlockSummary]]:
+        """CFG of ``function`` merged with its sub-functions, and the
+        summaries of its blocks in CFG block order."""
+        cached = self._functions.get(function.name)
+        if cached is None:
+            cfg = ControlFlowGraph.build(
+                self.program.merged_function(function))
+            summaries = []
+            for owner in (function,
+                          *self.program.subfunctions(function.name)):
+                for block in owner.blocks:
+                    # Summaries of the original blocks keep their brcf
+                    # targets; the stack/frame and call costs of
+                    # sub-functions belong to the parent frame.
+                    summary = summarise_block(owner, block)
+                    summary.function = function.name
+                    summaries.append(summary)
+            cached = self._functions[function.name] = (cfg, summaries)
+        return cached
+
+
 class WcetAnalyzer:
     """Static WCET analysis of a linked Patmos image."""
 
@@ -211,9 +272,7 @@ class WcetAnalyzer:
         self.config = config or image.config or DEFAULT_CONFIG
         self.options = options
         self.program = image.program
-        #: Fill size in words of every linked function (method-cache events).
-        self._fill_words = {record.name: -(-record.size_bytes // 4)
-                            for record in image.functions}
+        self._layout = _ImageLayout.of(image)
         #: Memo of the per-transfer bus wait, keyed by transfer word count.
         self._wait_memo: dict[int, int] = {}
         #: Value-analysis facts of the last analyze() run (None if disabled).
@@ -258,25 +317,24 @@ class WcetAnalyzer:
             unified=options.unified_data_cache,
             accessed_items=accessed_items)
         object_cache = analyse_object_cache(self.config, mode=options.object_cache)
-        frame_words = self._frame_words()
         stack_cache = analyse_stack_cache(
-            self.program, self.config, frame_words, mode=options.stack_cache)
+            self.program, self.config, self._layout.frame_words,
+            mode=options.stack_cache)
 
-        call_graph = CallGraph.build(self.program)
+        call_graph = self._layout.call_graph
         if call_graph.is_recursive():
             raise WcetError("WCET analysis requires a non-recursive call graph")
 
         per_function: dict[str, FunctionWcet] = {}
         function_wcet: dict[str, int] = {}
         order = call_graph.topological_order(root=entry)  # callees first
-        groups = self._analysis_groups()
         for name in order:
             function = self.program.function(name)
             if function.is_subfunction:
                 continue
             result = self._analyse_function(
-                function, groups.get(name, []), function_wcet, method_cache,
-                icache, static_cache, object_cache, stack_cache)
+                function, function_wcet, method_cache, icache, static_cache,
+                object_cache, stack_cache)
             per_function[name] = result
             function_wcet[name] = result.wcet_cycles
 
@@ -317,58 +375,6 @@ class WcetAnalyzer:
     # ------------------------------------------------------------------
     # Per-function analysis
     # ------------------------------------------------------------------
-
-    def _analysis_groups(self) -> dict[str, list[Function]]:
-        """Sub-functions grouped under their parent function."""
-        groups: dict[str, list[Function]] = {}
-        for function in self.program.functions.values():
-            if function.is_subfunction and function.parent:
-                groups.setdefault(function.parent, []).append(function)
-        return groups
-
-    def _merged_function(self, function: Function,
-                         subfunctions: list[Function]) -> Function:
-        """Merge a function with its sub-functions into one analysis CFG.
-
-        ``brcf`` transfers to a sub-function are rewritten to plain branches
-        to the sub-function's entry block so that the CFG sees them as
-        ordinary edges; the method-cache cost of the transfer is still charged
-        from the block summary (which is taken from the original blocks).
-        """
-        if not subfunctions:
-            return function
-        merged = function.copy()
-        entry_labels = {}
-        for sub in subfunctions:
-            entry_labels[sub.name] = sub.entry_block().label
-        for sub in subfunctions:
-            merged.blocks.extend(block.copy() for block in sub.blocks)
-        for block in merged.blocks:
-            rewritten = []
-            changed = False
-            for instr in block.instrs:
-                if instr.opcode is Opcode.BRCF and instr.target in entry_labels:
-                    rewritten.append(instr.with_target(entry_labels[instr.target]))
-                    changed = True
-                else:
-                    rewritten.append(instr)
-            if changed:
-                bundles = block.bundles
-                block.instrs = rewritten
-                block.bundles = bundles  # structure unchanged, keep schedule
-        return merged
-
-    def _frame_words(self) -> dict[str, int]:
-        """Words reserved by each function's sres (0 for frameless functions)."""
-        frames: dict[str, int] = {}
-        for function in self.program.functions.values():
-            words = 0
-            for block in function.blocks:
-                for instr in block.instrs:
-                    if instr.opcode is Opcode.SRES:
-                        words = max(words, instr.imm)
-            frames[function.name] = words
-        return frames
 
     def _interference_wait(self) -> int:
         """Worst-case extra bus wait charged to every memory transfer.
@@ -462,7 +468,7 @@ class WcetAnalyzer:
         # its (single, burst-capped) arbitrated transaction, mirroring what
         # the simulator registers with the arbiter for that event.
         wait = self._transfer_wait
-        fill_words = self._fill_words
+        fill_words = self._layout.fill_words
         static_line_words = config.static_cache.line_bytes // 4
         # The simulator arbitrates every cached-line fill at the static-cache
         # line size; take the larger of that and the object cache's own line
@@ -541,33 +547,20 @@ class WcetAnalyzer:
         return cost, callee_part
 
     def _analyse_function(self, function: Function,
-                          subfunctions: list[Function],
                           function_wcet: dict[str, int],
                           method_cache: MethodCacheAnalysis | None,
                           icache: ConventionalICacheAnalysis | None,
                           static_cache: StaticCacheAnalysis,
                           object_cache: ObjectCacheAnalysis,
                           stack_cache: StackCacheAnalysis) -> FunctionWcet:
-        merged = self._merged_function(function, subfunctions)
-        cfg = ControlFlowGraph.build(merged)
-
+        cfg, summaries = self._layout.function(function)
         block_costs: dict[str, int] = {}
         callee_total = 0
-        source_blocks = {block.label: (function, block) for block in function.blocks}
-        for sub in subfunctions:
-            for block in sub.blocks:
-                source_blocks[block.label] = (sub, block)
-        for label in merged.block_labels():
-            owner, block = source_blocks[label]
-            summary = summarise_block(owner, block)
-            # Summaries carry the owner's name; the stack/frame and call costs
-            # of sub-functions belong to the parent frame.
-            if owner.is_subfunction:
-                summary.function = function.name
+        for summary in summaries:
             cost, callee_part = self._block_cost(
                 summary, function, function_wcet, method_cache, icache,
                 static_cache, object_cache, stack_cache)
-            block_costs[label] = cost + callee_part
+            block_costs[summary.label] = cost + callee_part
             callee_total += callee_part
 
         # Bound precedence: explicit per-call overrides > audited effective

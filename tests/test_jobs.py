@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -68,6 +69,41 @@ def _stop_once(payload):
         open(flag, "w").close()
         os.kill(os.getpid(), signal.SIGSTOP)
     return value * value
+
+
+def _die_while_reporting(payload):
+    """Return ``size`` bytes; with a ``delay``, SIGKILL this worker that many
+    seconds in, which tends to land while the big result is being written."""
+    size, delay = payload
+    if delay is not None:
+        threading.Timer(delay, os.kill, (os.getpid(), signal.SIGKILL)).start()
+    return b"x" * size
+
+
+#: Runs a two-worker pool whose cells record their worker's PID and park.
+_PARKED_POOL = """
+import os, sys, time
+from repro.jobs import JobCell, run_jobs
+
+def park(path):
+    with open(path + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.rename(path + ".tmp", path)
+    time.sleep(120)
+
+run_jobs([JobCell(key=name, label=name,
+                  payload=os.path.join(sys.argv[1], name))
+          for name in ("w0", "w1")], park, jobs=2)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _cells(values):
@@ -276,6 +312,56 @@ class TestRunJobsParallel:
         replay = replay_journal(tmp_path / "journal.jsonl")
         assert "cell/-5" in replay.failed
         assert set(replay.done) == {"cell/1", "cell/2", "cell/3"}
+
+    @pytest.mark.parametrize("delay", [0.0, 0.002, 0.005, 0.01, 0.02, 0.04])
+    def test_kill_while_reporting_blocks_no_other_worker(self, monkeypatch,
+                                                         delay):
+        """A worker killed while writing its result must not stall the
+        pool.  With one result queue shared by all workers this hung: the
+        supervisor blocked reading the torn message, or the other workers'
+        writes waited forever on the lock the dead one held."""
+        monkeypatch.setitem(TIMEOUT_CLASSES, "test-stall",
+                            CellTimeout("test-stall", max_wall_s=30.0))
+        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.0,
+                             timeout_class="test-stall")
+        size = 16 << 20
+        cells = [JobCell(key=f"cell/{i}", label=f"cell {i}",
+                         payload=(size, delay if i == 1 else None))
+                 for i in range(4)]
+        outcome = run_jobs(cells, _die_while_reporting, jobs=2,
+                           policy=policy)
+        assert all(len(outcome.results[f"cell/{i}"]) == size
+                   for i in (0, 2, 3))
+        assert [(f.key, f.error) for f in outcome.failures] in (
+            [], [("cell/1", "WorkerCrashed")])
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_their_supervisor_dies(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _PARKED_POOL, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        paths = [tmp_path / "w0", tmp_path / "w1"]
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(path.exists() for path in paths):
+                assert time.monotonic() < deadline, "workers never started"
+                assert proc.poll() is None, "supervisor exited early"
+                time.sleep(0.02)
+            pids = [int(path.read_text()) for path in paths]
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(_alive(pid) for pid in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_alive(pid) for pid in pids)
+        finally:
+            proc.kill()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_wedged_worker_declared_lost_and_cell_stolen(self, tmp_path):
         policy = RetryPolicy(max_attempts=3, backoff_base_s=0.0,

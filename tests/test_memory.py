@@ -1,5 +1,10 @@
 """Tests for main memory, the memory controller, TDMA and the scratchpad."""
 
+import hashlib
+import os
+import resource
+import sys
+
 import pytest
 
 from repro.config import MemoryConfig, ScratchpadConfig
@@ -54,6 +59,104 @@ class TestMainMemory:
         mem = MainMemory(64)
         mem.load_words({0: 1, 4: 2, 8: 3})
         assert mem.read_words(0, 3) == [1, 2, 3]
+
+
+class TestMainMemoryBacking:
+    """The storage is a lazily zero-filled private mapping; everything built
+    on it (views, copies, digests, bit flips, checks) behaves as before."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_writes_after_fork_stay_private(self):
+        mem = MainMemory(4096)
+        bank = MainMemory.view(mem, 1024, 1024)
+        mem.write_word(0, 1)
+        to_parent_r, to_parent_w = os.pipe()
+        to_child_r, to_child_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: write, then report what it sees of the parent
+            status = 1
+            try:
+                os.close(to_child_w)
+                mem.write_word(0, 0xC0FFEE)
+                bank.write_word(0, 0xC0FFEE)
+                os.write(to_parent_w, b"w")
+                os.read(to_child_r, 1)
+                seen = (mem.read_word(4), mem.read_word(1028))
+                status = 0 if seen == (0, 0) else 2
+            finally:
+                os._exit(status)
+        # Only the child writes to_parent: a child that dies early reads as
+        # EOF here instead of blocking.
+        os.close(to_parent_w)
+        try:
+            assert os.read(to_parent_r, 1) == b"w"
+            assert mem.read_word(0) == 1
+            assert mem.read_word(1024) == bank.read_word(0) == 0
+            mem.write_word(4, 0xBEEF)
+            bank.write_word(4, 0xBEEF)
+        finally:
+            os.write(to_child_w, b"p")
+            _, status = os.waitpid(pid, 0)
+            for fd in (to_parent_r, to_child_r, to_child_w):
+                os.close(fd)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_allocation_touches_no_pages(self):
+        kib = 1024 if sys.platform == "darwin" else 1  # ru_maxrss unit
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // kib
+        mem = MainMemory(1 << 30)
+        mem.write_word((1 << 30) - 4, 7)
+        assert mem.read_word(1 << 29) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // kib
+        assert after - before < 64 * 1024
+
+    def test_copy_and_digest(self):
+        mem = MainMemory(256)
+        assert mem.image_digest() == hashlib.sha256(bytes(256)).hexdigest()[:16]
+        mem.write_word(8, 0x12345678)
+        clone = mem.copy()
+        assert clone.read_word(8) == 0x12345678
+        assert clone.image_digest() == mem.image_digest()
+        clone.write_word(8, 0)
+        assert mem.read_word(8) == 0x12345678
+        assert clone.image_digest() != mem.image_digest()
+
+    def test_bank_view_aliases_its_backing(self):
+        backing = MainMemory(64)
+        bank = MainMemory.view(backing, 32, 32)
+        bank.write_word(4, 0xAABBCCDD)
+        assert backing.read_word(36) == 0xAABBCCDD
+        backing.write_word(40, 5)
+        assert bank.read_word(8) == 5
+        assert bank.inject_bit_flip(4, 0) == 0xDC
+        assert backing.read(36, 1) == 0xDC
+        assert bank.image_digest() == hashlib.sha256(
+            bytes(backing._data)[32:]).hexdigest()[:16]
+        with pytest.raises(MemoryAccessError):
+            bank.read_word(32)
+
+    def test_bit_flip(self):
+        mem = MainMemory(64)
+        assert mem.inject_bit_flip(3, 7) == 0x80
+        assert mem.read_word(0) == 0x8000_0000
+        assert mem.inject_bit_flip(3, 7) == 0
+        with pytest.raises(MemoryAccessError, match="outside memory"):
+            mem.inject_bit_flip(64, 0)
+        with pytest.raises(MemoryAccessError, match="bit index"):
+            mem.inject_bit_flip(0, 8)
+
+    def test_word_fast_path_checks(self):
+        mem = MainMemory(64)
+        mem.write_u32(60, 0x1_2345_6789)  # truncated to 32 bits
+        assert mem.read_u32(60) == 0x2345_6789
+        with pytest.raises(MemoryAccessError, match="misaligned"):
+            mem.read_u32(2)
+        with pytest.raises(MemoryAccessError, match="outside memory"):
+            mem.write_u32(64, 0)
+        with pytest.raises(MemoryAccessError, match="outside memory"):
+            mem.read_u32(-4)
+        with pytest.raises(MemoryAccessError, match="positive"):
+            MainMemory(0)
 
 
 class TestScratchpad:

@@ -133,6 +133,36 @@ class TestHarness:
         # Different slot geometry, different observed timing.
         assert ([o.cycles for o in first] != [o.cycles for o in second])
 
+    def test_memoised_simulations_keep_no_systems(self):
+        """The memo holds per-core cycles and options, never a system with
+        its shared memory; the options still match the system's own."""
+        harness = ConformanceHarness(config=CONFIG)
+        icache = next(v for v in DEFAULT_VARIANTS
+                      if v.name == "conventional_icache")
+        for arbiter in DEFAULT_ARBITERS:
+            outcomes = harness.run_scenario(
+                Scenario("vector_sum", icache, arbiter))
+            if arbiter.cores == 1:
+                continue
+            system = MulticoreSystem(
+                [harness._image("vector_sum")] * arbiter.cores, CONFIG,
+                arbiter=arbiter.kind, schedule=arbiter.schedule(CONFIG),
+                hierarchy_options=icache.hierarchy_options())
+            for outcome in outcomes:
+                options = system.wcet_options_for_core(
+                    outcome.core_id, **dict(icache.wcet_overrides))
+                assert outcome.wcet_cycles == (
+                    None if options is None else analyze_wcet(
+                        harness._image("vector_sum"), CONFIG,
+                        options=options).wcet_cycles)
+        assert len(harness._sims) == len(DEFAULT_ARBITERS)
+        for cycles, options in harness._sims.values():
+            assert all(isinstance(c, int) for c in cycles)
+            assert all(o is None or isinstance(o, WcetOptions)
+                       for o in options)
+            assert not any(isinstance(part, MulticoreSystem)
+                           for part in (cycles, options, *cycles, *options))
+
     def test_functional_mismatch_raises(self):
         harness = ConformanceHarness(config=CONFIG)
         harness._image("vector_sum")

@@ -1,6 +1,8 @@
 """Tests of the WCET analysis: IPET, cache analyses and whole-program bounds."""
 
+import collections
 import itertools
+import pickle
 import random
 
 import pytest
@@ -377,6 +379,74 @@ class TestBlockSummaries:
         assert reads[MemType.OBJECT] >= 1
         assert reads[MemType.STACK] >= 1
         assert reads[MemType.LOCAL] >= 1
+
+
+def _wcet_fields(result):
+    return (result.wcet_cycles, result.one_off_cycles, {
+        name: (func.wcet_cycles, func.block_costs, func.ipet.block_counts,
+               func.ipet.edge_counts)
+        for name, func in result.per_function.items()})
+
+
+class TestImageLayout:
+    """The option-independent analysis work is done once per image."""
+
+    KERNELS = ("large_function", "call_tree", "stack_chain")
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_shared_layout_matches_fresh_analyses(self, config, kernel):
+        image = _compiled(build_kernel(kernel), config)
+        schedule = TdmaSchedule(num_cores=2,
+                                slot_cycles=config.memory.burst_cycles())
+        interference = (dict(tdma=schedule, tdma_core_id=1),
+                        dict(arbiter="round_robin", arbiter_cores=2))
+        for variant, arbiter in itertools.product(DEFAULT_VARIANTS,
+                                                  interference):
+            options = WcetOptions(**dict(variant.wcet_overrides), **arbiter)
+            fresh_image = _compiled(build_kernel(kernel), config)
+            fresh = analyzer.WcetAnalyzer(fresh_image, config,
+                                          options).analyze()
+            shared = analyze_wcet(image, config, options=options)
+            assert _wcet_fields(shared) == _wcet_fields(fresh), variant.name
+
+    def test_suite_covers_merged_subfunctions(self, config):
+        image = _compiled(build_kernel("large_function"), config)
+        assert any(function.is_subfunction
+                   for function in image.program.functions.values())
+
+    def test_blocks_are_summarised_once(self, config, monkeypatch):
+        calls = collections.Counter()
+        real = analyzer.summarise_block
+
+        def counting(function, block):
+            calls[(function.name, block.label)] += 1
+            return real(function, block)
+
+        monkeypatch.setattr(analyzer, "summarise_block", counting)
+        image = _compiled(build_kernel("large_function"), config)
+        for variant in DEFAULT_VARIANTS:
+            analyze_wcet(image, config,
+                         options=WcetOptions(**dict(variant.wcet_overrides)))
+        analysed = {(function.name, block.label)
+                    for function in image.program.functions.values()
+                    for block in function.blocks}
+        assert set(calls) == analysed
+        assert set(calls.values()) == {1}
+
+    def test_pickled_image_drops_the_layout(self, config):
+        image = _compiled(build_call_tree(num_functions=3), config)
+        bound = analyze_wcet(image, config).wcet_cycles
+        assert "_wcet_layout" in image.__dict__
+        clone = pickle.loads(pickle.dumps(image))
+        assert "_wcet_layout" not in clone.__dict__
+        assert analyze_wcet(clone, config).wcet_cycles == bound
+
+    def test_unscheduled_block_raises_on_every_call(self, config):
+        image = _compiled(build_vector_sum(16), config)
+        image.program.function("main").blocks[-1].bundles = None
+        for _ in range(2):
+            with pytest.raises(WcetError, match="not scheduled"):
+                analyze_wcet(image, config)
 
 
 KERNEL_BUILDERS = [
