@@ -44,7 +44,6 @@ KeyboardInterrupt drains in the same journal-consistent way).
 
 from __future__ import annotations
 
-import os
 import pickle
 import signal
 import threading
@@ -172,24 +171,16 @@ def _timeout_failure(cell: JobCell, attempts: int,
 def _worker_main(slot: int, task_queue, result_conn, heartbeats,
                  interval_s: float, worker_fn, worker_init,
                  init_args: tuple) -> None:
-    """One pool worker: heartbeat thread + lease-execute-report loop.
-
-    Results go back over the worker's own pipe, written synchronously by
-    this thread: no lock is shared with other workers, so a worker killed
-    mid-write can only tear its own pipe.
-    """
+    """One pool worker: heartbeat thread + lease-execute-report loop."""
     # The supervisor owns shutdown: workers must survive the terminal's
     # SIGINT (sent to the whole foreground process group) so in-flight
     # cells can finish during a graceful drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     stop = threading.Event()
-    supervisor = os.getppid()
 
     def beat() -> None:
         while not stop.is_set():
-            if os.getppid() != supervisor:
-                os._exit(1)  # orphaned: no one will lease or read again
             heartbeats[slot] = time.monotonic()
             stop.wait(interval_s)
 
@@ -403,13 +394,18 @@ class _Supervisor:
                  if slot.result_conn is not None}
         for conn in wait(list(slots), timeout=_POLL_S):
             slot = slots[conn]
+            messages = []
             try:
                 while conn.poll():
-                    self._handle(slot, conn.recv())
+                    messages.append(conn.recv())
             except (EOFError, OSError):
                 # The worker died; the liveness sweep declares it lost.
                 conn.close()
                 slot.result_conn = None
+            # Handled outside the try: an OSError a cell or worker_init
+            # raised must reach the caller, not pass for a dead worker.
+            for message in messages:
+                self._handle(slot, message)
 
     def _handle(self, slot: _Slot, message: tuple) -> None:
         kind, data = message

@@ -74,16 +74,15 @@ class Image:
         self._block_by_key: dict[tuple[str, str], BlockRecord] = {}
         self._func_sorted: list[FunctionRecord] = []
         self._func_entries: list[int] = []
+        #: Pure caches of derived data, by name: the content hash, the
+        #: engine's pre-decoded programs (repro.sim.engine) and the WCET
+        #: layout (repro.wcet.analyzer).  Their owners fill them on demand.
+        self._caches: dict[str, object] = {}
 
     def __getstate__(self) -> dict:
-        # The pre-decoded micro-op cache (repro.sim.engine) holds pre-bound
-        # evaluation functions that cannot be pickled; it is a pure cache, so
-        # drop it and let the engine re-decode after unpickling.  The content
-        # hash and the WCET layout (repro.wcet.analyzer) are pure caches too.
-        state = dict(self.__dict__)
-        for cache in ("_predecoded", "_content_hash", "_wcet_layout"):
-            state.pop(cache, None)
-        return state
+        # Cached entries may hold objects that cannot be pickled (pre-bound
+        # evaluation functions); copies and unpickled images start empty.
+        return {**self.__dict__, "_caches": {}}
 
     def content_hash(self) -> str:
         """Stable hex digest of the linked image's content.
@@ -96,7 +95,7 @@ class Image:
         pins compiler output across processes and machines (the golden
         schedules of ``tests/test_compiler.py``).  Memoised per image.
         """
-        cached = self.__dict__.get("_content_hash")
+        cached = self._caches.get("content_hash")
         if cached is None:
             payload = {
                 "entry": self.entry_addr,
@@ -113,7 +112,7 @@ class Image:
             }
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-            self.__dict__["_content_hash"] = cached
+            self._caches["content_hash"] = cached
         return cached
 
     def _index(self) -> None:

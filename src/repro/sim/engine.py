@@ -218,7 +218,7 @@ def decode_image(image: Image, pipeline, strict: bool,
     simulations of the same image — sweeps, CMP cores, golden comparisons —
     decode once.
     """
-    cache = image.__dict__.setdefault("_predecoded", {})
+    cache = image._caches.setdefault("predecoded", {})
     key = (pipeline, strict, trace)
     program = cache.get(key)
     if program is None:

@@ -270,11 +270,9 @@ class ConformanceHarness:
         self._images: dict[str, object] = {}
         self._expected: dict[str, list[int]] = {}
         #: (kernel, hardware, arbiter config) -> (per-core cycles, per-core
-        #: WcetOptions|None before the variant's overrides).  Keyed by the
-        #: frozen ArbiterConfig value, not its display name, so two configs
-        #: that happen to share a name can never reuse each other's
-        #: simulation.  The system itself is not kept: its shared memory and
-        #: cores would stay alive for the whole matrix.
+        #: WcetOptions|None before the variant's overrides), not the system.
+        #: Keyed by the frozen ArbiterConfig value, not its display name, so
+        #: two configs sharing a name never reuse each other's simulation.
         self._sims: dict[tuple[str, str, ArbiterConfig],
                          tuple[list[int], list[Optional[WcetOptions]]]] = {}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..config import DEFAULT_CONFIG, PatmosConfig
 from ..errors import ConfigError, WcetError
@@ -206,8 +206,8 @@ class WcetResult:
 class _ImageLayout:
     """The option-independent part of the analysis of one linked image.
 
-    Built once per image and cached on it (``Image._wcet_layout``, dropped
-    on pickling).  Every part is computed on first use, so ``analyze()``
+    Built once per image and cached on it (``Image._caches``, dropped on
+    pickling).  Every part is computed on first use, so ``analyze()``
     raises in the same order as if it rebuilt them, and a part that raised
     is not cached and raises again on the next call.  The block summaries
     are shared by every analysis of the image and must not be mutated.
@@ -218,14 +218,14 @@ class _ImageLayout:
         #: Fill size in words of every linked function (method-cache events).
         self.fill_words = {record.name: -(-record.size_bytes // 4)
                            for record in image.functions}
-        self._functions: dict[str, tuple[ControlFlowGraph,
-                                         list[BlockSummary]]] = {}
+        self._cfgs: dict[str, ControlFlowGraph] = {}
+        self._summaries: dict[str, tuple[list, list[BlockSummary]]] = {}
 
     @classmethod
     def of(cls, image: Image) -> "_ImageLayout":
-        layout = image.__dict__.get("_wcet_layout")
+        layout = image._caches.get("wcet_layout")
         if layout is None:
-            layout = image.__dict__["_wcet_layout"] = cls(image)
+            layout = image._caches["wcet_layout"] = cls(image)
         return layout
 
     @cached_property
@@ -241,26 +241,33 @@ class _ImageLayout:
     def call_graph(self) -> CallGraph:
         return CallGraph.build(self.program)
 
-    def function(self, function: Function
-                 ) -> tuple[ControlFlowGraph, list[BlockSummary]]:
-        """CFG of ``function`` merged with its sub-functions, and the
-        summaries of its blocks in CFG block order."""
-        cached = self._functions.get(function.name)
-        if cached is None:
-            cfg = ControlFlowGraph.build(
+    def cfg(self, function: Function) -> ControlFlowGraph:
+        """CFG of ``function`` merged with its sub-functions."""
+        cfg = self._cfgs.get(function.name)
+        if cfg is None:
+            cfg = self._cfgs[function.name] = ControlFlowGraph.build(
                 self.program.merged_function(function))
-            summaries = []
-            for owner in (function,
-                          *self.program.subfunctions(function.name)):
-                for block in owner.blocks:
-                    # Summaries of the original blocks keep their brcf
-                    # targets; the stack/frame and call costs of
-                    # sub-functions belong to the parent frame.
-                    summary = summarise_block(owner, block)
-                    summary.function = function.name
-                    summaries.append(summary)
-            cached = self._functions[function.name] = (cfg, summaries)
-        return cached
+        return cfg
+
+    def summaries(self, function: Function) -> Iterator[BlockSummary]:
+        """Summaries of the blocks of ``function`` and its sub-functions in
+        CFG block order.  Each is made when first reached, so a block that
+        cannot be summarised raises only after the blocks before it."""
+        if function.name not in self._summaries:
+            self._summaries[function.name] = ([
+                (owner, block) for owner in (
+                    function, *self.program.subfunctions(function.name))
+                for block in owner.blocks], [])
+        blocks, done = self._summaries[function.name]
+        for index, (owner, block) in enumerate(blocks):
+            if index == len(done):
+                # Summaries of the original blocks keep their brcf targets;
+                # the stack/frame and call costs of sub-functions belong to
+                # the parent frame.
+                summary = summarise_block(owner, block)
+                summary.function = function.name
+                done.append(summary)
+            yield done[index]
 
 
 class WcetAnalyzer:
@@ -553,10 +560,10 @@ class WcetAnalyzer:
                           static_cache: StaticCacheAnalysis,
                           object_cache: ObjectCacheAnalysis,
                           stack_cache: StackCacheAnalysis) -> FunctionWcet:
-        cfg, summaries = self._layout.function(function)
+        cfg = self._layout.cfg(function)
         block_costs: dict[str, int] = {}
         callee_total = 0
-        for summary in summaries:
+        for summary in self._layout.summaries(function):
             cost, callee_part = self._block_cost(
                 summary, function, function_wcet, method_cache, icache,
                 static_cache, object_cache, stack_cache)

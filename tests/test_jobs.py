@@ -57,6 +57,16 @@ def _raise_if_negative(payload):
     return payload * payload
 
 
+def _missing_file(payload):
+    if payload < 0:
+        raise FileNotFoundError(f"no input for {payload}")
+    return payload * payload
+
+
+def _init_denied(reason):
+    raise PermissionError(reason)
+
+
 def _sleep_for(payload):
     time.sleep(payload)
     return payload
@@ -78,32 +88,6 @@ def _die_while_reporting(payload):
     if delay is not None:
         threading.Timer(delay, os.kill, (os.getpid(), signal.SIGKILL)).start()
     return b"x" * size
-
-
-#: Runs a two-worker pool whose cells record their worker's PID and park.
-_PARKED_POOL = """
-import os, sys, time
-from repro.jobs import JobCell, run_jobs
-
-def park(path):
-    with open(path + ".tmp", "w") as handle:
-        handle.write(str(os.getpid()))
-    os.rename(path + ".tmp", path)
-    time.sleep(120)
-
-run_jobs([JobCell(key=name, label=name,
-                  payload=os.path.join(sys.argv[1], name))
-          for name in ("w0", "w1")], park, jobs=2)
-"""
-
-
-def _alive(pid: int) -> bool:
-    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _cells(values):
@@ -297,6 +281,19 @@ class TestRunJobsParallel:
         parallel = run_jobs(_cells(values), _square, jobs=3)
         assert parallel.results == serial.results
 
+    def test_uncontained_oserror_from_a_cell_propagates(self):
+        """An OSError a cell raises is the cell's own error: it must reach
+        the caller, not be taken for a torn result pipe (which left the
+        cell unaccounted for and the supervisor polling forever)."""
+        with pytest.raises(FileNotFoundError, match="no input for -1"):
+            run_jobs(_cells([2, -1, 3]), _missing_file, jobs=2,
+                     contain=lambda error: error.type_name == "ValueError")
+
+    def test_oserror_from_worker_init_propagates(self):
+        with pytest.raises(PermissionError, match="denied"):
+            run_jobs(_cells([1, 2]), _square, jobs=2,
+                     worker_init=_init_denied, init_args=("denied",))
+
     def test_sigkilled_worker_contained_and_pool_survives(self, tmp_path):
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
         journal = Journal(tmp_path / "journal.jsonl")
@@ -334,34 +331,6 @@ class TestRunJobsParallel:
                    for i in (0, 2, 3))
         assert [(f.key, f.error) for f in outcome.failures] in (
             [], [("cell/1", "WorkerCrashed")])
-
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                        reason="reads process states from /proc")
-    def test_workers_exit_when_their_supervisor_dies(self, tmp_path):
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _PARKED_POOL, str(tmp_path)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)))
-        paths = [tmp_path / "w0", tmp_path / "w1"]
-        pids = []
-        try:
-            deadline = time.monotonic() + 60.0
-            while not all(path.exists() for path in paths):
-                assert time.monotonic() < deadline, "workers never started"
-                assert proc.poll() is None, "supervisor exited early"
-                time.sleep(0.02)
-            pids = [int(path.read_text()) for path in paths]
-            proc.kill()
-            proc.wait(timeout=30)
-            deadline = time.monotonic() + 10.0
-            while any(_alive(pid) for pid in pids) \
-                    and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(_alive(pid) for pid in pids)
-        finally:
-            proc.kill()
-            for pid in pids:
-                if _alive(pid):
-                    os.kill(pid, signal.SIGKILL)
 
     def test_wedged_worker_declared_lost_and_cell_stolen(self, tmp_path):
         policy = RetryPolicy(max_attempts=3, backoff_base_s=0.0,

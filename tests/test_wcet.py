@@ -436,9 +436,9 @@ class TestImageLayout:
     def test_pickled_image_drops_the_layout(self, config):
         image = _compiled(build_call_tree(num_functions=3), config)
         bound = analyze_wcet(image, config).wcet_cycles
-        assert "_wcet_layout" in image.__dict__
+        assert "wcet_layout" in image._caches
         clone = pickle.loads(pickle.dumps(image))
-        assert "_wcet_layout" not in clone.__dict__
+        assert clone._caches == {}
         assert analyze_wcet(clone, config).wcet_cycles == bound
 
     def test_unscheduled_block_raises_on_every_call(self, config):
@@ -446,6 +446,22 @@ class TestImageLayout:
         image.program.function("main").blocks[-1].bundles = None
         for _ in range(2):
             with pytest.raises(WcetError, match="not scheduled"):
+                analyze_wcet(image, config)
+
+    def test_block_errors_keep_their_order(self, config):
+        """Blocks are summarised as they are priced: an earlier block's
+        callr error wins over a later block that is not scheduled."""
+        b = ProgramBuilder("p")
+        f = b.function("main")
+        f.li("r1", 0x10000)
+        f.emit("callr", "r1")
+        f.label("tail")
+        f.li("r2", 1)
+        f.halt()
+        image, _ = compile_and_link(b.build(), config)
+        image.program.function("main").blocks[-1].bundles = None
+        for _ in range(2):
+            with pytest.raises(WcetError, match="indirect calls"):
                 analyze_wcet(image, config)
 
 
