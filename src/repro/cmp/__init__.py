@@ -9,15 +9,28 @@ Module map
 ----------
 
 ``system``
-    :class:`MulticoreSystem` and its two co-simulation schedulers:
-    ``scheduler="event"`` (default) — next-event lookahead over persistent
-    :class:`~repro.sim.engine.EngineContext` objects with a heap-based
-    ready queue keyed on ``(next_event_cycle, arbiter_preference,
-    core_id)``, synchronising only at actual arbitrated transfers (and not
-    at all under order-independent TDMA); ``scheduler="reference"`` — the
-    quantum-polling baseline retained for differential testing.  Both
-    produce bit-identical timing (``tests/test_cosim_scheduler.py``);
-    ``CmpResult.scheduler_stats`` records slices/releases per run.
+    :class:`MulticoreSystem` and its co-simulation schedulers.
+    ``scheduler="event"`` (default) records each distinct (image, core
+    config, cache organisation, strict) once and replays the traces
+    through the real arbiter ports: a heap keyed on
+    ``(next_request_cycle, arbiter_preference, core_id)`` orders the
+    requests of all cores (under order-independent TDMA each core replays
+    on its own), so the cost scales with bus events, not bundles.  Agents
+    that cannot replay — the RTOS task runtimes — keep the event-driven
+    pause protocol over persistent :class:`~repro.sim.engine.EngineContext`
+    objects (``_schedule_event``).  ``scheduler="reference"`` is the
+    quantum-polling oracle retained for differential testing, and also runs
+    memory-flip fault plans and ``engine="reference"``.  All produce
+    bit-identical timing (``tests/test_cosim_scheduler.py``);
+    ``CmpResult.scheduler_stats`` records slices/releases (and, for
+    replays, how many traces the run recorded).
+``replay``
+    The trace recorder (a zero-wait single-core run on the fast engine that
+    records every arbitrated transfer, store-buffer entry, split load and
+    ``wmem`` at its bundle's start cycle), the :class:`CoreTrace` cached on
+    the image (``Image._caches``; pickling drops it), and the per-core
+    :class:`TraceReplay` that re-derives waits, store-buffer stalls and
+    ``wmem`` stalls against an arbiter port.
 """
 
 from .system import (

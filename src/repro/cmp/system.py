@@ -15,27 +15,35 @@ observes the cores' actual concurrent memory traffic.
 
 Two interleaving schedulers produce bit-identical timing:
 
-* ``scheduler="event"`` (the default) exploits the very decoupling the
-  paper is about: cores interact *only* through the shared arbiter, so each
-  core runs completely undisturbed inside a persistent
-  :class:`~repro.sim.engine.EngineContext` until it is about to register an
-  arbitrated transfer, pausing *before* the requesting bundle and reporting
-  the exact global cycle its request would carry.  A heap-based ready queue
-  keyed on ``(next_event_cycle, arbiter_preference, core_id)`` releases
-  paused cores in global time order, so the shared arbiter observes the
-  same request stream as under quantum polling while the scheduler
-  synchronises only at actual memory events.
+* ``scheduler="event"`` (the default) records and replays.  Patmos is
+  statically scheduled and each core owns a private bank, so a core's
+  control flow and cache hit/miss sequence never depend on timing: only
+  the bus waits do, plus the store-buffer and ``wmem`` stalls those waits
+  move.  Each distinct (image, core config, cache organisation, strict) is
+  run once, alone and with zero-wait arbitration, and its timing-dependent
+  points are recorded (:mod:`repro.cmp.replay`); the trace is cached on the
+  image, so every arbiter and core count of one kernel shares it.  The
+  traces are then replayed through the real arbiter ports: a heap keyed on
+  ``(next_request_cycle, arbiter_preference, core_id)`` hands the shared
+  arbiter every request in global time order, and under the
+  order-independent TDMA arbiter each core replays on its own.  The cost
+  of a co-simulation thus scales with its bus events, not with the
+  bundles its cores issue.
 * ``scheduler="reference"`` is the original quantum-polling loop: always
   advance the core with the smallest local clock up to one ``quantum`` past
   the next core's clock, yielding early on every arbitrated transfer (the
-  engine's run-until-memory-event stepping).  It re-enters the engine every
-  few cycles and exists as the differential baseline for the golden
+  engine's run-until-memory-event stepping).  It interprets every bundle
+  of every core and exists as the differential oracle of the golden
   equivalence suite (mirroring the ``engine="fast"|"reference"`` pattern).
 
 Both deliver requests to the arbiter in global time order at bundle
 granularity with simultaneous requests served in the arbiter's preference
 order, which is why their per-core cycle counts, arbitration statistics and
-memory images match exactly (``tests/test_cosim_scheduler.py``).
+memory images match exactly (``tests/test_cosim_scheduler.py``).  Runs that
+cannot replay fall back: memory-flip fault plans and ``engine="reference"``
+take the quantum loop, and the preemptive task runtimes of
+:mod:`repro.rtos` (whose interrupts change cache state) keep the
+event-driven pause protocol of :meth:`MulticoreSystem._schedule_event`.
 
 Under TDMA arbitration the interleaved co-simulation must reproduce, cycle
 for cycle, what each core observes when simulated completely alone with the
@@ -58,18 +66,18 @@ from typing import Optional, Sequence, Union
 
 from ..caches.hierarchy import HierarchyOptions
 from ..config import DEFAULT_CONFIG, PatmosConfig
-from ..errors import ConfigError, SimulationTimeout
+from ..errors import ConfigError, SimulationError, SimulationTimeout
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultLog, FaultPlan
 from ..memory.arbiter import MemoryArbiter, PriorityArbiter, make_arbiter
 from ..memory.main_memory import MainMemory
 from ..memory.tdma import TdmaArbiter, TdmaSchedule
 from ..program.linker import Image
-from ..sim.base import _uses_reference_semantics
 from ..sim.cycle import CycleSimulator
-from ..sim.engine import EngineContext
 from ..sim.results import SimResult
 from ..wcet.analyzer import WcetOptions, WcetResult, analyze_wcet
+from .replay import (CoreTrace, TraceRecorder, TraceReplay, trace_key,
+                     traces_of)
 
 
 #: Sentinel cycle for draining post-halt memory flips onto the final image.
@@ -179,9 +187,9 @@ class MulticoreSystem:
     ``"round_robin"``, ``"priority"``) or a ready-made
     :class:`~repro.memory.arbiter.MemoryArbiter` instance.
 
-    ``scheduler`` picks the co-simulation interleaving: the event-driven
-    default synchronises only at actual arbitrated transfers, while
-    ``"reference"`` is the quantum-polling baseline — both produce
+    ``scheduler`` picks the co-simulation interleaving: the default
+    ``"event"`` replays traces recorded once per image, while
+    ``"reference"`` is the quantum-polling oracle — both produce
     bit-identical timing (see the module docstring).  ``quantum`` only
     affects the reference scheduler; values above 1 trade request-ordering
     fidelity for fewer engine re-entries.
@@ -193,8 +201,14 @@ class MulticoreSystem:
     can change data-dependent control flow and hence the request stream, so
     slices are clipped to the next flip cycle; bus-only plans keep the
     configured scheduler because retries happen inside a single arbitration
-    call (identical under both interleavings).
+    call, which a replay makes through the same fault-wrapped port.
     """
+
+    #: Plain cores co-simulate by trace replay.  Subclasses whose
+    #: :meth:`_build_cores` returns agents of their own that speak the
+    #: event protocol (the RTOS task runtimes) turn this off and keep
+    #: :meth:`_schedule_event`.
+    _replays_traces = True
 
     #: Fault kinds this system class can execute; ``FaultPlan`` events of
     #: other kinds are a configuration error (the RTOS layer overrides).
@@ -440,31 +454,28 @@ class MulticoreSystem:
                     if plan is not None and not plan.empty else None)
         self._injector = injector
         self.fault_log = injector.log if injector is not None else None
-        cores = self._build_cores(arbiter, strict)
         deadline = (time.monotonic() + max_wall_s
                     if max_wall_s is not None else None)
-
-        # The event-driven scheduler needs the pre-decoded engine contexts;
-        # cores forced onto the reference interpreter (engine="reference" or
-        # a subclass overriding execution internals) fall back to the
-        # quantum scheduler, mirroring the engine's own auto-fallback.
-        # Memory flips force the quantum scheduler too: a flip can change
-        # data-dependent control flow and with it the request stream, so the
-        # schedule must be able to clip every slice to the next flip cycle.
-        if injector is not None and plan.has_memory_faults:
-            stats = self._schedule_quantum(
-                cores, arbiter, max_bundles, injector=injector,
-                max_cycles=max_cycles, deadline=deadline,
-                max_wall_s=max_wall_s)
-        elif self.scheduler == "event" and self.engine == "fast" \
-                and all(self._core_event_capable(core) for core in cores):
-            stats = self._schedule_event(
-                cores, arbiter, max_bundles, max_cycles=max_cycles,
-                deadline=deadline, max_wall_s=max_wall_s)
+        watchdog = {"max_cycles": max_cycles, "deadline": deadline,
+                    "max_wall_s": max_wall_s}
+        # Memory flips force the quantum scheduler: a flip can change
+        # data-dependent control flow and with it the request stream, so
+        # every slice must be clipped to the next flip cycle.  The
+        # reference interpreter has no recorder and polls too.
+        flips = injector is not None and plan.has_memory_faults
+        if self.scheduler == "event" and self.engine == "fast" and not flips:
+            if self._replays_traces:
+                cores, stats = self._schedule_replay(arbiter, strict,
+                                                     max_bundles, **watchdog)
+            else:
+                cores = self._build_cores(arbiter, strict)
+                stats = self._schedule_event(cores, arbiter, max_bundles,
+                                             **watchdog)
         else:
+            cores = self._build_cores(arbiter, strict)
             stats = self._schedule_quantum(
-                cores, arbiter, max_bundles, max_cycles=max_cycles,
-                deadline=deadline, max_wall_s=max_wall_s)
+                cores, arbiter, max_bundles,
+                injector=injector if flips else None, **watchdog)
         return cores, arbiter, stats
 
     def _core_port(self, arbiter: MemoryArbiter, core_id: int):
@@ -498,16 +509,16 @@ class MulticoreSystem:
         The default builds one :class:`CycleSimulator` per image over one
         shared physical memory, with each core owning a private zero-copy
         bank view sized by its own MemoryConfig (all equal, validated at
-        construction).  Subclasses swap in different per-core agents — the
-        RTOS layer (:mod:`repro.rtos`) returns preemptive task runtimes that
-        multiplex several programs on each core — as long as every agent
-        speaks the scheduler protocols: ``cycles``/``run_step``/``result``
-        for the quantum scheduler, plus the :class:`EngineContext`
-        ``advance``/``export`` protocol for the event-driven one.
+        construction); the quantum scheduler steps them.  Subclasses swap
+        in different per-core agents — the RTOS layer (:mod:`repro.rtos`)
+        returns preemptive task runtimes that multiplex several programs on
+        each core — as long as every agent speaks the scheduler protocols:
+        ``cycles``/``run_step``/``result`` for the quantum scheduler, plus
+        the :class:`~repro.sim.engine.EngineContext` ``advance``/``export``
+        protocol for :meth:`_schedule_event`.
         """
+        shared_memory = self._new_shared_memory()
         bank_bytes = self.config.memory.size_bytes
-        shared_memory = MainMemory(bank_bytes * self.num_cores)
-        self.shared_memory = shared_memory
         cores = []
         for core_id, (image, config) in enumerate(
                 zip(self.images, self.configs)):
@@ -520,114 +531,202 @@ class MulticoreSystem:
                 hierarchy_options=self.hierarchy_options))
         return cores
 
-    def _core_event_capable(self, core) -> bool:
-        """Can this core agent drive the event-driven scheduler?
-
-        Agents that implement the event protocol themselves advertise it
-        with an ``event_capable`` attribute; plain simulators qualify when
-        they use the unmodified reference execution semantics (the engine's
-        own auto-fallback rule).
-        """
-        flag = getattr(core, "event_capable", None)
-        if flag is not None:
-            return bool(flag)
-        return _uses_reference_semantics(type(core))
-
-    def _event_agent(self, core):
-        """First-release hook of the event scheduler: the persistent agent.
-
-        Called once per core when the heap first releases it.  The default
-        performs the core's entry method-cache fill (its requests carry the
-        core's current clock) and wraps the simulator in a synchronising
-        :class:`~repro.sim.engine.EngineContext`.  Agents that already speak
-        the event protocol (``event_capable`` RTOS task runtimes) are
-        returned as-is.
-        """
-        if getattr(core, "event_capable", False):
-            return core
-        core._ensure_started()  # entry fill requests at cycle 0
-        context = EngineContext(core)
-        context.enable_sync()
-        return context
+    def _new_shared_memory(self) -> MainMemory:
+        """The physical memory of one run: one bank per core."""
+        self.shared_memory = MainMemory(
+            self.config.memory.size_bytes * self.num_cores)
+        return self.shared_memory
 
     #: Cycles a core may run between wall-clock watchdog probes.
     _WATCHDOG_CHUNK = 65_536
+
+    def _run_alone(self, core, core_id: int, max_bundles: int,
+                   max_cycles: Optional[int], deadline: Optional[float],
+                   max_wall_s: Optional[float]) -> None:
+        """Run one core to its halt without interleaving, under the watchdog.
+
+        The core stops at ``max_cycles`` (and every
+        :attr:`_WATCHDOG_CHUNK` cycles for wall-clock probes) to let the
+        watchdog fire.
+        """
+        while True:
+            horizon = max_cycles
+            if deadline is not None:
+                chunk = core.cycles + self._WATCHDOG_CHUNK
+                horizon = chunk if horizon is None else min(horizon, chunk)
+            if core.run_step(until_cycle=horizon,
+                             max_bundles=max_bundles) == "halted":
+                return
+            self._check_watchdog(core.cycles, core_id, max_cycles, deadline,
+                                 max_wall_s)
+
+    @staticmethod
+    def _tie_ranks(arbiter: MemoryArbiter, num_cores: int):
+        """Heap tie ranks, and whether ties must ask the arbiter instead."""
+        ranks = arbiter.tie_ranks()
+        if ranks is None:
+            return range(num_cores), True
+        return ranks, False
+
+    @staticmethod
+    def _pop_next(heap: list, arbiter: MemoryArbiter,
+                  dynamic_ties: bool) -> tuple[int, int]:
+        """Pop the next core to serve: ``(stamp, core_id)``.
+
+        The heap is keyed on ``(stamp, tie_rank, core_id)``.  Under an
+        arbiter whose service order of simultaneous requests rotates
+        (round-robin), the arbiter picks among the cores tied at the
+        earliest stamp and the rest are re-queued.
+        """
+        stamp, rank, core_id = heapq.heappop(heap)
+        if dynamic_ties and heap and heap[0][0] == stamp:
+            entries = [(stamp, rank, core_id)]
+            while heap and heap[0][0] == stamp:
+                entries.append(heapq.heappop(heap))
+            core_id = arbiter.preferred_core([entry[2] for entry in entries])
+            for entry in entries:
+                if entry[2] != core_id:
+                    heapq.heappush(heap, entry)
+        return stamp, core_id
+
+    def _core_trace(self, core_id: int, strict: bool, max_bundles: int,
+                    max_cycles: Optional[int], deadline: Optional[float],
+                    max_wall_s: Optional[float]) -> tuple[CoreTrace, bool]:
+        """One core's trace, from its image's cache or recorded now.
+
+        Returns the trace and whether it was recorded by this call.  A
+        recording runs the core alone with zero-wait arbitration through
+        :meth:`~repro.sim.base.BaseSimulator.run_step` on the fast engine.
+        A replayed clock never runs behind the recorded one, so a recording
+        that reaches ``max_cycles`` proves the co-simulation would too; it
+        raises the watchdog timeout and is not cached.
+        """
+        image = self.images[core_id]
+        config = self.configs[core_id]
+        traces = traces_of(image)
+        key = trace_key(config, self.hierarchy_options, strict)
+        trace = traces.get(key)
+        recorded = trace is None
+        if recorded:
+            recorder = TraceRecorder(image, config, strict,
+                                     self.hierarchy_options)
+            self._run_alone(recorder, core_id, max_bundles, max_cycles,
+                            deadline, max_wall_s)
+            trace = traces[key] = recorder.recording()
+        elif trace.bundles > max_bundles:
+            raise SimulationError(
+                f"program did not halt within {max_bundles} bundles")
+        return trace, recorded
+
+    def _schedule_replay(self, arbiter: MemoryArbiter, strict: bool,
+                         max_bundles: int,
+                         max_cycles: Optional[int] = None,
+                         deadline: Optional[float] = None,
+                         max_wall_s: Optional[float] = None
+                         ) -> tuple[list, dict]:
+        """The event scheduler of plain cores: replay recorded traces.
+
+        Every core's final bank contents come from its trace, and a
+        :class:`~repro.cmp.replay.TraceReplay` re-derives its timing against
+        its own (fault-wrapped, if planned) arbiter port.  A heap keyed on
+        ``(next_request_cycle, tie_rank, core_id)`` releases the core with
+        the earliest request bundle; simultaneous requests are served in
+        the arbiter's preference order.  Requests therefore reach the shared
+        arbiter exactly as under the quantum scheduler — sorted by global
+        cycle, ties in hardware service order.  Under an order-independent
+        arbiter (TDMA) every grant is a pure function of the requesting
+        core and cycle, so each core replays start to finish on its own.
+
+        The cycle watchdog fires at the first request bundle at or past
+        ``max_cycles``, or when a core is still running at that cycle.
+        """
+        shared_memory = self._new_shared_memory()
+        bank_bytes = self.config.memory.size_bytes
+        replays = []
+        recorded = 0
+        for core_id, config in enumerate(self.configs):
+            trace, fresh = self._core_trace(core_id, strict, max_bundles,
+                                            max_cycles, deadline, max_wall_s)
+            recorded += fresh
+            shared_memory.load_regions(trace.memory,
+                                       base=core_id * bank_bytes)
+            replays.append(TraceReplay(
+                trace, self._core_port(arbiter, core_id), config))
+        watched = max_cycles is not None or deadline is not None
+
+        def finished(core_id: int) -> None:
+            if watched:  # the last cycle the core is still running
+                self._check_watchdog(replays[core_id].cycles - 1, core_id,
+                                     max_cycles, deadline, max_wall_s)
+
+        releases = 0
+        if arbiter.order_independent:
+            for core_id, replay in enumerate(replays):
+                replay.advance(ordered=False)
+                finished(core_id)
+        else:
+            ranks, dynamic_ties = self._tie_ranks(arbiter, len(replays))
+            heap = []
+            for core_id, replay in enumerate(replays):
+                stamp = replay.advance(granted=False)
+                if stamp is None:
+                    finished(core_id)
+                else:
+                    heap.append((stamp, ranks[core_id], core_id))
+            heapq.heapify(heap)
+            while heap:
+                stamp, core_id = self._pop_next(heap, arbiter, dynamic_ties)
+                releases += 1
+                if watched:
+                    self._check_watchdog(stamp, core_id, max_cycles,
+                                         deadline, max_wall_s)
+                stamp = replays[core_id].advance()
+                if stamp is None:
+                    finished(core_id)
+                else:
+                    heapq.heappush(heap, (stamp, ranks[core_id], core_id))
+        return replays, {"scheduler": "event",
+                         "slices": len(replays) + releases,
+                         "releases": releases, "recorded": recorded}
 
     def _schedule_event(self, cores: list,
                         arbiter: MemoryArbiter, max_bundles: int,
                         max_cycles: Optional[int] = None,
                         deadline: Optional[float] = None,
                         max_wall_s: Optional[float] = None) -> dict:
-        """Event-driven interleaving: synchronise only at memory events.
+        """Event-driven interleaving of event-protocol agents (RTOS cores).
 
-        Every core owns a persistent :class:`~repro.sim.engine.EngineContext`
-        and runs undisturbed until it is *about to* register a transfer with
-        the shared arbiter; the context pauses before that bundle and
-        reports the core's clock — the exact cycle the request would carry.
-        A heap keyed on ``(next_event_cycle, tie_rank, core_id)`` releases
-        the paused core with the earliest request; simultaneous requests are
-        served in the arbiter's preference order (re-evaluated at release
-        time for round-robin, whose rotation follows the last grant).
-        Requests therefore reach the shared arbiter exactly as under the
-        quantum scheduler — sorted by global cycle, ties in hardware service
-        order — which is what makes the two schedulers bit-identical.
+        Plain cores replay traces instead (:meth:`_schedule_replay`); this
+        loop serves agents that must execute under co-simulation because
+        interrupts and preemption change their cache state — the task
+        runtimes of :mod:`repro.rtos`.  Every agent runs undisturbed until
+        it is *about to* register a transfer with the shared arbiter; it
+        pauses before that action and reports its clock — the exact cycle
+        the request would carry.  The heap of :meth:`_pop_next` releases
+        the paused agent with the earliest request, so requests reach the
+        shared arbiter exactly as under the quantum scheduler.
 
-        Entry-point method-cache fills are ordered too: every core starts
-        paused at cycle 0 and performs its ``_on_start`` transfer when first
-        released.  Once a single core remains, its requests can no longer
-        interleave with anyone and it runs to completion without pausing.
-
-        Under an *order-independent* arbiter (TDMA — the decoupling property
-        itself) every grant is a pure function of the requesting core and
-        cycle, so the request stream needs no global ordering at all: each
-        core simply runs start to finish at full single-core engine speed.
+        Every agent starts paused at cycle 0, so entry-point method-cache
+        fills are ordered too.  Once a single agent remains, its requests
+        can no longer interleave with anyone and it runs to completion
+        without pausing.  Under an *order-independent* arbiter (TDMA) every
+        agent simply runs start to finish on its own.
         """
         if arbiter.order_independent:
-            if max_cycles is None and deadline is None:
-                for core in cores:
-                    core.run_step(max_bundles=max_bundles)
-            else:
-                # Watchdog-armed variant: bounce back into the scheduler at
-                # the cycle limit (and periodically for wall-clock probes).
-                for core_id, core in enumerate(cores):
-                    while True:
-                        horizon = max_cycles
-                        if deadline is not None:
-                            chunk = core.cycles + self._WATCHDOG_CHUNK
-                            horizon = (chunk if horizon is None
-                                       else min(horizon, chunk))
-                        reason = core.run_step(until_cycle=horizon,
-                                               max_bundles=max_bundles)
-                        if reason == "halted":
-                            break
-                        self._check_watchdog(core.cycles, core_id,
-                                             max_cycles, deadline,
-                                             max_wall_s)
+            for core_id, core in enumerate(cores):
+                self._run_alone(core, core_id, max_bundles, max_cycles,
+                                deadline, max_wall_s)
             return {"scheduler": "event", "slices": len(cores), "releases": 0}
-        ranks = arbiter.tie_ranks()
-        dynamic_ties = ranks is None
-        if dynamic_ties:
-            ranks = range(len(cores))
+        ranks, dynamic_ties = self._tie_ranks(arbiter, len(cores))
         heap: list[tuple[int, int, int]] = [
             (0, ranks[core_id], core_id) for core_id in range(len(cores))]
         heapq.heapify(heap)
-        agents: list = [None] * len(cores)
+        started = [False] * len(cores)
         slices = 0
         releases = 0
         try:
             while heap:
-                stamp, rank, core_id = heapq.heappop(heap)
-                if dynamic_ties and heap and heap[0][0] == stamp:
-                    # Simultaneous next events: ask the arbiter which core
-                    # the hardware would serve first and re-queue the rest.
-                    entries = [(stamp, rank, core_id)]
-                    while heap and heap[0][0] == stamp:
-                        entries.append(heapq.heappop(heap))
-                    core_id = arbiter.preferred_core(
-                        [entry[2] for entry in entries])
-                    for entry in entries:
-                        if entry[2] != core_id:
-                            heapq.heappush(heap, entry)
+                stamp, core_id = self._pop_next(heap, arbiter, dynamic_ties)
                 slices += 1
                 if max_cycles is not None or deadline is not None:
                     # Memory-event granularity: an agent pauses at every
@@ -636,15 +735,12 @@ class MulticoreSystem:
                     # transfer-free runaways).
                     self._check_watchdog(stamp, core_id, max_cycles,
                                          deadline, max_wall_s)
-                agent = agents[core_id]
-                if agent is None:
-                    agent = agents[core_id] = self._event_agent(cores[core_id])
-                    status = agent.advance(max_bundles, release=False,
-                                           sync=bool(heap))
-                else:
-                    releases += 1
-                    status = agent.advance(max_bundles, release=True,
-                                           sync=bool(heap))
+                agent = cores[core_id]
+                release = started[core_id]
+                started[core_id] = True
+                releases += release
+                status = agent.advance(max_bundles, release=release,
+                                       sync=bool(heap))
                 if status == "sync":
                     heapq.heappush(heap,
                                    (agent.cycles, ranks[core_id], core_id))
@@ -652,8 +748,8 @@ class MulticoreSystem:
             # Export the in-flight state back to the simulators so results
             # and post-mortem inspection (also after a mid-run exception)
             # are indistinguishable from the reference path.
-            for agent in agents:
-                if agent is not None:
+            for agent, began in zip(cores, started):
+                if began:
                     agent.export()
         return {"scheduler": "event", "slices": slices, "releases": releases}
 

@@ -326,13 +326,17 @@ class PriorityArbiter(MemoryArbiter):
                 f"priority arbiter has {len(self.priorities)} priorities "
                 f"for {num_cores} cores")
         self.max_transfer_cycles = max_transfer_cycles
+        #: The highest-priority core; ``priorities`` is frozen, so it is
+        #: found once here rather than on every request.
+        self._top = min(range(num_cores),
+                        key=lambda cid: (self.priorities[cid], cid))
         #: Recently granted bus intervals ``(start, end)``, pruned as time
         #: advances; used to find the transfer in flight at a given cycle.
         self._grants: list[tuple[int, int]] = []
 
     def grant_cycle(self, core_id: int, cycle: int,
                     transfer_cycles: int) -> int:
-        if core_id == self.top_core():
+        if core_id == self._top:
             # Wait only for the transfer occupying the bus right now, not
             # for the whole FCFS queue of lower-priority grants.
             for start, end in self._grants:
@@ -366,11 +370,10 @@ class PriorityArbiter(MemoryArbiter):
 
     def top_core(self) -> int:
         """The core with the highest priority (the only bounded one)."""
-        return min(range(self.num_cores),
-                   key=lambda cid: (self.priorities[cid], cid))
+        return self._top
 
     def worst_case_delay(self, core_id: int) -> Optional[int]:
-        if core_id != self.top_core() or self.max_transfer_cycles is None:
+        if core_id != self._top or self.max_transfer_cycles is None:
             return None
         return self.max_transfer_cycles
 

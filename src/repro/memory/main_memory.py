@@ -8,6 +8,9 @@ import mmap
 from ..config import WORD_SIZE
 from ..errors import MemoryAccessError
 
+#: Granularity of :meth:`MainMemory.nonzero_regions` snapshots.
+PAGE_BYTES = 4096
+
 
 class MainMemory:
     """A flat, byte-addressable memory with word/half/byte accesses.
@@ -94,6 +97,39 @@ class MainMemory:
     def read_words(self, addr: int, count: int, signed: bool = False) -> list[int]:
         """Read ``count`` consecutive words starting at ``addr``."""
         return [self.read_word(addr + 4 * i, signed=signed) for i in range(count)]
+
+    def nonzero_regions(self, pages) -> tuple:
+        """A compact snapshot: ``(addr, bytes)`` of every non-zero region.
+
+        Scans the :data:`PAGE_BYTES` pages with the indices in ``pages``
+        (the ones ever written: reading an untouched page of the mapping
+        costs a page fault).  Runs of pages holding a non-zero byte become
+        one region each, trimmed of leading and trailing zero bytes;
+        :meth:`load_regions` writes the snapshot back.
+        """
+        data = self._data
+        spans: list[list[int]] = []  # [first, end) page runs
+        for index in sorted(pages):
+            start = index * PAGE_BYTES
+            if not data[start:start + PAGE_BYTES].strip(b"\0"):
+                continue
+            if spans and spans[-1][1] == index:
+                spans[-1][1] = index + 1
+            else:
+                spans.append([index, index + 1])
+        regions = []
+        for first, end in spans:
+            block = bytes(data[first * PAGE_BYTES:end * PAGE_BYTES])
+            body = block.lstrip(b"\0")
+            regions.append((first * PAGE_BYTES + len(block) - len(body),
+                            body.rstrip(b"\0")))
+        return tuple(regions)
+
+    def load_regions(self, regions, base: int = 0) -> None:
+        """Write a :meth:`nonzero_regions` snapshot at offset ``base``."""
+        data = self._data
+        for addr, body in regions:
+            data[base + addr:base + addr + len(body)] = body
 
     def copy(self) -> "MainMemory":
         clone = MainMemory(self.size_bytes)

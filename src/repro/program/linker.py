@@ -75,8 +75,9 @@ class Image:
         self._func_sorted: list[FunctionRecord] = []
         self._func_entries: list[int] = []
         #: Pure caches of derived data, by name: the content hash, the
-        #: engine's pre-decoded programs (repro.sim.engine) and the WCET
-        #: layout (repro.wcet.analyzer).  Their owners fill them on demand.
+        #: engine's pre-decoded programs (repro.sim.engine), the WCET
+        #: layout (repro.wcet.analyzer) and the co-simulation traces
+        #: (repro.cmp.replay).  Their owners fill them on demand.
         self._caches: dict[str, object] = {}
 
     def __getstate__(self) -> dict:

@@ -26,13 +26,15 @@ Two scheduling policies:
 The runtime speaks *both* co-simulation scheduler protocols of
 :class:`~repro.cmp.system.MulticoreSystem` and is driven by them unchanged:
 ``run_step``/``cycles`` for the quantum-polling reference scheduler and the
-``advance``/``export`` event protocol (``event_capable = True``) for the
-event-driven one.  The invariant that makes the two bit-identical is that
-every scheduling overhead (interrupt entry/exit, context switch, CRPD) is
-charged *eagerly* at its decision point and touches no shared state, so
-whenever the runtime pauses before an arbitrated request ("sync", or the
-pre-start pause before a job's entry method-cache fill), its clock already
-equals the exact global cycle the request will carry.
+``advance``/``export`` event protocol for the event-driven one (a task
+runtime cannot replay a recorded trace: interrupts and preemption change its
+cache state, so it keeps executing under co-simulation).  The invariant
+that makes the two bit-identical is that every scheduling overhead
+(interrupt entry/exit, context switch, CRPD) is charged *eagerly* at its
+decision point and touches no shared state, so whenever the runtime pauses
+before an arbitrated request ("sync", or the pre-start pause before a
+job's entry method-cache fill), its clock already equals the exact global
+cycle the request will carry.
 """
 
 from __future__ import annotations
@@ -185,11 +187,6 @@ class CoreTaskRuntime:
         self.interrupts = 0
         self._outputs: list[int] = []
         self._halted = False
-
-        #: Event-scheduler capability flag consumed by
-        #: :meth:`MulticoreSystem._core_event_capable`: the event protocol
-        #: needs the pre-decoded engine contexts.
-        self.event_capable = engine == "fast"
 
     # ------------------------------------------------------------------
     # Co-simulation scheduler protocols

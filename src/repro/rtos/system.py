@@ -193,6 +193,8 @@ class RtosSystem(MulticoreSystem):
     """
 
     _fault_kinds = ("bus", "storm", "overrun")
+    #: Task runtimes execute under co-simulation (event protocol).
+    _replays_traces = False
 
     def __init__(self, tasksets: Sequence[Union[TaskSet, Sequence]],
                  config: PatmosConfig = DEFAULT_CONFIG,

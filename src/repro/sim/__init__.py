@@ -25,14 +25,15 @@ Module map
     are kept observationally identical by the golden-equivalence suite
     (``tests/test_engine_equivalence.py``).  Both engines are resumable
     through ``run_step`` (run-until-cycle / run-until-memory-event), which
-    is how the multicore co-simulation (:mod:`repro.cmp`) interleaves N
-    cores on one clock without losing the fast path.  The engine's hot loop
-    lives in :class:`~repro.sim.engine.EngineContext` — a persistent
-    per-core execution context whose ``advance`` method re-enters the
-    dispatch loop at method-call cost and can pause *before* a bundle that
-    may register an arbitrated memory transfer; the event-driven co-sim
-    scheduler holds one context per core and releases them in global time
-    order (``tests/test_cosim_scheduler.py`` pins the equivalence).
+    is how the quantum co-simulation oracle (:mod:`repro.cmp`) interleaves
+    N cores on one clock, and how a co-simulation records each core's
+    trace once before replaying it (:mod:`repro.cmp.replay`).  The engine's
+    hot loop lives in :class:`~repro.sim.engine.EngineContext` — a
+    persistent per-core execution context whose ``advance`` method
+    re-enters the dispatch loop at method-call cost and can pause *before*
+    a bundle that may register an arbitrated memory transfer; the RTOS task
+    runtimes (:mod:`repro.rtos`) hold one context per job and the
+    event-driven scheduler releases them in global time order.
 ``executor``
     Pure evaluation of ALU/compare/predicate/multiply semantics shared by
     the reference interpreter (the fast engine pre-binds its own inlined

@@ -191,6 +191,11 @@ class BaseSimulator:
         """Cycles until an uncached split load completes."""
         return 0
 
+    def _split_load_wait(self, ready_cycle: int) -> int:
+        """Stall cycles of a ``wmem`` whose split load is ready at
+        ``ready_cycle``."""
+        return max(0, ready_cycle - self.cycles)
+
     def _engine_fetch_hook(self):
         """Per-fetch stall callback for the pre-decoded engine.
 
@@ -517,7 +522,7 @@ class BaseSimulator:
         if pending is None:
             return 0
         self._pending_main_load = None
-        stall = max(0, pending.ready_cycle - self.cycles)
+        stall = self._split_load_wait(pending.ready_cycle)
         self._schedule_write("gpr", pending.rd, pending.value, 0)
         self.stalls.split_load_wait += stall
         return stall

@@ -111,17 +111,36 @@ class CycleSimulator(BaseSimulator):
         if result.hit:
             return 0
         self._count_bus_words(result.fill_words)
-        return result.stall_cycles + self._arbitration(result.fill_words)
+        return result.stall_cycles + self._arbitration(result.fill_words,
+                                                       "method_cache")
 
-    def _arbitration(self, words: int) -> int:
+    def _bus_cycles(self, words: int) -> int:
+        """Bus occupancy of one arbitrated transfer (at most one burst)."""
+        memory = self.config.memory
+        return min(memory.transfer_cycles(min(words, memory.burst_words)),
+                   memory.burst_cycles())
+
+    def _arbitration(self, words: int, stall: str) -> int:
+        """Arbitration wait of a ``words``-word transfer issued this bundle.
+
+        ``stall`` names the :class:`~repro.sim.results.StallBreakdown` field
+        the wait ends up in (``"split_load_wait"`` for a split load, whose
+        wait only moves its ready cycle); the trace recorder of
+        :mod:`repro.cmp.replay` keys its points on it.
+        """
         if self.controller.arbiter is None:
             return 0
-        transfer = min(self.config.memory.transfer_cycles(min(
-            words, self.config.memory.burst_words)),
-            self.config.memory.burst_cycles())
-        wait = self.controller.arbiter.arbitration_delay(self.cycles, transfer)
+        wait = self.controller.arbiter.arbitration_delay(
+            self.cycles, self._bus_cycles(words))
         self.stalls.arbitration += wait
         return wait
+
+    def _buffer_store(self, stall: str) -> int:
+        """Store-buffer stall of one store issued this bundle.
+
+        ``stall`` names the stall field charged, as for :meth:`_arbitration`.
+        """
+        return self.controller.buffer_store(self.cycles)
 
     def _cached_read_stall(self, mem_type: MemType, addr: int) -> int:
         if mem_type is MemType.LOCAL:
@@ -130,7 +149,7 @@ class CycleSimulator(BaseSimulator):
         if stall > 0:
             line_words = self.config.static_cache.line_bytes // 4
             self._count_bus_words(line_words)
-            stall += self._arbitration(line_words)
+            stall += self._arbitration(line_words, "data_cache")
         return stall
 
     def _cached_write_stall(self, mem_type: MemType, addr: int) -> int:
@@ -145,7 +164,7 @@ class CycleSimulator(BaseSimulator):
             mem_type is MemType.STACK
             and self._hierarchy_options.unified_data_cache)
         if write_through:
-            stall += self.controller.buffer_store(self.cycles)
+            stall += self._buffer_store("data_cache")
         return stall
 
     def _stack_control_stall(self, opcode: Opcode, words: int) -> int:
@@ -158,26 +177,26 @@ class CycleSimulator(BaseSimulator):
             stall = self.config.memory.transfer_cycles(spill_bytes // 4)
             if spill_bytes:
                 self._count_bus_words(spill_bytes // 4)
-                stall += self._arbitration(spill_bytes // 4)
+                stall += self._arbitration(spill_bytes // 4, "stack_cache")
             return stall
         if opcode is Opcode.SENS:
             fill_bytes = max(0, 4 * words - cache.occupancy_bytes)
             stall = self.config.memory.transfer_cycles(fill_bytes // 4)
             if fill_bytes:
                 self._count_bus_words(fill_bytes // 4)
-                stall += self._arbitration(fill_bytes // 4)
+                stall += self._arbitration(fill_bytes // 4, "stack_cache")
             return stall
         return 0
 
     def _main_store_stall(self, addr: int, value: int, width: int) -> int:
         # The base simulator writes the value to memory; only the write-buffer
         # timing is charged here.
-        return self.controller.buffer_store(self.cycles)
+        return self._buffer_store("store_buffer")
 
     def _split_load_latency(self) -> int:
         self._count_bus_words(1)
         latency = self.config.memory.transfer_cycles(1)
-        latency += self._arbitration(1)
+        latency += self._arbitration(1, "split_load_wait")
         # A load must not overtake buffered stores to main memory.
         latency += self.controller.drain_cycles(self.cycles)
         return latency

@@ -619,6 +619,7 @@ class EngineContext:
         self.stack_hook = _hook(sim, BaseSimulator, "_stack_control_stall")
         self.store_hook = _hook(sim, BaseSimulator, "_main_store_stall")
         self.split_hook = _hook(sim, BaseSimulator, "_split_load_latency")
+        self.wait_hook = _hook(sim, BaseSimulator, "_split_load_wait")
 
         # -- dynamic state import ----------------------------------------------
         issued = sim.issued
@@ -855,6 +856,7 @@ class EngineContext:
         stack_hook = self.stack_hook
         store_hook = self.store_hook
         split_hook = self.split_hook
+        wait_hook = self.wait_hook
 
         issued = self.issued
         cycles = self.cycles
@@ -1150,9 +1152,12 @@ class EngineContext:
                     elif k == 19:  # wmem: wait for the split load
                         if has_pml:
                             has_pml = False
-                            st_ = pml_ready - cycles
-                            if st_ < 0:
-                                st_ = 0
+                            if wait_hook is not None:
+                                st_ = wait_hook(pml_ready)
+                            else:
+                                st_ = pml_ready - cycles
+                                if st_ < 0:
+                                    st_ = 0
                             if pml_rd:
                                 ring[(issued + 1) & ring_mask].append(
                                     (0, pml_rd, pml_val))

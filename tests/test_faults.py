@@ -242,6 +242,53 @@ class TestBusFaultInjection:
             assert result.observed_by_core()[core_id] <= bound
 
 
+class TestBusFaultSchedulers:
+    """Bus plans replay through the fault-wrapped ports: the event
+    scheduler must match quantum polling fault for fault."""
+
+    def _run(self, plan, arbiter, scheduler):
+        image, _ = _image()
+        system = MulticoreSystem([image] * 2, CONFIG, arbiter=arbiter,
+                                 mode="cosim", scheduler=scheduler,
+                                 faults=plan)
+        return system, system.run(analyse=False)
+
+    @pytest.mark.parametrize("arbiter", ["tdma", "round_robin"])
+    def test_retried_plan_identical_on_both_schedulers(self, arbiter):
+        plan = FaultPlan(bus_faults=(
+            BusFault(core_id=0, index=0, errors=1),
+            BusFault(core_id=0, index=3, errors=2),
+            BusFault(core_id=1, index=2, errors=2),
+        ), bus_retry_limit=2)
+        runs = {}
+        for scheduler in ("event", "reference"):
+            system, result = self._run(plan, arbiter, scheduler)
+            assert result.scheduler == scheduler
+            assert result.fault_log.counts() == {"retried": 3}
+            # Append order across cores is scheduler-dependent (see
+            # FaultLog.determinism_hash); the records themselves are not.
+            records = sorted((record.to_dict() for record in result.fault_log),
+                             key=lambda row: (row["core"], row["cycle"]))
+            runs[scheduler] = (result.observed_by_core(),
+                               result.arbiter_stats, records,
+                               [core.sim.metrics() for core in result.cores],
+                               system.shared_memory.image_digest())
+        assert runs["event"] == runs["reference"]
+
+    @pytest.mark.parametrize("arbiter", ["tdma", "round_robin"])
+    def test_unrecovered_plan_raises_alike_on_both_schedulers(self, arbiter):
+        plan = FaultPlan(bus_faults=(BusFault(core_id=1, index=3, errors=4),),
+                         bus_retry_limit=1)
+        raised = {}
+        for scheduler in ("event", "reference"):
+            with pytest.raises(FaultInjectionError) as info:
+                self._run(plan, arbiter, scheduler)
+            raised[scheduler] = (info.value.core_id, info.value.cycle,
+                                 str(info.value))
+        assert raised["event"] == raised["reference"]
+        assert raised["event"][0] == 1
+
+
 class TestWatchdog:
     @pytest.mark.parametrize("scheduler", ["event", "reference"])
     def test_cycle_budget_raises_structured_timeout(self, scheduler):

@@ -17,6 +17,7 @@ from repro.memory import (
     TdmaArbiter,
     TdmaSchedule,
 )
+from repro.memory.main_memory import PAGE_BYTES
 
 
 class TestMainMemory:
@@ -157,6 +158,24 @@ class TestMainMemoryBacking:
             mem.read_u32(-4)
         with pytest.raises(MemoryAccessError, match="positive"):
             MainMemory(0)
+
+
+    def test_nonzero_regions_round_trip(self):
+        page = PAGE_BYTES
+        mem = MainMemory(8 * page)
+        mem.write(page - 2, 0xAB, 1)         # runs into the next page
+        mem.write_word(page + 8, 0x01020304)
+        mem.write_word(5 * page + 4, 9)
+        regions = mem.nonzero_regions(range(8))
+        assert [addr for addr, _ in regions] == [page - 2, 5 * page + 4]
+        assert regions[0][1] == b"\xab" + bytes(9) + bytes([4, 3, 2, 1])
+        # Scanning only the written pages finds the same regions.
+        assert mem.nonzero_regions({5, 1, 0, 7}) == regions
+        assert mem.nonzero_regions({7}) == ()
+        target = MainMemory(16 * page)
+        target.load_regions(regions, base=8 * page)
+        assert bytes(target._data[8 * page:]) == bytes(mem._data)
+        assert not bytes(target._data[:8 * page]).strip(b"\0")
 
 
 class TestScratchpad:
