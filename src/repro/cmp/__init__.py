@@ -30,7 +30,9 @@ Module map
     ``wmem`` at its bundle's start cycle), the :class:`CoreTrace` cached on
     the image (``Image._caches``; pickling drops it), and the per-core
     :class:`TraceReplay` that re-derives waits, store-buffer stalls and
-    ``wmem`` stalls against an arbiter port.
+    ``wmem`` stalls against an arbiter port.  ``recorded_trace`` is the one
+    record-or-reuse entry point: co-simulation replays its traces, and
+    single-core exploration cells report the recording's result.
 """
 
 from .system import (

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..caches.hierarchy import HierarchyOptions
 from ..config import PatmosConfig
+from ..errors import SimulationError
 from ..memory.controller import MemoryController
 from ..memory.main_memory import PAGE_BYTES, MainMemory
 from ..program.linker import Image
@@ -76,6 +77,39 @@ def traces_of(image: Image) -> dict:
     clearing the dict makes the next co-simulation record again.
     """
     return image._caches.setdefault("cosim_traces", {})
+
+
+def recorded_trace(image: Image, config: PatmosConfig, strict: bool,
+                   hierarchy_options: Optional[HierarchyOptions] = None,
+                   max_bundles: int = 2_000_000,
+                   drive: Optional[Callable[[TraceRecorder], None]] = None
+                   ) -> tuple[CoreTrace, bool]:
+    """The trace of ``image`` run alone on ``config``, cached or recorded now.
+
+    Returns the trace and whether this call recorded it.  A recording runs
+    a :class:`TraceRecorder` to its halt: ``drive`` runs it (a co-simulation
+    steps it under its watchdog), by default within ``max_bundles``.  Only a
+    recording that halted is cached; a cached trace longer than
+    ``max_bundles`` raises as its run would have.  The trace's ``result``
+    equals that of the same core run alone by
+    :class:`~repro.sim.cycle.CycleSimulator`; it is shared, so callers copy
+    before they mutate it.
+    """
+    traces = traces_of(image)
+    key = trace_key(config, hierarchy_options, strict)
+    trace = traces.get(key)
+    if trace is None:
+        recorder = TraceRecorder(image, config, strict, hierarchy_options)
+        if drive is None:
+            recorder.run_step(max_bundles=max_bundles)
+        else:
+            drive(recorder)
+        trace = traces[key] = recorder.recording()
+        return trace, True
+    if trace.bundles > max_bundles:
+        raise SimulationError(
+            f"program did not halt within {max_bundles} bundles")
+    return trace, False
 
 
 @dataclass

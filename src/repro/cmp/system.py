@@ -66,7 +66,7 @@ from typing import Optional, Sequence, Union
 
 from ..caches.hierarchy import HierarchyOptions
 from ..config import DEFAULT_CONFIG, PatmosConfig
-from ..errors import ConfigError, SimulationError, SimulationTimeout
+from ..errors import ConfigError, SimulationTimeout
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultLog, FaultPlan
 from ..memory.arbiter import MemoryArbiter, PriorityArbiter, make_arbiter
@@ -76,8 +76,7 @@ from ..program.linker import Image
 from ..sim.cycle import CycleSimulator
 from ..sim.results import SimResult
 from ..wcet.analyzer import WcetOptions, WcetResult, analyze_wcet
-from .replay import (CoreTrace, TraceRecorder, TraceReplay, trace_key,
-                     traces_of)
+from .replay import CoreTrace, TraceReplay, recorded_trace
 
 
 #: Sentinel cycle for draining post-halt memory flips onto the final image.
@@ -594,29 +593,20 @@ class MulticoreSystem:
                     max_wall_s: Optional[float]) -> tuple[CoreTrace, bool]:
         """One core's trace, from its image's cache or recorded now.
 
-        Returns the trace and whether it was recorded by this call.  A
-        recording runs the core alone with zero-wait arbitration through
+        Returns the trace and whether it was recorded by this call
+        (:func:`~repro.cmp.replay.recorded_trace`).  A recording runs the
+        core alone with zero-wait arbitration through
         :meth:`~repro.sim.base.BaseSimulator.run_step` on the fast engine.
         A replayed clock never runs behind the recorded one, so a recording
         that reaches ``max_cycles`` proves the co-simulation would too; it
         raises the watchdog timeout and is not cached.
         """
-        image = self.images[core_id]
-        config = self.configs[core_id]
-        traces = traces_of(image)
-        key = trace_key(config, self.hierarchy_options, strict)
-        trace = traces.get(key)
-        recorded = trace is None
-        if recorded:
-            recorder = TraceRecorder(image, config, strict,
-                                     self.hierarchy_options)
-            self._run_alone(recorder, core_id, max_bundles, max_cycles,
-                            deadline, max_wall_s)
-            trace = traces[key] = recorder.recording()
-        elif trace.bundles > max_bundles:
-            raise SimulationError(
-                f"program did not halt within {max_bundles} bundles")
-        return trace, recorded
+        return recorded_trace(
+            self.images[core_id], self.configs[core_id], strict,
+            self.hierarchy_options, max_bundles,
+            drive=lambda recorder: self._run_alone(
+                recorder, core_id, max_bundles, max_cycles, deadline,
+                max_wall_s))
 
     def _schedule_replay(self, arbiter: MemoryArbiter, strict: bool,
                          max_bundles: int,

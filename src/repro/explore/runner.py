@@ -7,6 +7,16 @@ the achievable clock — and returns a flat, JSON-serializable
 :class:`SpecResult`.  It is a module-level function of one picklable argument
 so :class:`ExplorationRunner` can ship it to a ``multiprocessing`` pool.
 
+Each process keeps the images it compiled in a small memo keyed on content
+(kernel, kernel parameters, processor config, compile options), so every
+core count and arbiter of one kernel x hardware point shares one
+:class:`~repro.program.linker.Image` — its pre-decoded program, its WCET
+layout and its co-simulation recording
+(:func:`~repro.cmp.replay.recorded_trace`).  Patmos is statically
+scheduled, so a fast-engine single-core point is exactly that recording:
+it reports the recording's result instead of simulating again.  Points on
+the reference engine still run the interpreter, the oracle.
+
 Everything in the model is deterministic, so a parallel sweep produces
 byte-identical results to a serial one; the runner preserves spec order
 regardless of completion order.
@@ -20,15 +30,18 @@ poisoned; every other cell still completes and is cached.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional, Union
 
+from ..cmp.replay import recorded_trace
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
 from ..errors import (ExplorationError, FailedCell, SweepInterrupted)
 from ..hw.pipeline import estimate_pipeline_timing
 from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
+from ..program.linker import Image
 from ..sim.cycle import CycleSimulator
 from ..wcet.analyzer import analyze_wcet
 from ..workloads.suite import build_kernel, resolve_kernels
@@ -94,22 +107,51 @@ class SpecResult:
         return cls(**record, from_cache=from_cache)
 
 
+#: Most images one process keeps in :data:`_images`; the least recently
+#: used is dropped first.
+_IMAGE_MEMO_SIZE = 16
+
+#: Per-process image memo of :func:`_compiled`:
+#: (kernel, kernel params as JSON, config, compile options) -> (image,
+#: expected output), least recently used first.
+_images: dict[tuple, tuple[Image, list[int]]] = {}
+
+
+def _compiled(spec: ExperimentSpec) -> tuple[Image, list[int]]:
+    """The linked image of ``spec`` and its kernel's expected output."""
+    key = (spec.kernel, json.dumps(sorted(spec.kernel_params),
+                                   sort_keys=True),
+           spec.config, spec.options)
+    entry = _images.pop(key, None)
+    if entry is None:
+        kernel = build_kernel(spec.kernel, **dict(spec.kernel_params))
+        image, _ = compile_and_link(kernel.program, spec.config, spec.options)
+        entry = (image, kernel.expected_output)
+        if len(_images) >= _IMAGE_MEMO_SIZE:
+            del _images[next(iter(_images))]
+    _images[key] = entry
+    return entry
+
+
 def execute_spec(spec: ExperimentSpec) -> SpecResult:
     """Run one design point end to end (compile, simulate, analyse)."""
     if spec.rtos:
         return _execute_rtos_spec(spec)
-    kernel = build_kernel(spec.kernel, **dict(spec.kernel_params))
-    image, _ = compile_and_link(kernel.program, spec.config, spec.options)
+    image, expected_output = _compiled(spec)
     wcet_options = spec.wcet_options()
 
     if spec.cores == 1:
         # Sweeps are throughput-bound: the spec's engine defaults to the
-        # pre-decoded micro-op engine ("fast"); equivalence to the reference
-        # interpreter is guaranteed by the golden suite in
-        # tests/test_engine_equivalence.py.
-        sim = CycleSimulator(image, config=spec.config, strict=True,
-                             engine=spec.engine).run()
-        _check_output(spec, sim.output, kernel.expected_output)
+        # pre-decoded micro-op engine ("fast"), whose run alone is the
+        # image's co-simulation recording (tests/test_cosim_scheduler.py);
+        # equivalence to the reference interpreter is guaranteed by the
+        # golden suite in tests/test_engine_equivalence.py.
+        if spec.engine == "fast":
+            sim = recorded_trace(image, spec.config, strict=True)[0].result
+        else:
+            sim = CycleSimulator(image, config=spec.config, strict=True,
+                                 engine=spec.engine).run()
+        _check_output(spec, sim.output, expected_output)
         metrics = sim.metrics()
         interference = {key: metrics[key] for key in (
             "arbitration_cycles", "words_transferred", "write_stall_cycles")}
@@ -125,7 +167,7 @@ def execute_spec(spec: ExperimentSpec) -> SpecResult:
             engine=spec.engine)
         cmp_result = system.run(analyse=False, strict=True)
         for core in cmp_result.cores:
-            _check_output(spec, core.sim.output, kernel.expected_output)
+            _check_output(spec, core.sim.output, expected_output)
         # The makespan is the figure of merit; per-bundle counts are
         # identical across cores, stalls come from the slowest core, and
         # the interference figures sum over the whole system.

@@ -105,7 +105,9 @@ class SimResult:
         """Flat, JSON-serializable metrics of this run.
 
         Used by batch tooling (``repro.explore``) to persist results without
-        dragging the trace or the raw per-block counters along.
+        dragging the trace or the raw per-block counters along.  The nested
+        dicts are copies, so a caller may mutate them without touching this
+        result (which may be a recording shared by later runs).
         """
         controller = self.cache_stats.get("memory_controller", {})
         return {
@@ -117,7 +119,8 @@ class SimResult:
             "stalls": self.stalls.to_dict(),
             "issue_width": self.issue_width,
             "slot_utilisation": round(self.slot_utilisation, 6),
-            "cache_stats": self.cache_stats,
+            "cache_stats": {name: dict(counters)
+                            for name, counters in self.cache_stats.items()},
             # Interference figures of merit, surfaced flat so batch tooling
             # (explore/Pareto) can rank design points by memory contention:
             # arbitration waits are charged both by the simulator (cache

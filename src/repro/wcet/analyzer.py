@@ -318,7 +318,8 @@ class WcetAnalyzer:
             icache = analyse_conventional_icache(self.image, self.config)
         else:
             method_cache = analyse_method_cache(
-                self.image, self.config, mode=options.method_cache, entry=entry)
+                self.image, self.config, mode=options.method_cache, entry=entry,
+                call_graph=self._layout.call_graph)
         static_cache = analyse_static_cache(
             self.image, self.config, mode=options.static_cache,
             unified=options.unified_data_cache,
@@ -326,7 +327,7 @@ class WcetAnalyzer:
         object_cache = analyse_object_cache(self.config, mode=options.object_cache)
         stack_cache = analyse_stack_cache(
             self.program, self.config, self._layout.frame_words,
-            mode=options.stack_cache)
+            mode=options.stack_cache, call_graph=self._layout.call_graph)
 
         call_graph = self._layout.call_graph
         if call_graph.is_recursive():

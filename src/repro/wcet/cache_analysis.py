@@ -67,15 +67,19 @@ def _fill_cycles(config: PatmosConfig, size_bytes: int) -> int:
 
 def analyse_method_cache(image: Image, config: PatmosConfig,
                          mode: str = "persistence",
-                         entry: str | None = None) -> MethodCacheAnalysis:
+                         entry: str | None = None, *,
+                         call_graph: CallGraph | None = None
+                         ) -> MethodCacheAnalysis:
     """Analyse method-cache behaviour for the whole program.
 
     ``mode`` is ``"persistence"`` (all-fit analysis), ``"always_miss"`` or
-    ``"ideal"`` (no cost, used for what-if comparisons).
+    ``"ideal"`` (no cost, used for what-if comparisons).  ``call_graph`` is
+    the program's call graph, built here when not given.
     """
     program = image.program
     entry = entry or program.entry
-    call_graph = CallGraph.build(program)
+    if call_graph is None:
+        call_graph = CallGraph.build(program)
     reachable = set(call_graph.reachable_from(entry))
     # Sub-functions created by the splitter are reached via brcf, not call.
     for record in image.functions:
@@ -282,16 +286,20 @@ class StackCacheAnalysis:
 
 def analyse_stack_cache(program: Program, config: PatmosConfig,
                         frame_words: dict[str, int],
-                        mode: str = "refined") -> StackCacheAnalysis:
+                        mode: str = "refined", *,
+                        call_graph: CallGraph | None = None
+                        ) -> StackCacheAnalysis:
     """Bound spill and fill traffic of the stack cache.
 
     ``frame_words`` maps each function to the number of words its ``sres``
     reserves.  ``mode`` is ``"refined"`` (occupancy/displacement analysis over
     the call graph) or ``"naive"`` (every sres spills fully, every sens fills
-    fully).
+    fully).  ``call_graph`` is the program's call graph, built here when not
+    given.
     """
     cache_words = config.stack_cache.size_bytes // 4
-    call_graph = CallGraph.build(program)
+    if call_graph is None:
+        call_graph = CallGraph.build(program)
     if call_graph.is_recursive():
         raise WcetError("stack-cache analysis requires a non-recursive call graph")
     analysis = StackCacheAnalysis()

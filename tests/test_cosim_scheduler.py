@@ -12,7 +12,9 @@ paths — halting order, ``max_bundles`` exhaustion, strict-mode runs,
 heterogeneous configurations and the engine fallback — and the trace cache
 the event scheduler replays from: one recording per image, config,
 organisation and strictness, dropped by pickling, and the bundle budget and
-cycle watchdog on cached traces.
+cycle watchdog on cached traces.  A recording's result is the core's run
+alone, field for field, which is what lets single-core exploration points
+report it instead of simulating again.
 
 The event-driven fast engine is also checked directly against quantum
 polling of the reference interpreter, on every matrix cell and on the
@@ -28,10 +30,13 @@ import pytest
 from repro import PatmosConfig, compile_and_link
 from repro.caches.hierarchy import HierarchyOptions
 from repro.cmp import MulticoreSystem
-from repro.cmp.replay import P_SPLIT, P_STORE, P_WMEM, P_WRITE, traces_of
+from repro.cmp.replay import (P_SPLIT, P_STORE, P_WMEM, P_WRITE,
+                              recorded_trace, traces_of)
 from repro.errors import ConfigError, SimulationError, SimulationTimeout
 from repro.memory import TdmaSchedule
 from repro.program import DataSpace, ProgramBuilder
+from repro.sim.cycle import CycleSimulator
+from repro.sim.results import SimResult
 from repro.workloads import build_kernel
 from repro.workloads.suite import KERNEL_BUILDERS
 
@@ -295,6 +300,40 @@ def test_heterogeneous_mix_records_one_trace_per_distinct_image():
     # Heterogeneous configs on one image: one trace per config.
     assert _recorded([first, first], "tdma",
                      configs=[CONFIG, NO_STORE_BUFFER]) == 1
+
+
+#: The cache organisations of the verify matrix, by their hierarchy options.
+HIERARCHIES = {
+    "default": HierarchyOptions(),
+    "unified_data_cache": HierarchyOptions(unified_data_cache=True),
+    "conventional_icache": HierarchyOptions(conventional_icache=True),
+    "ideal_data_caches": HierarchyOptions(ideal_data_caches=True),
+}
+
+
+@pytest.mark.parametrize("hierarchy", sorted(HIERARCHIES))
+def test_recording_result_is_the_core_run_alone(images, hierarchy):
+    """The premise of single-core points reading the recording: its result
+    equals a plain single-core run, field for field."""
+    options = HIERARCHIES[hierarchy]
+    for kernel in sorted(KERNEL_BUILDERS):
+        image = images[kernel]
+        trace, _ = recorded_trace(image, CONFIG, True, options)
+        alone = CycleSimulator(image, CONFIG, strict=True,
+                               hierarchy_options=options).run()
+        for field in dataclasses.fields(SimResult):
+            assert (getattr(trace.result, field.name)
+                    == getattr(alone, field.name)), (kernel, field.name)
+
+
+def test_recorded_trace_records_once():
+    image = _fresh_image()
+    trace, fresh = recorded_trace(image, CONFIG, True)
+    assert fresh
+    assert recorded_trace(image, CONFIG, True) == (trace, False)
+    assert _recorded([image] * 2, "round_robin") == 0
+    with pytest.raises(SimulationError):
+        recorded_trace(image, CONFIG, True, max_bundles=trace.bundles - 1)
 
 
 def test_pickling_an_image_drops_its_traces():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cmp.replay import TraceRecorder
 from repro.config import PatmosConfig
 from repro.errors import ExplorationError
 from repro.explore import (
@@ -21,6 +22,7 @@ from repro.explore import (
 from repro.explore import runner as runner_module
 from repro.explore.cli import coerce_value, main, parse_axis
 from repro.jobs import RunDirectory
+from repro.sim.cycle import CycleSimulator
 
 
 class TestAxisResolution:
@@ -326,6 +328,109 @@ class TestRunner:
         table = outcome.table()
         assert "vector_sum" in table
         assert "WCET" in table
+
+
+class TestImageMemo:
+    """A process compiles and records each image of a sweep once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        runner_module._images.clear()
+        yield
+        runner_module._images.clear()
+
+    @staticmethod
+    def _space():
+        return (ParameterSpace(["vector_sum"])
+                .axis("cores", [1, 2, 4])
+                .axis("arbiter", ["tdma", "round_robin"])
+                .axis("method_cache_size", [1024, 4096]))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count compiles and trace recordings."""
+        counts = {"compiled": 0, "recorded": 0}
+        compile_and_link = runner_module.compile_and_link
+        recording = TraceRecorder.recording
+
+        def counting_compile(*args, **kwargs):
+            counts["compiled"] += 1
+            return compile_and_link(*args, **kwargs)
+
+        def counting_recording(self):
+            counts["recorded"] += 1
+            return recording(self)
+
+        monkeypatch.setattr(runner_module, "compile_and_link",
+                            counting_compile)
+        monkeypatch.setattr(TraceRecorder, "recording", counting_recording)
+        return counts
+
+    def test_one_compile_and_recording_per_image(self, monkeypatch):
+        counts = self._counted(monkeypatch)
+        memo = ExplorationRunner().run(self._space())
+        assert memo.ok and memo.cache_misses == 10
+        assert counts == {"compiled": 2, "recorded": 2}
+
+        execute = runner_module.execute_spec
+
+        def without_memo(spec):
+            runner_module._images.clear()
+            return execute(spec)
+
+        monkeypatch.setattr(runner_module, "execute_spec", without_memo)
+        counts.update(compiled=0, recorded=0)
+        fresh = ExplorationRunner().run(self._space())
+        assert counts == {"compiled": 10, "recorded": 10}
+        assert fresh.to_records() == memo.to_records()
+
+    def test_memo_is_bounded(self, monkeypatch):
+        counts = self._counted(monkeypatch)
+        sizes = [1024 * (i + 1) for i in range(runner_module._IMAGE_MEMO_SIZE
+                                                + 1)]
+        space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
+                 .axis("method_cache_size", sizes))
+        ExplorationRunner().run(space)
+        assert len(runner_module._images) == runner_module._IMAGE_MEMO_SIZE
+        # The least recently used image was dropped; the others are kept.
+        ExplorationRunner().run(ParameterSpace(
+            ["vector_sum"], analyse_wcet=False)
+            .axis("method_cache_size", [sizes[-1], sizes[0]]))
+        assert counts["compiled"] == len(sizes) + 1
+
+    def test_only_the_reference_engine_runs_the_interpreter(self,
+                                                            monkeypatch):
+        built = []
+
+        class Spy(CycleSimulator):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("engine"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "CycleSimulator", Spy)
+        fast, reference = (ParameterSpace(["vector_sum"])
+                           .axis("engine", ["fast", "reference"])).specs()
+        fast_result = execute_spec(fast)
+        assert built == []
+        reference_result = execute_spec(reference)
+        assert built == ["reference"]
+        assert ({**fast_result.to_record(), "key": None, "parameters": None}
+                == {**reference_result.to_record(), "key": None,
+                    "parameters": None})
+
+    def test_mutating_a_result_leaves_the_next_cell_unchanged(self):
+        single, dual = (ParameterSpace(["vector_sum"], analyse_wcet=False)
+                        .axis("cores", [1, 2])).specs()
+        expected = [execute_spec(single).to_record()]
+        runner_module._images.clear()
+        expected.append(execute_spec(dual).to_record())
+        runner_module._images.clear()
+        first = execute_spec(single)
+        for counters in first.cache_stats.values():
+            for name in counters:
+                counters[name] += 1000
+        assert execute_spec(single).to_record() == expected[0]
+        assert execute_spec(dual).to_record() == expected[1]
 
 
 class TestCrashContainment:

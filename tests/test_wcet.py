@@ -17,7 +17,7 @@ from repro import (
 from repro.config import MethodCacheConfig
 from repro.errors import WcetError
 from repro.memory import TdmaSchedule
-from repro.program import ControlFlowGraph
+from repro.program import CallGraph, ControlFlowGraph
 from repro.verify import DEFAULT_VARIANTS
 from repro.wcet import (
     WcetOptions,
@@ -29,7 +29,7 @@ from repro.wcet import (
     solve_ipet,
     summarise_function,
 )
-from repro.wcet import analyzer, ipet
+from repro.wcet import analyzer, cache_analysis, ipet
 from repro.workloads import (
     build_call_tree,
     build_fir_filter,
@@ -363,6 +363,61 @@ class TestCacheAnalyses:
         f.halt()
         with pytest.raises(WcetError):
             analyse_stack_cache(b.build(), config, {"main": 2})
+
+    @pytest.mark.parametrize("kernel", ["call_tree", "stack_chain"])
+    def test_given_call_graph_matches_a_built_one(self, config, kernel):
+        image = _compiled(build_kernel(kernel), config)
+        graph = CallGraph.build(image.program)
+        for mode in ("persistence", "always_miss", "ideal"):
+            assert (analyse_method_cache(image, config, mode=mode,
+                                         call_graph=graph)
+                    == analyse_method_cache(image, config, mode=mode))
+        frames = {name: 8 for name in image.program.functions}
+        for mode in ("refined", "naive"):
+            assert (analyse_stack_cache(image.program, config, frames,
+                                        mode=mode, call_graph=graph)
+                    == analyse_stack_cache(image.program, config, frames,
+                                           mode=mode))
+
+    def test_analyzer_passes_the_layout_call_graph(self, config,
+                                                   monkeypatch):
+        class NoBuild:
+            @staticmethod
+            def build(program):
+                raise AssertionError("cache analysis rebuilt the call graph")
+
+        monkeypatch.setattr(cache_analysis, "CallGraph", NoBuild)
+        image = _compiled(build_call_tree(num_functions=4), config)
+        for options in (WcetOptions(),
+                        WcetOptions(conventional_icache=True)):
+            assert analyze_wcet(image, config, options=options).wcet_cycles
+
+    @staticmethod
+    def _recursive_program():
+        b = ProgramBuilder("p")
+        main = b.function("main")
+        main.call("helper")
+        main.halt()
+        helper = b.function("helper")
+        helper.call("helper")
+        helper.ret()
+        return b.build()
+
+    def test_recursion_error_text_and_order(self, config):
+        program = self._recursive_program()
+        graph = CallGraph.build(program)
+        # The recursion check comes before the mode check, with or without
+        # a given call graph.
+        for kwargs in ({}, {"call_graph": graph}):
+            with pytest.raises(WcetError, match="^stack-cache analysis "
+                               "requires a non-recursive call graph$"):
+                analyse_stack_cache(program, config, {}, mode="bogus",
+                                    **kwargs)
+        # Whole-program analysis reports the stack-cache error first.
+        image, _ = compile_and_link(program, config)
+        with pytest.raises(WcetError, match="^stack-cache analysis "
+                           "requires a non-recursive call graph$"):
+            analyze_wcet(image, config)
 
 
 class TestBlockSummaries:
