@@ -12,9 +12,11 @@ Each process keeps the images it compiled in a small memo keyed on content
 core count and arbiter of one kernel x hardware point shares one
 :class:`~repro.program.linker.Image` — its pre-decoded program, its WCET
 layout and its co-simulation recording
-(:func:`~repro.cmp.replay.recorded_trace`).  Patmos is statically
-scheduled, so a fast-engine single-core point is exactly that recording:
-it reports the recording's result instead of simulating again.  Points on
+(:func:`~repro.cmp.replay.recorded_trace`).  The same key is each cell's
+lease affinity, so a parallel sweep keeps an image's cells on the worker
+that compiled it.  Patmos is statically scheduled, so a fast-engine
+single-core point is exactly that recording: it reports the recording's
+result instead of simulating again.  Points on
 the reference engine still run the interpreter, the oracle.
 
 Everything in the model is deterministic, so a parallel sweep produces
@@ -111,17 +113,23 @@ class SpecResult:
 #: used is dropped first.
 _IMAGE_MEMO_SIZE = 16
 
-#: Per-process image memo of :func:`_compiled`:
-#: (kernel, kernel params as JSON, config, compile options) -> (image,
-#: expected output), least recently used first.
+#: Per-process image memo of :func:`_compiled`: :func:`_image_key` ->
+#: (image, expected output), least recently used first.
 _images: dict[tuple, tuple[Image, list[int]]] = {}
+
+
+def _image_key(spec: ExperimentSpec) -> tuple:
+    """The content key of ``spec``'s image: (kernel, kernel params as JSON,
+    config, compile options).  It keys the memo and is the cell affinity
+    the runner leases by, so a worker's cells of one image share it."""
+    return (spec.kernel, json.dumps(sorted(spec.kernel_params),
+                                    sort_keys=True),
+            spec.config, spec.options)
 
 
 def _compiled(spec: ExperimentSpec) -> tuple[Image, list[int]]:
     """The linked image of ``spec`` and its kernel's expected output."""
-    key = (spec.kernel, json.dumps(sorted(spec.kernel_params),
-                                   sort_keys=True),
-           spec.config, spec.options)
+    key = _image_key(spec)
     entry = _images.pop(key, None)
     if entry is None:
         kernel = build_kernel(spec.kernel, **dict(spec.kernel_params))
@@ -436,12 +444,13 @@ class ExplorationRunner:
         started = time.perf_counter()
         results: list[Optional[SpecResult]] = [None] * len(specs)
         failures: list[FailedCell] = []
-        pending: list[tuple[int, ExperimentSpec]] = []
+        #: (key, spec) of each distinct design point to execute.
+        pending: list[tuple[str, ExperimentSpec]] = []
         #: Later indices whose spec resolves to the same content as an
         #: earlier pending one (e.g. single-core points of an arbiter
         #: sweep): simulated once, result (or failure) shared.
         duplicates: dict[str, list[tuple[int, ExperimentSpec]]] = {}
-        pending_keys: set[str] = set()
+        index_of: dict[str, int] = {}
         hits = 0
 
         for index, spec in enumerate(specs):
@@ -451,13 +460,11 @@ class ExplorationRunner:
                 results[index] = self._labelled(
                     SpecResult.from_record(record), spec)
                 hits += 1
-            elif key in pending_keys:
+            elif key in index_of:
                 duplicates.setdefault(key, []).append((index, spec))
             else:
-                pending.append((index, spec))
-                pending_keys.add(key)
-
-        index_of = {spec.key(): index for index, spec in pending}
+                pending.append((key, spec))
+                index_of[key] = index
 
         def apply_result(result: SpecResult) -> None:
             results[index_of[result.key]] = result
@@ -472,15 +479,18 @@ class ExplorationRunner:
 
         replay = run_dir.replay() if (run_dir is not None and resume) \
             else None
-        to_run: list[tuple[int, ExperimentSpec]] = []
-        for index, spec in pending:
-            key = spec.key()
+        cells: list[JobCell] = []
+        for key, spec in pending:
             if replay is not None and replay.done.get(key) is not None:
                 apply_result(self._labelled(
                     SpecResult.from_record(replay.done[key],
                                            from_cache=False), spec))
             else:
-                to_run.append((index, spec))
+                # Cells of one image lease to the worker that already
+                # compiled and recorded it (RTOS points share no image).
+                cells.append(JobCell(
+                    key=key, label=spec.label(), payload=spec,
+                    affinity=None if spec.rtos else _image_key(spec)))
 
         # Cache every completed design point as it arrives and persist even
         # when the sweep is interrupted, so a re-run is incremental.  Failed
@@ -488,9 +498,7 @@ class ExplorationRunner:
         # actually re-execute them.
         try:
             outcome = run_jobs(
-                [JobCell(key=spec.key(), label=spec.label(), payload=spec)
-                 for _, spec in to_run],
-                _spec_worker, jobs=self.jobs, policy=self.policy(),
+                cells, _spec_worker, jobs=self.jobs, policy=self.policy(),
                 journal=run_dir.journal() if run_dir is not None else None,
                 contain=lambda error: error.is_repro,
                 encode=lambda result: result.to_record(),

@@ -40,8 +40,10 @@ Module map
 
 :mod:`repro.jobs.supervisor`
     :func:`~repro.jobs.supervisor.run_jobs` — the execution engine.
-    Workers heartbeat; lost workers' leased cells are returned to the
-    queue and work-stolen by survivors while a replacement respawns;
+    Workers heartbeat; a free worker leases a cell of its own affinity
+    first (cells sharing per-process state, e.g. one compiled image);
+    lost workers' leased cells are returned to the queue and work-stolen
+    by survivors while a replacement respawns;
     cells that keep killing workers become structured
     :class:`~repro.errors.FailedCell` records once the attempt budget is
     exhausted; SIGINT/SIGTERM drain gracefully with the journal flushed.

@@ -23,6 +23,12 @@ Supervision model (``jobs > 1``):
 * each worker leases at most one cell at a time, so the lease table is
   exact: a crash can only ever lose (and re-run) the cells that were
   actually in flight;
+* cells may carry an *affinity* (any hashable: cells with equal values
+  share per-process state, such as a compiled image).  A free worker
+  leases the first ready cell of its own affinity (the one it last ran),
+  else the first ready cell whose affinity no other worker holds, else the
+  first ready cell, so it never idles while a cell is ready.  A respawned
+  worker starts with no affinity; cells without one keep FIFO order;
 * each worker reports over its own result pipe, so a worker killed while
   writing can tear only its own pipe, never block the others' results.
 
@@ -67,11 +73,17 @@ class _PoolUnavailable(Exception):
 
 @dataclass(frozen=True)
 class JobCell:
-    """One schedulable unit of a sweep: a key, a label, a payload."""
+    """One schedulable unit of a sweep: a key, a label, a payload.
+
+    ``affinity`` (any hashable, or ``None``) marks cells that share
+    per-process state: the supervisor keeps them on the worker that ran
+    one of them while other cells are ready elsewhere.
+    """
 
     key: str
     label: str
     payload: Any
+    affinity: Any = None
 
 
 @dataclass
@@ -219,6 +231,8 @@ class _Slot:
         self.result_conn = None
         self.lease: Optional[tuple[JobCell, int]] = None  # (cell, attempt)
         self.lease_started = 0.0
+        #: Affinity of the last cell this worker process was leased.
+        self.affinity: Any = None
 
 
 class _Supervisor:
@@ -376,17 +390,43 @@ class _Supervisor:
         for slot in self.slots:
             if slot.lease is not None:
                 continue
-            ready = next((entry for entry in self.pending
-                          if entry[2] <= now), None)
+            ready = self._choose(slot, now)
             if ready is None:
                 return
             self.pending.remove(ready)
             cell, attempt, _ = ready
             slot.lease = (cell, attempt)
             slot.lease_started = now
+            slot.affinity = cell.affinity
             self._journal_cell(cell.key, "running", attempt,
                                worker=slot.index)
             slot.task_queue.put((cell.payload,))  # None means shut down
+
+    def _choose(self, slot: _Slot,
+                now: float) -> Optional[tuple[JobCell, int, float]]:
+        """The pending entry ``slot`` leases next (``None``: none is ready).
+
+        In order: the first ready cell of the slot's own affinity; the first
+        ready cell whose affinity no other slot holds (no affinity counts as
+        unheld); the first ready cell.
+        """
+        own = slot.affinity
+        held = [other.affinity for other in self.slots
+                if other is not slot and other.affinity is not None]
+        first = unheld = None
+        for entry in self.pending:
+            if entry[2] > now:
+                continue
+            affinity = entry[0].affinity
+            if own is not None and affinity == own:
+                return entry
+            if first is None:
+                first = entry
+            if unheld is None and affinity not in held:
+                if own is None:
+                    return entry  # no own-affinity cell can come first
+                unheld = entry
+        return unheld or first
 
     def _receive(self) -> None:
         from multiprocessing.connection import wait
@@ -461,6 +501,9 @@ class _Supervisor:
             slot.result_conn = None
         process = slot.process
         slot.process = None
+        # The process and its per-process state are gone: a respawned
+        # worker has no claim on the lost cell's affinity.
+        slot.affinity = None
         if process is None:
             return
         if process.is_alive():

@@ -28,6 +28,7 @@ sound (conservative) with respect to the simulation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,8 +72,10 @@ class MemoryController:
         self.store_buffer_entries = store_buffer_entries
         self.stats = ControllerStats()
         self._pending_load: Optional[PendingLoad] = None
-        #: Cycles at which queued store-buffer entries finish draining.
-        self._store_drain: list[int] = []
+        #: Cycles at which queued store-buffer entries finish draining,
+        #: increasing: each entry starts once the one before it has drained.
+        self._store_drain: deque[int] = deque()
+        self._write_cycles = config.transfer_cycles(1)
 
     # -- latency helpers ------------------------------------------------------------
 
@@ -169,24 +172,28 @@ class MemoryController:
         is needed.  Returns the stall cycles seen by the core.
         """
         self.stats.writes += 1
+        drain = self._store_drain
         # Retire store-buffer entries that have drained by now.
-        self._store_drain = [t for t in self._store_drain if t > cycle]
-        write_cycles = self.transfer_cycles(1)
+        while drain and drain[0] <= cycle:
+            drain.popleft()
+        write_cycles = self._write_cycles
         stall = 0
         if self.store_buffer_entries == 0:
             stall = self._arbitration(cycle, write_cycles) + write_cycles
-        elif len(self._store_drain) >= self.store_buffer_entries:
+        elif len(drain) >= self.store_buffer_entries:
             # Buffer full: wait until the oldest entry drains.
-            stall = max(0, min(self._store_drain) - cycle)
-            self._store_drain = [t for t in self._store_drain if t > cycle + stall]
-        start = max([cycle + stall] + self._store_drain)
-        self._store_drain.append(start + write_cycles)
+            stall = drain.popleft() - cycle
+        start = cycle + stall
+        if drain and drain[-1] > start:
+            start = drain[-1]
+        drain.append(start + write_cycles)
         self.stats.write_stall_cycles += stall
         self.stats.words_transferred += 1
         return stall
 
     def drain_cycles(self, cycle: int) -> int:
         """Cycles until the write buffer is fully drained (for loads that must wait)."""
-        if not self._store_drain:
+        drain = self._store_drain
+        if not drain or drain[-1] <= cycle:
             return 0
-        return max(0, max(self._store_drain) - cycle)
+        return drain[-1] - cycle

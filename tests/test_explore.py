@@ -1,6 +1,7 @@
 """Tests for the design-space exploration subsystem (repro.explore)."""
 
 import json
+import os
 
 import pytest
 
@@ -383,6 +384,33 @@ class TestImageMemo:
         fresh = ExplorationRunner().run(self._space())
         assert counts == {"compiled": 10, "recorded": 10}
         assert fresh.to_records() == memo.to_records()
+
+    def test_parallel_sweep_matches_serial(self):
+        serial = ExplorationRunner(jobs=1).run(self._space())
+        runner_module._images.clear()  # workers compile and record afresh
+        parallel = ExplorationRunner(jobs=2).run(self._space())
+        assert parallel.ok and parallel.to_records() == serial.to_records()
+
+    def test_workers_compile_each_image_once(self, monkeypatch, tmp_path):
+        """Cells lease to the worker holding their image: every image is
+        compiled once, plus at most one steal at the tail of the sweep."""
+        log = tmp_path / "compiles"
+        compile_and_link = runner_module.compile_and_link
+
+        def logging_compile(*args, **kwargs):
+            with open(log, "a") as handle:  # one line per worker compile
+                handle.write(f"{os.getpid()}\n")
+            return compile_and_link(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "compile_and_link",
+                            logging_compile)
+        # Cores outermost: consecutive cells alternate between images.
+        space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
+                 .axis("cores", [1, 2])
+                 .axis("method_cache_size", [1024, 2048, 4096]))
+        result = ExplorationRunner(jobs=2).run(space)
+        assert result.ok and len(result) == 6
+        assert len(log.read_text().split()) <= 3 + 1
 
     def test_memo_is_bounded(self, monkeypatch):
         counts = self._counted(monkeypatch)

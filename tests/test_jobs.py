@@ -10,6 +10,7 @@ identical to an uninterrupted run.
 
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from repro.jobs import (
     run_jobs,
 )
 from repro.jobs.policy import CellTimeout
+from repro.jobs.supervisor import _Slot, _Supervisor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,8 +92,9 @@ def _die_while_reporting(payload):
     return b"x" * size
 
 
-def _cells(values):
-    return [JobCell(key=f"cell/{v}", label=f"cell {v}", payload=v)
+def _cells(values, affinity=lambda value: None):
+    return [JobCell(key=f"cell/{v}", label=f"cell {v}", payload=v,
+                    affinity=affinity(v))
             for v in values]
 
 
@@ -295,12 +298,17 @@ class TestRunJobsParallel:
                      worker_init=_init_denied, init_args=("denied",))
 
     def test_sigkilled_worker_contained_and_pool_survives(self, tmp_path):
+        # The crashing cell shares its affinity with two others, and the
+        # respawned worker holds no claim on it.
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.0)
         journal = Journal(tmp_path / "journal.jsonl")
-        outcome = run_jobs(_cells([1, -5, 2, 3]), _die_if_negative,
-                           jobs=2, policy=policy, journal=journal)
+        outcome = run_jobs(
+            _cells([1, -5, 2, 3, 4],
+                   affinity=lambda v: {2: None, 4: "b"}.get(v, "a")),
+            _die_if_negative, jobs=2, policy=policy, journal=journal)
         journal.close()
-        assert outcome.results == {"cell/1": 1, "cell/2": 4, "cell/3": 9}
+        assert outcome.results == {"cell/1": 1, "cell/2": 4, "cell/3": 9,
+                                   "cell/4": 16}
         assert len(outcome.failures) == 1
         failure = outcome.failures[0]
         assert failure.error == "WorkerCrashed"
@@ -308,7 +316,9 @@ class TestRunJobsParallel:
         assert outcome.lost_workers >= 2
         replay = replay_journal(tmp_path / "journal.jsonl")
         assert "cell/-5" in replay.failed
-        assert set(replay.done) == {"cell/1", "cell/2", "cell/3"}
+        assert set(replay.done) == {"cell/1", "cell/2", "cell/3", "cell/4"}
+        assert _journal_counts(tmp_path / "journal.jsonl", "done") == {
+            key: 1 for key in replay.done}
 
     @pytest.mark.parametrize("delay", [0.0, 0.002, 0.005, 0.01, 0.02, 0.04])
     def test_kill_while_reporting_blocks_no_other_worker(self, monkeypatch,
@@ -337,10 +347,25 @@ class TestRunJobsParallel:
                              heartbeat_interval_s=0.05,
                              heartbeat_timeout_s=0.6)
         flag = str(tmp_path / "stopped-once")
-        cells = [JobCell(key="cell/wedge", label="wedge", payload=(flag, 6))]
-        outcome = run_jobs(cells, _stop_once, jobs=2, policy=policy)
-        assert outcome.results == {"cell/wedge": 36}
+        # Only the wedge cell stops its worker: the others' flag exists.
+        stopped = tmp_path / "already-stopped"
+        stopped.touch()
+        cells = [JobCell(key="cell/wedge", label="wedge", payload=(flag, 6),
+                         affinity="a")]
+        cells += [JobCell(key=f"cell/{v}", label=f"cell {v}",
+                          payload=(str(stopped), v), affinity=affinity)
+                  for v, affinity in ((2, "a"), (3, "b"), (4, "a"))]
+        journal = Journal(tmp_path / "journal.jsonl")
+        outcome = run_jobs(cells, _stop_once, jobs=2, policy=policy,
+                           journal=journal)
+        journal.close()
+        assert outcome.results == {"cell/wedge": 36, "cell/2": 4,
+                                   "cell/3": 9, "cell/4": 16}
         assert outcome.lost_workers == 1
+        assert _journal_counts(tmp_path / "journal.jsonl", "done") == {
+            key: 1 for key in outcome.results}
+        assert _journal_counts(tmp_path / "journal.jsonl", "lost") == {
+            "cell/wedge": 1}
 
     def test_timeout_class_overrun_is_structured_failure(self, monkeypatch):
         monkeypatch.setitem(TIMEOUT_CLASSES, "test-tiny",
@@ -357,6 +382,93 @@ class TestRunJobsParallel:
         assert failure.error == "SimulationTimeout"
         assert failure.context["kind"] == "wall_clock"
         assert failure.context["max_wall_s"] == 0.4
+
+
+def _supervisor(cells, *affinities):
+    """A supervisor over ``cells`` whose slots hold ``affinities``, with no
+    worker processes: enough to drive its lease choice by hand."""
+    supervisor = _Supervisor(
+        cells, _square, jobs=len(affinities), policy=RetryPolicy(),
+        journal=None, worker_init=None, init_args=(), contain=None,
+        crash_failure=None, encode=None, on_result=None)
+    supervisor.slots = [_Slot(index) for index in range(len(affinities))]
+    for slot, affinity in zip(supervisor.slots, affinities):
+        slot.affinity = affinity
+    return supervisor
+
+
+class TestDispatchChoice:
+    """Which ready cell a free slot leases (``_Supervisor._choose``)."""
+
+    @staticmethod
+    def _grouped(*pairs):
+        return [JobCell(key=key, label=key, payload=0, affinity=affinity)
+                for key, affinity in pairs]
+
+    def test_prefers_the_slots_own_affinity(self):
+        supervisor = _supervisor(
+            self._grouped(("c1", "C"), ("b1", "B"), ("a1", "A"),
+                          ("b2", "B")), "A", "B")
+        assert supervisor._choose(supervisor.slots[0], 0.0)[0].key == "a1"
+        assert supervisor._choose(supervisor.slots[1], 0.0)[0].key == "b1"
+
+    def test_otherwise_takes_an_affinity_no_other_slot_holds(self):
+        cells = self._grouped(("a1", "A"), ("b1", "B"), ("c1", "C"))
+        for own in (None, "D"):
+            supervisor = _supervisor(cells, own, "A")
+            assert supervisor._choose(supervisor.slots[0],
+                                      0.0)[0].key == "b1"
+        # A cell without an affinity is never held by anyone.
+        supervisor = _supervisor(
+            self._grouped(("a1", "A"), ("x", None), ("b1", "B")), None, "A")
+        assert supervisor._choose(supervisor.slots[0], 0.0)[0].key == "x"
+
+    def test_steals_rather_than_idles(self):
+        supervisor = _supervisor(self._grouped(("a1", "A"), ("a2", "A")),
+                                 "B", "A")
+        assert supervisor._choose(supervisor.slots[0], 0.0)[0].key == "a1"
+        supervisor.slots[0].task_queue = queue.SimpleQueue()
+        supervisor.slots[1].task_queue = queue.SimpleQueue()
+        supervisor._dispatch(0.0)
+        # Both slots leased, and the thief now holds the stolen affinity.
+        assert [slot.lease[0].key for slot in supervisor.slots] == ["a1",
+                                                                    "a2"]
+        assert [slot.affinity for slot in supervisor.slots] == ["A", "A"]
+        assert supervisor.pending == []
+
+    def test_respects_backoff(self):
+        supervisor = _supervisor(
+            self._grouped(("a1", "A"), ("b1", "B"), ("c1", "C")), "A", None)
+        supervisor.pending[0] = (supervisor.pending[0][0], 2, 5.0)
+        assert supervisor._choose(supervisor.slots[0], 1.0)[0].key == "b1"
+        assert supervisor._choose(supervisor.slots[0], 5.0)[0].key == "a1"
+        supervisor.pending = [(cell, 2, 5.0) for cell, _, _
+                              in supervisor.pending]
+        assert supervisor._choose(supervisor.slots[0], 1.0) is None
+
+    def test_cells_without_affinity_keep_fifo_order(self):
+        supervisor = _supervisor(_cells(range(6)), None, None, None)
+        order = []
+        while supervisor.pending:
+            for slot in reversed(supervisor.slots):
+                entry = supervisor._choose(slot, 0.0)
+                if entry is not None:
+                    supervisor.pending.remove(entry)
+                    slot.affinity = entry[0].affinity
+                    order.append(entry[0].key)
+        assert order == [f"cell/{v}" for v in range(6)]
+
+    def test_lost_worker_drops_its_affinity(self):
+        cell = JobCell(key="a1", label="a1", payload=0, affinity="A")
+        supervisor = _supervisor([cell], "A")
+        supervisor.heartbeats = [time.monotonic()]
+        supervisor.pending = []
+        supervisor.slots[0].lease = (cell, 1)  # its process is gone
+        supervisor.draining = True  # no respawn in a unit test
+        supervisor._check_liveness(time.monotonic())
+        assert supervisor.slots[0].affinity is None
+        assert [entry[0] for entry in supervisor.pending] == [cell]
+        assert supervisor.outcome.lost_workers == 1
 
 
 def _journal_counts(journal_path, state):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import resource
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from repro.config import MemoryConfig, ScratchpadConfig
 from repro.errors import ConfigError, MemoryAccessError, SimulationError
 from repro.memory import (
+    ControllerStats,
     MainMemory,
     MemoryController,
     RoundRobinArbiter,
@@ -248,6 +250,85 @@ class TestMemoryController:
         ctrl.store(0, 1, 4, cycle=0)
         assert ctrl.drain_cycles(0) == 14
         assert ctrl.drain_cycles(100) == 0
+
+
+class _ListStoreBuffer:
+    """The store buffer as a list rebuilt on every store: the oracle of
+    :meth:`MemoryController.buffer_store` and ``drain_cycles``."""
+
+    def __init__(self, config, arbiter, entries):
+        self.config = config
+        self.arbiter = arbiter
+        self.entries = entries
+        self.drain = []
+        self.stats = ControllerStats()
+
+    def buffer_store(self, cycle):
+        self.stats.writes += 1
+        self.drain = [t for t in self.drain if t > cycle]
+        write_cycles = self.config.transfer_cycles(1)
+        stall = 0
+        if self.entries == 0:
+            wait = (0 if self.arbiter is None
+                    else self.arbiter.arbitration_delay(cycle, write_cycles))
+            self.stats.arbitration_cycles += wait
+            stall = wait + write_cycles
+        elif len(self.drain) >= self.entries:
+            stall = max(0, min(self.drain) - cycle)
+            self.drain = [t for t in self.drain if t > cycle + stall]
+        start = max([cycle + stall] + self.drain)
+        self.drain.append(start + write_cycles)
+        self.stats.write_stall_cycles += stall
+        self.stats.words_transferred += 1
+        return stall
+
+    def drain_cycles(self, cycle):
+        if not self.drain:
+            return 0
+        return max(0, max(self.drain) - cycle)
+
+
+class TestStoreBufferOracle:
+    """The controller's store buffer matches the list-based oracle on
+    seeded random streams of non-decreasing stamps."""
+
+    CONFIG = MemoryConfig(burst_words=4, setup_cycles=6, cycles_per_word=2)
+
+    @staticmethod
+    def _port():
+        """Core 0 of a fresh two-core round-robin bus."""
+        return RoundRobinArbiter(num_cores=2, max_transfer_cycles=14)
+
+    @pytest.mark.parametrize("entries", [0, 1, 2, 4])
+    @pytest.mark.parametrize("arbitrated", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_list_oracle(self, entries, arbitrated, seed):
+        rng = random.Random(seed * 31 + entries)
+        buses = [self._port() if arbitrated else None for _ in range(2)]
+        ports = [bus.port(0) if bus else None for bus in buses]
+        controller = MemoryController(None, self.CONFIG, arbiter=ports[0],
+                                      store_buffer_entries=entries)
+        oracle = _ListStoreBuffer(self.CONFIG, ports[1], entries)
+        cycle = 0
+        stalls, oracle_stalls = [], []
+        for _ in range(400):
+            cycle += rng.choice((0, 0, 1, 2, 3, 7, 14, 30, 60))
+            if arbitrated and rng.random() < 0.2:
+                # Another core's transfer, the same on both buses.
+                for bus in buses:
+                    bus.port(1).arbitration_delay(cycle, 14)
+            if rng.random() < 0.25:
+                assert (controller.drain_cycles(cycle)
+                        == oracle.drain_cycles(cycle))
+                continue
+            stalls.append(controller.buffer_store(cycle))
+            oracle_stalls.append(oracle.buffer_store(cycle))
+            if rng.random() < 0.5:
+                cycle += oracle_stalls[-1]  # the core waited out its stall
+        assert stalls == oracle_stalls
+        assert any(stalls)
+        assert controller.stats == oracle.stats
+        assert controller.drain_cycles(cycle) == oracle.drain_cycles(cycle)
 
 
 class TestTdma:
