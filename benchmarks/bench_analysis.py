@@ -12,8 +12,7 @@ value analysis buys the WCET story:
   records its delta against the annotated bound;
 * **tightness** — WCET with the analysis enabled vs disabled, against
   simulated cycles, so a regression that loosens bounds is visible;
-* **infeasible-path and lint statistics** — dead edges, exclusive pairs
-  and findings per kernel.
+* **lint statistics** — findings per kernel.
 
 Emits machine-readable ``BENCH_analysis.json``::
 
@@ -82,7 +81,6 @@ def bench_kernel(name: str) -> dict:
     return {
         "loops": len(audits),
         "audit_statuses": status_counts,
-        "infeasible_facts": len(facts.infeasible_facts()),
         "lint_findings": len(findings),
         "simulated_cycles": sim.cycles,
         "wcet_with_analysis": with_analysis.wcet_cycles,
@@ -145,8 +143,6 @@ def main(argv=None) -> int:
             "match_fraction": round(match_fraction, 4),
             "kernels_verified_without_annotations":
                 verified_without_annotations,
-            "infeasible_facts": sum(
-                k["infeasible_facts"] for k in kernels.values()),
             "lint_findings": sum(
                 k["lint_findings"] for k in kernels.values()),
         },

@@ -13,12 +13,11 @@ Module map
                loop headers, plus interprocedural may-write summaries.
 ``loopbounds`` Induction-variable loop-bound inference and the
                annotation-vs-inferred audit rule.
-``infeasible`` Dead-edge and exclusive-pair detection, emitted as extra IPET
-               flow constraints.
 ``addresses``  Address-range classification of every memory access
-               (scratchpad / static data / stack / heap).
+               (scratchpad / static data / stack / heap), for the lint
+               pass.
 ``facts``      ``program_facts(program)`` — the cached whole-program entry
-               point bundling all of the above.
+               point bundling the fixpoint, loop bounds and their audit.
 ``lint``       IR verifier: unreachable blocks, unbounded loops, reserved
                registers, single-path violations, bad accesses.
 ``__main__``   ``python -m repro.analysis [--lint] [--strict]`` CLI.
@@ -59,7 +58,6 @@ from .addresses import AccessFact, classify_accesses
 from .domain import AbsState, AbsVal, Interval
 from .facts import FunctionFacts, ProgramFacts, analyse_program, program_facts
 from .fixpoint import FixpointResult, analyse_function, may_write_summaries
-from .infeasible import InfeasibleFact, find_infeasible_facts
 from .lint import LintFinding, has_errors, lint_program
 from .loopbounds import (
     InferredBound,
@@ -75,7 +73,6 @@ __all__ = [
     "FixpointResult",
     "FunctionFacts",
     "InferredBound",
-    "InfeasibleFact",
     "Interval",
     "LintFinding",
     "LoopBoundAudit",
@@ -84,7 +81,6 @@ __all__ = [
     "analyse_program",
     "audit_loop_bounds",
     "classify_accesses",
-    "find_infeasible_facts",
     "has_errors",
     "infer_loop_bounds",
     "lint_program",

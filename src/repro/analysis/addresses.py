@@ -2,15 +2,9 @@
 
 Each load/store computes ``rs1 + imm``; the fixpoint states track register
 values as *symbol + offset interval*, so most accesses resolve to a named
-data item with a bounded byte-offset range.  The classification feeds two
-consumers:
-
-* the WCET analyzer restricts the static-cache persistence argument to the
-  data items the program can actually reach (untouched lines are never
-  filled), and
-* the lint pass reports accesses whose typed opcode disagrees with the
-  region their address resolves to, and accesses provably outside their
-  item's extent.
+data item with a bounded byte-offset range.  The lint pass reports
+accesses whose typed opcode disagrees with the region their address
+resolves to, and accesses provably outside their item's extent.
 """
 
 from __future__ import annotations
@@ -126,27 +120,6 @@ def classify_accesses(cfg: ControlFlowGraph, fix: FixpointResult,
     return facts
 
 
-def accessed_static_items(facts: list[AccessFact],
-                          write_allocate: bool = False) -> Optional[set[str]]:
-    """Static data items whose cache lines can be filled, or ``None``.
-
-    Only reads allocate static-cache lines unless the cache is configured
-    write-allocate.  If any allocating static access has an unresolved
-    address the answer degrades to ``None`` (conservative: assume the whole
-    image is reachable).
-    """
-    items: set[str] = set()
-    for fact in facts:
-        if fact.mem_type != "static":
-            continue
-        if fact.is_store and not write_allocate:
-            continue
-        if fact.symbol is None:
-            return None
-        items.add(fact.symbol)
-    return items
-
-
 def region_mismatches(facts: list[AccessFact]) -> list[AccessFact]:
     """Accesses whose typed opcode targets a different region than the
     address resolves to (e.g. a scratchpad load of a static symbol)."""
@@ -172,7 +145,6 @@ __all__ = [
     "AccessFact",
     "REGION_BY_MEM_TYPE",
     "REGION_BY_SPACE",
-    "accessed_static_items",
     "classify_accesses",
     "out_of_bounds",
     "region_mismatches",

@@ -8,9 +8,10 @@ analyzer does, so loop headers and edges line up):
 
 1. the interval fixpoint (:mod:`repro.analysis.fixpoint`),
 2. loop-bound inference + the annotation audit
-   (:mod:`repro.analysis.loopbounds`),
-3. infeasible-path detection (:mod:`repro.analysis.infeasible`),
-4. address classification (:mod:`repro.analysis.addresses`).
+   (:mod:`repro.analysis.loopbounds`).
+
+The lint pass classifies memory accesses
+(:mod:`repro.analysis.addresses`) from the same fixpoint states.
 
 The cache is keyed by object identity with a weak reference guard, so a
 program analysed for WCET, verification and lint in the same process pays
@@ -26,10 +27,7 @@ from typing import Optional
 from ..program.cfg import ControlFlowGraph
 from ..program.function import Function
 from ..program.program import Program
-from ..wcet.ipet import FlowConstraint
-from .addresses import AccessFact, accessed_static_items, classify_accesses
 from .fixpoint import FixpointResult, analyse_function, may_write_summaries
-from .infeasible import InfeasibleFact, find_infeasible_facts
 from .loopbounds import (
     InferredBound,
     LoopBoundAudit,
@@ -48,8 +46,6 @@ class FunctionFacts:
     fixpoint: FixpointResult
     inferred_bounds: dict[str, InferredBound] = field(default_factory=dict)
     audits: list[LoopBoundAudit] = field(default_factory=list)
-    infeasible: list[InfeasibleFact] = field(default_factory=list)
-    accesses: list[AccessFact] = field(default_factory=list)
 
     def effective_bounds(self) -> dict[str, int]:
         """Header label -> effective bound (audit rule applied)."""
@@ -57,9 +53,6 @@ class FunctionFacts:
             audit.header: audit.effective
             for audit in self.audits if audit.effective is not None
         }
-
-    def flow_constraints(self) -> list[FlowConstraint]:
-        return [fact.constraint for fact in self.infeasible]
 
 
 @dataclass
@@ -86,25 +79,6 @@ class ProgramFacts:
             audits.extend(self.functions[name].audits)
         return audits
 
-    def infeasible_facts(self) -> list[InfeasibleFact]:
-        facts: list[InfeasibleFact] = []
-        for name in sorted(self.functions):
-            facts.extend(self.functions[name].infeasible)
-        return facts
-
-    def accessed_static_items(self,
-                              write_allocate: bool = False
-                              ) -> Optional[set[str]]:
-        """Union of provably reachable static items, or ``None`` if any
-        function leaves a static access unresolved."""
-        items: set[str] = set()
-        for facts in self.functions.values():
-            partial = accessed_static_items(facts.accesses, write_allocate)
-            if partial is None:
-                return None
-            items |= partial
-        return items
-
 
 def analyse_program(program: Program) -> ProgramFacts:
     """Run the full analysis over every top-level function of ``program``."""
@@ -124,8 +98,6 @@ def analyse_program(program: Program) -> ProgramFacts:
             fixpoint=fix,
             inferred_bounds=inferred,
             audits=audit_loop_bounds(cfg, inferred),
-            infeasible=find_infeasible_facts(cfg, fix),
-            accesses=classify_accesses(cfg, fix, program),
         )
     return result
 

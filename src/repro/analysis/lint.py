@@ -27,7 +27,7 @@ from typing import Optional
 from ..compiler.single_path import COUNTER_REG, EXIT_PRED
 from ..isa.opcodes import Opcode
 from ..program.program import Program
-from .addresses import out_of_bounds, region_mismatches
+from .addresses import classify_accesses, out_of_bounds, region_mismatches
 from .facts import ProgramFacts, program_facts
 from .loopbounds import (
     STATUS_ANNOTATED_ONLY,
@@ -163,18 +163,21 @@ def _check_single_path(facts: ProgramFacts) -> list[LintFinding]:
     return findings
 
 
-def _check_accesses(facts: ProgramFacts) -> list[LintFinding]:
+def _check_accesses(program: Program,
+                    facts: ProgramFacts) -> list[LintFinding]:
     findings = []
     for name in sorted(facts.functions):
         func_facts = facts.functions[name]
-        for fact in region_mismatches(func_facts.accesses):
+        accesses = classify_accesses(func_facts.cfg, func_facts.fixpoint,
+                                     program)
+        for fact in region_mismatches(accesses):
             findings.append(LintFinding(
                 function=name, block=fact.block, code="region-mismatch",
                 severity=SEVERITY_WARNING,
                 message=(f"{fact.opcode} targets the {fact.mem_type} cache "
                          f"but resolves to {fact.symbol!r} in the "
                          f"{fact.region} region")))
-        for fact in out_of_bounds(func_facts.accesses):
+        for fact in out_of_bounds(accesses):
             findings.append(LintFinding(
                 function=name, block=fact.block, code="out-of-bounds-access",
                 severity=SEVERITY_ERROR,
@@ -202,7 +205,7 @@ def lint_program(program: Program, facts: Optional[ProgramFacts] = None,
         findings.extend(_check_reserved_registers(program))
     if single_path:
         findings.extend(_check_single_path(facts))
-    findings.extend(_check_accesses(facts))
+    findings.extend(_check_accesses(program, facts))
     return findings
 
 

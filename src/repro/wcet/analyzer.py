@@ -91,10 +91,8 @@ class WcetOptions:
     #: model (ECC correction charges); added once to the total bound.
     fault_overhead_cycles: int = 0
     #: Run the abstract-interpretation value analysis (:mod:`repro.analysis`):
-    #: infer loop bounds where annotations are missing, tighten loose ones,
-    #: prune infeasible paths via extra IPET flow constraints, and restrict
-    #: the static-cache persistence argument to the data the program can
-    #: actually reach.  Disabling falls back to annotations only.
+    #: infer loop bounds where annotations are missing and tighten loose
+    #: ones.  Disabling falls back to annotations only.
     analysis: bool = True
 
     @classmethod
@@ -303,13 +301,10 @@ class WcetAnalyzer:
             options.tdma.slot_length(options.tdma_core_id)  # range check
 
         facts = None
-        accessed_items = None
         if options.analysis:
-            # Imported lazily: repro.analysis builds on repro.wcet.ipet.
+            # Imported lazily: runs without the analysis never load it.
             from ..analysis.facts import program_facts
             facts = program_facts(self.program)
-            accessed_items = facts.accessed_static_items(
-                write_allocate=self.config.static_cache.write_allocate)
         self._facts = facts
 
         method_cache = None
@@ -322,8 +317,7 @@ class WcetAnalyzer:
                 call_graph=self._layout.call_graph)
         static_cache = analyse_static_cache(
             self.image, self.config, mode=options.static_cache,
-            unified=options.unified_data_cache,
-            accessed_items=accessed_items)
+            unified=options.unified_data_cache)
         object_cache = analyse_object_cache(self.config, mode=options.object_cache)
         stack_cache = analyse_stack_cache(
             self.program, self.config, self._layout.frame_words,
@@ -575,19 +569,16 @@ class WcetAnalyzer:
         # bounds (min of annotation and inferred) > block annotations, which
         # solve_ipet reads off the CFG itself.
         loop_bounds: dict[str, int] = {}
-        flow_constraints = None
         func_facts = (self._facts.function_facts(function.name)
                       if self._facts is not None else None)
         if func_facts is not None:
             loop_bounds.update(func_facts.effective_bounds())
-            flow_constraints = func_facts.flow_constraints()
         loop_bounds.update({
             label: bound
             for (func_name, label), bound in self.options.loop_bounds.items()
             if func_name == function.name
         })
-        ipet = solve_ipet(cfg, block_costs, loop_bounds,
-                          flow_constraints=flow_constraints)
+        ipet = solve_ipet(cfg, block_costs, loop_bounds)
         return FunctionWcet(name=function.name, wcet_cycles=ipet.wcet,
                             ipet=ipet, block_costs=block_costs,
                             callee_cycles=callee_total)

@@ -180,16 +180,12 @@ class StaticCacheAnalysis:
 
 def analyse_static_cache(image: Image, config: PatmosConfig,
                          mode: str = "persistence",
-                         unified: bool = False,
-                         accessed_items: set[str] | None = None
-                         ) -> StaticCacheAnalysis:
+                         unified: bool = False) -> StaticCacheAnalysis:
     """Analyse the static/constant cache (or the unified-cache baseline).
 
-    ``accessed_items`` optionally restricts the persistence argument to the
-    static data items the program can actually touch (as proven by the
-    address-range analysis): lines of untouched items are never filled, so
-    they neither cost a one-off fill nor participate in conflicts.  ``None``
-    keeps the conservative whole-image behaviour.
+    The persistence argument covers every static data item of the image:
+    static addresses are known at link time, so no address analysis is
+    needed to place each item's lines in their cache sets.
     """
     line_bytes = config.static_cache.line_bytes
     miss = config.memory.transfer_cycles(line_bytes // 4)
@@ -215,8 +211,6 @@ def analyse_static_cache(image: Image, config: PatmosConfig,
     total_lines = 0
     for item in image.program.data_in_order():
         if item.space not in (DataSpace.CONST, DataSpace.DATA):
-            continue
-        if accessed_items is not None and item.name not in accessed_items:
             continue
         base = image.symbol(item.name)
         first_line = base // line_bytes

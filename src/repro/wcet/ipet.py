@@ -4,7 +4,7 @@ The classic IPET formulation bounds the WCET of a function by maximising
 ``sum(cost_b * x_b)`` over all block execution-count vectors ``x`` that
 satisfy flow conservation and loop-bound constraints.
 
-:func:`solve_ipet` solves most instances structurally, with one
+:func:`solve_ipet` solves every instance structurally, with one
 longest-path pass per loop and one over the function.  On a reducible CFG
 whose loops are all bounded by at least 1, each loop is collapsed, innermost
 first, into a node whose cost depends on the edge it is left by:
@@ -13,12 +13,12 @@ heaviest path from the header to that exit edge.  The WCET is then the
 longest path from entry to exit, and expanding the chosen paths gives an
 integer flow that attains it.  This is the ILP optimum: a loop's bound
 constraint scales with its entry count, so an optimal flow gains nothing by
-giving different entries different iterations.  The other
-instances -- those with a flow fact on an edge of the CFG, irreducible
-control flow, a loop bound below 1, or no reachable exit -- go to the integer
-linear program, solved with :func:`scipy.optimize.milp`, which is also the
-oracle the structural solver is tested against.  A pure longest-path solver
-for loop-free (DAG) control flow is a further cross-check.
+giving different entries different iterations.  The instances the collapse
+cannot solve are errors: a loop bound below 1, a CFG with no reachable exit
+and irreducible control flow each raise a :class:`WcetError` that says so.
+The integer linear program itself lives in the tests (``tests/ilp_oracle.py``)
+as the oracle the structural solver is checked against; a pure longest-path
+solver for loop-free (DAG) control flow is a further cross-check.
 """
 
 from __future__ import annotations
@@ -40,23 +40,6 @@ class IpetResult:
     wcet: int
     block_counts: dict[str, int] = field(default_factory=dict)
     edge_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    status: str = "optimal"
-
-
-@dataclass(frozen=True)
-class FlowConstraint:
-    """Extra linear flow fact ``sum(coeff * x_edge) <= upper``.
-
-    Produced by the static analysis (infeasible-path detection); terms
-    reference CFG edges ``(src, dst)``.  Terms whose edge does not exist in
-    the solved CFG are silently dropped — the constraint is a statement
-    about executions of those edges, and a missing edge executes zero
-    times.
-    """
-
-    terms: tuple[tuple[tuple[str, str], float], ...]
-    upper: float
-    reason: str = ""
 
 
 def _edges_with_virtuals(cfg: ControlFlowGraph) -> list[tuple[str, str]]:
@@ -84,32 +67,28 @@ def _bounded_loops(cfg: ControlFlowGraph, loop_bounds: dict[str, int] | None
                     f"loop at {loop.header!r} in {cfg.function.name} has no "
                     "bound annotation; WCET is unbounded")
             loop_bounds[loop.header] = loop.bound
+        if loop_bounds[loop.header] < 1:
+            raise WcetError(
+                f"loop bound for {loop.header!r} in {cfg.function.name} "
+                "must be >= 1")
     return loops, loop_bounds
 
 
 def solve_ipet(cfg: ControlFlowGraph, block_costs: dict[str, int],
-               loop_bounds: dict[str, int] | None = None,
-               flow_constraints: list[FlowConstraint] | None = None
-               ) -> IpetResult:
+               loop_bounds: dict[str, int] | None = None) -> IpetResult:
     """Solve the IPET problem for one function.
 
     ``block_costs`` maps block labels to their worst-case cost in cycles.
     ``loop_bounds`` maps loop-header labels to the maximum number of header
     executions per loop entry; loops found in the CFG without a bound (either
-    here or as a block annotation) are an error, because the ILP would be
-    unbounded.  ``flow_constraints`` adds analysis-derived linear facts over
-    edge counts (e.g. infeasible-path exclusions).
+    here or as a block annotation) are an error, because the WCET would be
+    unbounded.
     """
     loops, bounds = _bounded_loops(cfg, loop_bounds)
     edges = _edges_with_virtuals(cfg)
-    edge_set = set(edges)
-    if (cfg.is_reducible()
-            and all(bounds[loop.header] >= 1 for loop in loops)
-            and any(dst == SINK for _src, dst in edges)
-            and not any(edge in edge_set for fact in flow_constraints or ()
-                        for edge, _coeff in fact.terms)):
-        return _collapse_loops(cfg, block_costs, loops, bounds, edges)
-    return _milp(cfg, block_costs, bounds, flow_constraints)
+    if not any(dst == SINK for _src, dst in edges):
+        raise WcetError(f"function {cfg.function.name} has no reachable exit")
+    return _collapse_loops(cfg, block_costs, loops, bounds, edges)
 
 
 @dataclass
@@ -135,7 +114,8 @@ class _Region:
 def _collapse_loops(cfg: ControlFlowGraph, block_costs: dict[str, int],
                     loops: list[Loop], bounds: dict[str, int],
                     edges: list[tuple[str, str]]) -> IpetResult:
-    """Structural IPET solution of a reducible CFG with an exit."""
+    """Structural IPET solution of a CFG with a reachable exit (an
+    irreducible CFG has no topological order and raises there)."""
     order = cfg.topological_order()
     position = {label: index for index, label in enumerate(order)}
     successors: dict[str, list[str]] = {label: [] for label in order}
@@ -230,93 +210,6 @@ def _flow_result(cfg: ControlFlowGraph, edges: list[tuple[str, str]],
             block_counts[dst] = block_counts.get(dst, 0) + count
     return IpetResult(wcet=wcet, block_counts=block_counts,
                       edge_counts=edge_counts)
-
-
-def _milp(cfg: ControlFlowGraph, block_costs: dict[str, int],
-          loop_bounds: dict[str, int] | None = None,
-          flow_constraints: list[FlowConstraint] | None = None) -> IpetResult:
-    """Solve the IPET integer linear program (same arguments as
-    :func:`solve_ipet`)."""
-    import numpy as np
-    from scipy import optimize, sparse
-
-    loops, loop_bounds = _bounded_loops(cfg, loop_bounds)
-    edges = _edges_with_virtuals(cfg)
-    edge_index = {edge: i for i, edge in enumerate(edges)}
-    num_edges = len(edges)
-    reachable = cfg.reachable()
-
-    # Objective: maximise sum over blocks of cost * (sum of incoming edges).
-    objective = np.zeros(num_edges)
-    for (src, dst), index in edge_index.items():
-        if dst in block_costs:
-            objective[index] += block_costs[dst]
-
-    rows: list[np.ndarray] = []
-    lower: list[float] = []
-    upper: list[float] = []
-
-    def add_constraint(coeffs: dict[int, float], lo: float, hi: float) -> None:
-        row = np.zeros(num_edges)
-        for index, value in coeffs.items():
-            row[index] = value
-        rows.append(row)
-        lower.append(lo)
-        upper.append(hi)
-
-    # Source emits exactly one execution; sink absorbs exactly one.
-    add_constraint({edge_index[(SOURCE, cfg.entry)]: 1.0}, 1.0, 1.0)
-    sink_edges = {edge_index[e]: 1.0 for e in edges if e[1] == SINK}
-    if not sink_edges:
-        raise WcetError(f"function {cfg.function.name} has no exit block")
-    add_constraint(sink_edges, 1.0, 1.0)
-
-    # Flow conservation per block: sum(in) - sum(out) == 0.
-    for label in reachable:
-        coeffs: dict[int, float] = {}
-        for edge, index in edge_index.items():
-            if edge[1] == label:
-                coeffs[index] = coeffs.get(index, 0.0) + 1.0
-            if edge[0] == label:
-                coeffs[index] = coeffs.get(index, 0.0) - 1.0
-        add_constraint(coeffs, 0.0, 0.0)
-
-    # Loop bounds: header executions <= bound * entries from outside the loop.
-    for loop in loops:
-        bound = loop_bounds[loop.header]
-        coeffs: dict[int, float] = {}
-        for edge, index in edge_index.items():
-            src, dst = edge
-            if dst == loop.header and (src, dst) in loop.back_edges:
-                coeffs[index] = coeffs.get(index, 0.0) + 1.0
-            elif dst == loop.header:
-                coeffs[index] = coeffs.get(index, 0.0) - float(bound - 1)
-        add_constraint(coeffs, -np.inf, 0.0)
-
-    # Analysis-derived flow facts (infeasible paths, exclusive branches).
-    for fact in flow_constraints or ():
-        coeffs = {}
-        for edge, coeff in fact.terms:
-            index = edge_index.get(edge)
-            if index is not None:
-                coeffs[index] = coeffs.get(index, 0.0) + coeff
-        if coeffs:
-            add_constraint(coeffs, -np.inf, fact.upper)
-
-    constraints = optimize.LinearConstraint(
-        sparse.csr_matrix(np.vstack(rows)), np.array(lower), np.array(upper))
-    bounds = optimize.Bounds(lb=np.zeros(num_edges), ub=np.full(num_edges, np.inf))
-    result = optimize.milp(
-        c=-objective, constraints=constraints, bounds=bounds,
-        integrality=np.ones(num_edges))
-    if not result.success:
-        raise WcetError(
-            f"IPET ILP for {cfg.function.name} failed: {result.message}")
-
-    edge_counts = {
-        edge: int(round(result.x[index])) for edge, index in edge_index.items()
-    }
-    return _flow_result(cfg, edges, edge_counts, int(round(-result.fun)))
 
 
 def longest_path_dag(cfg: ControlFlowGraph, block_costs: dict[str, int]) -> int:

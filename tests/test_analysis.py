@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import (
     Interval,
     analyse_program,
+    classify_accesses,
     lint_program,
     program_facts,
 )
@@ -26,7 +27,7 @@ from repro.program.builder import ProgramBuilder
 from repro.program.program import DataSpace
 from repro.sim.cycle import CycleSimulator
 from repro.wcet.analyzer import WcetOptions, analyze_wcet
-from repro.wcet.ipet import FlowConstraint, longest_path_dag, solve_ipet
+from repro.wcet.ipet import longest_path_dag, solve_ipet
 from repro.workloads.suite import build_kernel, resolve_kernels
 
 
@@ -277,97 +278,8 @@ class TestIrreducibleControlFlow:
 
     def test_ipet_reports_the_unbounded_cycle(self):
         image, _ = compile_and_link(self._program())
-        with pytest.raises(WcetError):
+        with pytest.raises(WcetError, match="irreducible"):
             analyze_wcet(image)
-
-
-# ---------------------------------------------------------------------------
-# Infeasible paths
-# ---------------------------------------------------------------------------
-
-
-class TestInfeasiblePaths:
-    def _dead_branch_program(self):
-        b = ProgramBuilder("dead")
-        f = b.function("main")
-        f.li("r1", 5)
-        f.emit("cmpilt", "p1", "r1", 0)  # 5 < 0: statically false
-        f.br("never", pred="p1")
-        f.emit("addi", "r2", "r2", 1)
-        f.br("end")
-        f.label("never")
-        for _ in range(64):
-            f.emit("addi", "r3", "r3", 1)
-        f.label("end")
-        f.halt()
-        return b.build()
-
-    def test_dead_edge_detected_and_prunes_wcet(self):
-        program = self._dead_branch_program()
-        facts = _facts_of(program)
-        kinds = [fact.kind for fact in facts.infeasible]
-        assert "dead_edge" in kinds
-        cfg = facts.cfg
-        costs = {label: 1 for label in cfg.function.block_labels()}
-        costs["never"] = 1000
-        plain = solve_ipet(cfg, costs).wcet
-        pruned = solve_ipet(cfg, costs,
-                            flow_constraints=facts.flow_constraints()).wcet
-        assert pruned < plain
-
-    def test_flow_constraint_terms_for_missing_edges_are_dropped(self):
-        program = self._dead_branch_program()
-        cfg = ControlFlowGraph.build(program.functions["main"])
-        costs = {label: 1 for label in cfg.function.block_labels()}
-        ghost = FlowConstraint(terms=((("nope", "nada"), 1.0),), upper=0.0)
-        assert solve_ipet(cfg, costs, flow_constraints=[ghost]).wcet \
-            == solve_ipet(cfg, costs).wcet
-
-    def test_exclusive_pair_constrains_correlated_branches(self):
-        b = ProgramBuilder("corr")
-        f = b.function("main")
-        f.emit("lwc", "r1", "r0", 0)
-        f.emit("cmpilt", "p1", "r1", 0)
-        f.br("a_neg", pred="p1")
-        f.emit("addi", "r2", "r2", 1)
-        f.br("second")
-        f.label("a_neg")
-        for _ in range(32):
-            f.emit("addi", "r3", "r3", 1)
-        f.label("second")
-        f.br("b_neg", pred="p1")
-        f.emit("addi", "r4", "r4", 1)
-        f.br("end")
-        f.label("b_neg")
-        for _ in range(32):
-            f.emit("addi", "r5", "r5", 1)
-        f.label("end")
-        f.halt()
-        b.data("src", [0], space=DataSpace.CONST)
-        program = b.build()
-        facts = _facts_of(program)
-        assert any(fact.kind == "exclusive_pair" for fact in facts.infeasible)
-        # The contradictory combination (taken once, fallen once) is cut:
-        # with the constraints, the solver cannot take a_neg and skip b_neg.
-        cfg = facts.cfg
-        costs = {label: 1 for label in cfg.function.block_labels()}
-        costs["a_neg"] = 500
-        costs["b_neg"] = 300
-        plain = solve_ipet(cfg, costs).wcet
-        pruned = solve_ipet(cfg, costs,
-                            flow_constraints=facts.flow_constraints()).wcet
-        assert pruned == plain  # consistent worst case is still feasible
-        # ...but forcing the cheap path through one branch caps the other.
-        costs["b_neg"] = 1
-        costs["a_neg"] = 500
-        inconsistent = [
-            FlowConstraint(terms=(
-                (("second", "b_neg"), 1.0),), upper=0.0)]
-        capped = solve_ipet(
-            cfg, costs,
-            flow_constraints=facts.flow_constraints() + inconsistent).wcet
-        assert capped < solve_ipet(cfg, costs,
-                                   flow_constraints=inconsistent).wcet
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +287,34 @@ class TestInfeasiblePaths:
 # ---------------------------------------------------------------------------
 
 
+def _table_load(opcode="lwc", offset=0):
+    """A program that loads ``table + offset`` with ``opcode``."""
+    b = ProgramBuilder("addr")
+    b.data("table", [1, 2, 3, 4], space=DataSpace.CONST)
+    f = b.function("main")
+    f.li("r1", "table")
+    f.emit(opcode, "r2", "r1", offset)
+    f.out("r2")
+    f.halt()
+    return b.build()
+
+
 class TestAddressAnalysis:
-    def _access_program(self, offset=0):
-        b = ProgramBuilder("addr")
-        b.data("table", [1, 2, 3, 4], space=DataSpace.CONST)
-        f = b.function("main")
-        f.li("r1", "table")
-        f.emit("lwc", "r2", "r1", offset)
-        f.out("r2")
-        f.halt()
-        return b.build()
+    def _load(self, program):
+        facts = _facts_of(program)
+        accesses = classify_accesses(facts.cfg, facts.fixpoint, program)
+        [access] = [fact for fact in accesses if not fact.is_store]
+        return access
 
     def test_access_resolves_symbol_and_bounds(self):
-        facts = _facts_of(self._access_program())
-        [access] = [fact for fact in facts.accesses if not fact.is_store]
+        access = self._load(_table_load())
         assert access.symbol == "table"
         assert access.region == "static"
         assert access.in_bounds is True
 
     def test_out_of_bounds_access_is_flagged(self):
-        facts = _facts_of(self._access_program(offset=64))
-        [access] = [fact for fact in facts.accesses if not fact.is_store]
+        access = self._load(_table_load(offset=64))
         assert access.in_bounds is False
-
-    def test_accessed_static_items_restrict_persistence(self):
-        program = self._access_program()
-        facts = analyse_program(program)
-        assert facts.accessed_static_items() == {"table"}
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +362,19 @@ class TestLint:
         f.halt()
         findings = lint_program(b.build())
         assert any(f.code == "reserved-register-write" for f in findings)
+
+    def test_out_of_bounds_access_is_an_error(self):
+        [finding] = lint_program(_table_load(offset=64))
+        assert finding.code == "out-of-bounds-access"
+        assert finding.severity == "error"
+        assert "'table' at byte offset [64, 64]" in finding.message
+
+    def test_region_mismatch_is_a_warning(self):
+        [finding] = lint_program(_table_load("lwl"))  # scratchpad load
+        assert finding.code == "region-mismatch"
+        assert finding.severity == "warning"
+        assert "resolves to 'table' in the static region" in finding.message
+        assert not has_errors([finding])
 
     def test_strict_escalates_loose_annotations(self):
         program = _counted_loop(bound_annotation=3)  # tighter than provable

@@ -4,6 +4,10 @@ import collections
 import itertools
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,8 @@ from repro.workloads import (
     build_vector_sum,
 )
 from repro.workloads.suite import SUITES, build_kernel
+
+from ilp_oracle import _milp
 
 
 def _compiled(kernel, config=None, options=CompileOptions()):
@@ -118,6 +124,37 @@ class TestIpet:
                             loop_bounds={"loop": 4})
         assert result.block_counts["loop"] == 4
 
+    def test_loop_bound_below_one_rejected(self):
+        """A zero bound on a loop the program can skip is rejected, not
+        solved as "the loop never runs"."""
+        def build(f):
+            f.br("exit", pred="p1")
+            f.label("head")
+            f.emit("addi", "r1", "r1", 1)
+            f.br("head", pred="p2")
+            f.loop_bound("head", 4)
+            f.label("exit")
+            f.halt()
+        cfg = self._cfg(build)
+        costs = {cfg.entry: 1, "head": 10, "exit": 5}
+        assert solve_ipet(cfg, costs).wcet == 1 + 4 * 10 + 5
+        with pytest.raises(WcetError, match="'head' in main must be >= 1"):
+            solve_ipet(cfg, costs, loop_bounds={"head": 0})
+
+    def test_function_without_reachable_exit_rejected(self):
+        """The only exit lies behind an endless loop."""
+        def build(f):
+            f.label("spin")
+            f.emit("addi", "r1", "r1", 1)
+            f.br("spin")
+            f.loop_bound("spin", 3)
+            f.label("never")
+            f.halt()
+        cfg = self._cfg(build)
+        assert cfg.exits == ["never"] and "never" not in cfg.reachable()
+        with pytest.raises(WcetError, match="function main has no reachable exit"):
+            solve_ipet(cfg, {"spin": 1, "never": 1})
+
     def test_dag_longest_path_matches_ipet(self):
         def build(f):
             f.emit("cmpineq", "p1", "r1", 0)
@@ -133,15 +170,15 @@ class TestIpet:
         assert longest_path_dag(cfg, costs) == solve_ipet(cfg, costs).wcet
 
 
-def _assert_optimal_flow(cfg, costs, loop_bounds=None, flow_constraints=None):
+def _assert_optimal_flow(cfg, costs, loop_bounds=None):
     """Check ``solve_ipet`` against the ILP oracle on one instance.
 
     The WCETs must be equal, and the structural solver's counts must be a
     feasible flow (conservation, one unit from entry to exit, every loop
     bound) whose cost is the WCET.
     """
-    result = solve_ipet(cfg, costs, loop_bounds, flow_constraints)
-    oracle = ipet._milp(cfg, costs, loop_bounds, flow_constraints)
+    result = solve_ipet(cfg, costs, loop_bounds)
+    oracle = _milp(cfg, costs, loop_bounds)
     assert result.wcet == oracle.wcet
     edges = result.edge_counts
     assert edges.keys() == oracle.edge_counts.keys()
@@ -309,6 +346,64 @@ def test_structural_ipet_matches_milp_on_suite_kernels(variant, monkeypatch):
     assert len(instances) >= len(SUITES["all"])
     for args, kwargs in instances:
         _assert_optimal_flow(*args, **kwargs)
+
+
+#: Analyses and lints every suite kernel, and one irreducible program, in a
+#: process where importing numpy or scipy fails.
+_NO_THIRD_PARTY_SCRIPT = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    sys.modules["numpy"] = sys.modules["scipy"] = None
+
+    from repro import ProgramBuilder, compile_and_link
+    from repro.analysis import has_errors, lint_program
+    from repro.errors import WcetError
+    from repro.verify import DEFAULT_VARIANTS
+    from repro.wcet import WcetOptions, analyze_wcet
+    from repro.workloads.suite import SUITES, build_kernel
+
+    analyses = 0
+    for name in SUITES["all"]:
+        kernel = build_kernel(name)
+        findings = lint_program(
+            kernel.program, single_path=bool(kernel.attrs.get("single_path")))
+        assert not has_errors(findings, strict=True), findings
+        image, _ = compile_and_link(kernel.program)
+        for variant in DEFAULT_VARIANTS:
+            options = WcetOptions(**dict(variant.wcet_overrides))
+            assert analyze_wcet(image, options=options).wcet_cycles > 0
+            analyses += 1
+
+    b = ProgramBuilder("irreducible")
+    f = b.function("main")
+    f.emit("cmpineq", "p1", "r1", 0)
+    f.br("b", pred="p1")
+    f.label("a")
+    f.emit("addi", "r2", "r2", 1)
+    f.br("b", pred="p2")
+    f.br("out")
+    f.label("b")
+    f.emit("subi", "r1", "r1", 1)
+    f.br("a", pred="p3")
+    f.label("out")
+    f.halt()
+    image, _ = compile_and_link(b.build())
+    try:
+        analyze_wcet(image)
+    except WcetError as error:
+        print(analyses, error)
+""")
+
+
+def test_wcet_path_imports_no_third_party_package():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_THIRD_PARTY_SCRIPT, str(src)],
+        capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
+    analyses = len(SUITES["all"]) * len(DEFAULT_VARIANTS)
+    assert proc.stdout.strip() == (
+        f"{analyses} control flow of main is irreducible")
 
 
 class TestCacheAnalyses:
