@@ -8,27 +8,35 @@ at least one bundle later (full forwarding), and instructions in the same
 bundle observe the *old* register values (VLIW semantics), so
 anti-dependences allow a distance of zero.
 
-The graph is built in one forward pass.  Each register (general-purpose,
+The scheduler builds one graph per block, over the body followed by the
+block's terminator, so the terminator's constraints (its guard predicate, a
+``callr`` address register, the ``srb``/``sro`` of a ``ret``) come from the
+same pass as the body's.
+
+The graph is built in one forward pass that reads each instruction's
+registers once (:meth:`Instruction.def_use`).  Each register (general-purpose,
 predicate or special) keeps a table of its definitions since its last real
 definition and of its readers since then; an instruction gets edges only from
 those table entries.  An earlier access that has dropped out of a table is
 still ordered through the chain of definitions that displaced it, whose
 distances add up to at least the direct edge's, so the schedule constraints
 and critical-path lengths equal those of a graph with an edge for every
-dependent pair, at a cost linear in the block length.
+dependent pair, at a cost linear in the block length.  The same pass chains
+the ordered side effects (memory accesses, stack control, waits, output),
+each to the previous one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..config import PipelineConfig
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Format, Opcode, result_delay_slots
+from ..isa.opcodes import Format, Opcode, OpInfo, result_delay_slots
 
 
-@dataclass(frozen=True)
-class Dependence:
+class Dependence(NamedTuple):
     """A scheduling constraint: ``issue(dst) >= issue(src) + distance``."""
 
     src: int
@@ -39,53 +47,77 @@ class Dependence:
 
 @dataclass
 class DependenceGraph:
-    """Dependence edges between the instructions of one basic block."""
+    """Dependence edges between the instructions of one basic block.
+
+    Every edge runs forward (``src < dst``), so the first ``n``
+    instructions and the edges among them form a graph of their own.
+    """
 
     instructions: list[Instruction]
     edges: list[Dependence] = field(default_factory=list)
-    _preds: dict[int, list[Dependence]] = field(default_factory=dict, repr=False)
-    _succs: dict[int, list[Dependence]] = field(default_factory=dict, repr=False)
+    _preds: list[list[Dependence]] = field(init=False, repr=False)
+    _succs: list[list[Dependence]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._preds = [[] for _ in self.instructions]
+        self._succs = [[] for _ in self.instructions]
+        for edge in self.edges:
+            self._preds[edge.dst].append(edge)
+            self._succs[edge.src].append(edge)
 
     def add_edge(self, edge: Dependence) -> None:
         self.edges.append(edge)
-        self._preds.setdefault(edge.dst, []).append(edge)
-        self._succs.setdefault(edge.src, []).append(edge)
+        self._preds[edge.dst].append(edge)
+        self._succs[edge.src].append(edge)
 
     def predecessors(self, index: int) -> list[Dependence]:
-        return self._preds.get(index, [])
+        return self._preds[index]
 
     def successors(self, index: int) -> list[Dependence]:
-        return self._succs.get(index, [])
+        return self._succs[index]
 
-    def critical_path_lengths(self) -> list[int]:
-        """Longest path (in required issue distance) from each node to any sink."""
-        count = len(self.instructions)
+    def critical_path_lengths(self, count: int | None = None) -> list[int]:
+        """Longest path (in required issue distance) from each node to any sink.
+
+        With ``count``, only the first ``count`` instructions and the edges
+        among them are considered.
+        """
+        if count is None:
+            count = len(self.instructions)
         lengths = [0] * count
+        succs = self._succs
         for index in range(count - 1, -1, -1):
             best = 0
-            for edge in self.successors(index):
-                best = max(best, edge.distance + lengths[edge.dst])
+            for edge in succs[index]:
+                if edge.dst < count:
+                    length = edge.distance + lengths[edge.dst]
+                    if length > best:
+                        best = length
             lengths[index] = best
         return lengths
 
 
-def _is_ordered_side_effect(instr: Instruction) -> bool:
-    """Instructions whose mutual order must be preserved.
+def _orders(info: OpInfo) -> bool:
+    """Whether instructions of this kind keep their mutual program order.
 
     Memory accesses, stack-control, split-load waits, calls' special-register
     effects and debug output all keep their program order; this is
     conservative but simple and matches what a careful hardware scheduler
     would assume without alias analysis.
     """
-    info = instr.info
     return (info.is_mem_access or info.is_stack_control
             or info.fmt in (Format.WAIT, Format.OUT, Format.MTS, Format.HALT))
+
+
+#: Opcodes of the ordered side effects, and of the split main-memory loads.
+_ORDERED = frozenset(op for op in Opcode if _orders(op.info))
+_DECOUPLED_LOADS = frozenset(op for op in Opcode if op.info.is_decoupled_load)
 
 
 def build_dependence_graph(instructions: list[Instruction],
                            pipeline: PipelineConfig,
                            split_load_distance: int = 1) -> DependenceGraph:
-    """Build the dependence graph of a basic block body.
+    """Build the dependence graph of a basic block.
 
     ``split_load_distance`` is the issue distance the scheduler should aim for
     between a decoupled main-memory load and its ``wmem``: setting it to the
@@ -94,66 +126,85 @@ def build_dependence_graph(instructions: list[Instruction],
     split-load design enables (Section 3.3 of the paper).
     """
     graph = DependenceGraph(instructions=list(instructions))
+    edges = graph.edges
+    preds = graph._preds
+    succs = graph._succs
 
     def add(src: int, dst: int, distance: int, kind: str) -> None:
-        graph.add_edge(Dependence(src=src, dst=dst, distance=distance, kind=kind))
+        edge = Dependence(src, dst, distance, kind)
+        edges.append(edge)
+        preds[dst].append(edge)
+        succs[src].append(edge)
 
     # Per register: the instructions that defined it since its last real
     # definition (inclusive), and those that read it since then.  Predicates
-    # are tagged to keep them apart from the general-purpose registers.
+    # have tables of their own, apart from the general-purpose and special
+    # registers.
     defs: dict[object, list[int]] = {}
     readers: dict[object, list[int]] = {}
-    delays = [result_delay_slots(instr.info, pipeline) for instr in instructions]
+    pred_defs: dict[int, list[int]] = {}
+    pred_readers: dict[int, list[int]] = {}
+    delays: list[int] = []
     pending_rd: int | None = None
-    for later, instr in enumerate(instructions):
-        uses = [*instr.gpr_uses(), *instr.special_uses()]
-        pred_uses = [("p", p) for p in instr.pred_uses()]
-        written = [*instr.gpr_defs(), *instr.special_defs(),
-                   *(("p", p) for p in instr.pred_defs())]
-        # True dependences (read after write): respect the exposed delay.
-        for src in sorted({i for r in uses for i in defs.get(r, ())}):
-            add(src, later, 1 + delays[src], "raw")
-        for src in sorted({i for r in pred_uses for i in defs.get(r, ())}):
-            add(src, later, 1, "raw-pred")
-        # Output dependences (write after write): the later write must
-        # commit after the earlier one.
-        for src in sorted({i for r in written for i in defs.get(r, ())}):
-            add(src, later, max(1, 1 + delays[src] - delays[later]), "waw")
-        # Anti dependences (write after read): same bundle is fine because
-        # all operands are read before any write commits.
-        for src in sorted({i for r in written for i in readers.get(r, ())}):
-            add(src, later, 0, "war")
-        for resource in uses + pred_uses:
-            readers.setdefault(resource, []).append(later)
-        for resource in written:
-            defs[resource] = [later]
-            readers[resource] = []
-        # A decoupled main-memory load only commits its destination register
-        # when the matching wmem executes, so the wmem also acts as a source
-        # definition of that register (it displaces no earlier access).
-        if instr.info.is_decoupled_load and instr.rd is not None:
-            pending_rd = instr.rd
-        elif instr.opcode is Opcode.WMEM:
-            if pending_rd is not None:
-                defs.setdefault(pending_rd, []).append(later)
-            pending_rd = None
-
-    # Ordered side effects (memory accesses, stack control, waits, output)
-    # keep program order; chaining consecutive ones is enough because the
-    # constraint is transitive.
     previous_ordered: int | None = None
-    for index, instr in enumerate(instructions):
-        if not _is_ordered_side_effect(instr):
-            continue
-        if previous_ordered is not None:
-            distance = 1
-            # A split main-memory load and its wmem must stay ordered; aiming
-            # for `split_load_distance` bundles lets independent work hide
-            # the memory latency (Section 3.3).
-            if instructions[previous_ordered].info.is_decoupled_load \
-                    and instr.opcode is Opcode.WMEM:
-                distance = max(1, split_load_distance)
-            add(previous_ordered, index, distance, "order")
-        previous_ordered = index
+    for later, instr in enumerate(graph.instructions):
+        reads, pred_reads, writes, pred_writes = instr.def_use()
+        opcode = instr.opcode
+        delay = result_delay_slots(opcode.info, pipeline)
+        delays.append(delay)
+        # True dependences (read after write): respect the exposed delay.
+        for src in {i for r in reads if r in defs for i in defs[r]}:
+            add(src, later, 1 + delays[src], "raw")
+        for src in {i for p in pred_reads if p in pred_defs
+                    for i in pred_defs[p]}:
+            add(src, later, 1, "raw-pred")
+        if writes or pred_writes:
+            # Output dependences (write after write): the later write must
+            # commit after the earlier one.
+            earlier = {i for r in writes if r in defs for i in defs[r]}
+            earlier.update(i for p in pred_writes if p in pred_defs
+                           for i in pred_defs[p])
+            for src in earlier:
+                add(src, later, max(1, 1 + delays[src] - delay), "waw")
+            # Anti dependences (write after read): same bundle is fine
+            # because all operands are read before any write commits.
+            earlier = {i for r in writes if r in readers for i in readers[r]}
+            earlier.update(i for p in pred_writes if p in pred_readers
+                           for i in pred_readers[p])
+            for src in earlier:
+                add(src, later, 0, "war")
+        for r in reads:
+            readers.setdefault(r, []).append(later)
+        for p in pred_reads:
+            pred_readers.setdefault(p, []).append(later)
+        for r in writes:
+            defs[r] = [later]
+            readers[r] = []
+        for p in pred_writes:
+            pred_defs[p] = [later]
+            pred_readers[p] = []
+        # Ordered side effects keep program order; chaining consecutive ones
+        # is enough because the constraint is transitive.
+        if opcode in _ORDERED:
+            if previous_ordered is not None:
+                distance = 1
+                # A split main-memory load and its wmem must stay ordered;
+                # aiming for `split_load_distance` bundles lets independent
+                # work hide the memory latency (Section 3.3).
+                if opcode is Opcode.WMEM and graph.instructions[
+                        previous_ordered].opcode in _DECOUPLED_LOADS:
+                    distance = max(1, split_load_distance)
+                add(previous_ordered, later, distance, "order")
+            previous_ordered = later
+            # A decoupled main-memory load (itself ordered, like the wmem)
+            # only commits its destination register when the matching wmem
+            # executes, so the wmem also acts as a source definition of that
+            # register (it displaces no earlier access).
+            if opcode in _DECOUPLED_LOADS:
+                pending_rd = instr.rd
+            elif opcode is Opcode.WMEM:
+                if pending_rd is not None:
+                    defs.setdefault(pending_rd, []).append(later)
+                pending_rd = None
 
     return graph

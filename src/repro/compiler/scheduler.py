@@ -7,18 +7,35 @@ compares), and (c) place control-transfer instructions so that exactly the
 architectural number of delay-slot bundles follows them, padding with NOPs
 only when no useful instruction can be moved into the slots.
 
-The scheduler is a classic list scheduler over the block-local dependence
-graph with critical-path priority.  Each instruction counts its unscheduled
-predecessors and tracks its earliest issue cycle; committing a bundle updates
-both for the successors of its instructions and releases those whose count
-drops to zero, and each cycle picks the ready instructions from the released
-pool.  It is deliberately local (per basic block); global
-code motion is out of scope for this reproduction, as in the paper's early
-LLVM port (Section 5).
+The scheduler is a classic list scheduler with critical-path priority.  It
+builds one dependence graph per block, over the body followed by the
+terminator.  The body is scheduled first, without the edges into the
+terminator (they count neither as waits nor towards priorities); the
+terminator then reads its earliest cycle from its predecessors in the same
+graph and is placed into the delay-slot window.
+
+Each instruction counts its unscheduled predecessors and tracks its earliest
+issue cycle; committing a bundle updates both for the successors of its
+instructions.  A successor whose count drops to zero goes to one of two
+heaps: the ready heap, ordered by ``(-priority, index)`` (highest priority
+first, program order among ties), if it may issue next cycle, and otherwise
+the delayed heap, ordered by earliest cycle, which feeds the ready heap as the
+cycles pass.  Each cycle pops the ready heap until the bundle is full; an
+instruction that does not fit the bundle (a second slot-0-only or
+long-immediate instruction) is pushed back for the next cycle.  When nothing
+is ready, NOPs fill the cycles until the next delay expires.  A cycle pops
+only as far as it must to fill its bundle instead of sorting the whole ready
+pool, so a block costs ``O((n + e) log n)`` for ``n`` instructions and ``e``
+edges, plus ``O(log n)`` for each pushed-back instruction.
+
+The scheduler is deliberately local (per basic block); global code motion is
+out of scope for this reproduction, as in the paper's early LLVM port
+(Section 5).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..config import PatmosConfig
@@ -28,7 +45,7 @@ from ..isa.opcodes import control_delay_slots, result_delay_slots
 from ..program.basic_block import BasicBlock
 from ..program.function import Function
 from ..program.program import Program
-from .dependence import build_dependence_graph
+from .dependence import DependenceGraph, build_dependence_graph
 
 
 @dataclass
@@ -69,10 +86,15 @@ class BlockScheduler:
         """Schedule the block's instructions and return its bundles."""
         terminator = block.terminator()
         body = block.body_instructions()
-        slots, issue_slot = self._schedule_body(body)
-
-        if terminator is not None:
-            slots = self._place_terminator(slots, issue_slot, body, terminator)
+        slots: list[list[Instruction]] = []
+        if body or terminator is not None:
+            graph = build_dependence_graph(
+                body if terminator is None else body + [terminator],
+                self.config.pipeline,
+                split_load_distance=self.split_load_distance)
+            slots, issue_slot = self._schedule_body(graph, len(body))
+            if terminator is not None:
+                slots = self._place_terminator(slots, issue_slot, graph)
 
         bundles = [Bundle(*slot) for slot in slots]
         if stats is not None:
@@ -86,64 +108,80 @@ class BlockScheduler:
 
     # -- body scheduling ----------------------------------------------------------------
 
-    def _schedule_body(self, body: list[Instruction]
+    def _schedule_body(self, graph: DependenceGraph, count: int
                        ) -> tuple[list[list[Instruction]], list[int]]:
-        """List-schedule the block body.
+        """List-schedule the first ``count`` instructions of ``graph``.
 
-        Returns the slot lists and the issue cycle of each body instruction.
+        Any later node (the terminator) is never released, and its edges do
+        not count towards the priorities.  Returns the slot lists and the
+        issue cycle of each scheduled instruction.
         """
-        if not body:
-            return [], []
-        graph = build_dependence_graph(
-            body, self.config.pipeline,
-            split_load_distance=self.split_load_distance)
-        priorities = graph.critical_path_lengths()
-        count = len(body)
-        waiting = [len(graph.predecessors(index)) for index in range(count)]
-        earliest = [0] * count
+        instrs = graph.instructions
+        priorities = graph.critical_path_lengths(count)
+        # A node beyond the body keeps one extra wait, so it never releases.
+        waiting = [len(graph.predecessors(index)) + (index >= count)
+                   for index in range(len(instrs))]
+        earliest = [0] * len(instrs)
         issue_slot = [0] * count
-        released = {index for index in range(count) if not waiting[index]}
+        ready = [(-priorities[index], index) for index in range(count)
+                 if not waiting[index]]
+        heapq.heapify(ready)
+        delayed: list[tuple[int, int]] = []
         slots: list[list[Instruction]] = []
         cycle = 0
 
-        # The graph is acyclic, so the released pool empties only once every
+        # The graph is acyclic, so the heaps empty only once every
         # instruction is scheduled.
-        while released:
-            # Highest priority first; preserve program order among ties.
-            ready = sorted((index for index in released
-                            if earliest[index] <= cycle),
-                           key=lambda i: (-priorities[i], i))
+        while ready or delayed:
+            while delayed and delayed[0][0] <= cycle:
+                index = heapq.heappop(delayed)[1]
+                heapq.heappush(ready, (-priorities[index], index))
+            if not ready:
+                # Nothing ready until the next delay expires: emit NOPs.
+                while cycle < delayed[0][0]:
+                    slots.append([NOP])
+                    cycle += 1
+                continue
 
+            # Highest priority first, program order among ties; entries
+            # that do not fit this bundle go back for the next cycle.
             bundle: list[Instruction] = []
             bundle_indices: list[int] = []
-            for index in ready:
-                if not self._fits(bundle, body[index]):
+            skipped: list[tuple[int, int]] = []
+            while ready:
+                entry = heapq.heappop(ready)
+                index = entry[1]
+                if not self._fits(bundle, instrs[index]):
+                    skipped.append(entry)
                     continue
-                bundle.append(body[index])
+                bundle.append(instrs[index])
                 bundle_indices.append(index)
-                if len(bundle) == 2 or body[index].info.long_imm \
+                if len(bundle) == 2 or instrs[index].info.long_imm \
                         or not self.dual_issue:
                     break
-            if not bundle:
-                # Nothing ready this cycle (waiting for a delay): emit a NOP.
-                slots.append([NOP])
-                cycle += 1
-                continue
-            # Keep the slot-0-only instruction first within the bundle.
-            bundle_sorted = sorted(
-                zip(bundle_indices, bundle),
-                key=lambda pair: (not pair[1].info.slot0_only, pair[0]))
-            slots.append([instr for _, instr in bundle_sorted])
+            for entry in skipped:
+                heapq.heappush(ready, entry)
+            # Keep the slot-0-only instruction first within the bundle, and
+            # program order otherwise.
+            if len(bundle) == 2 and (
+                    (not bundle[1].info.slot0_only, bundle_indices[1])
+                    < (not bundle[0].info.slot0_only, bundle_indices[0])):
+                bundle.reverse()
+            slots.append(bundle)
+            next_cycle = cycle + 1
             for index in bundle_indices:
                 issue_slot[index] = cycle
-                released.remove(index)
                 for edge in graph.successors(index):
                     dst = edge.dst
-                    earliest[dst] = max(earliest[dst], cycle + edge.distance)
+                    if earliest[dst] < cycle + edge.distance:
+                        earliest[dst] = cycle + edge.distance
                     waiting[dst] -= 1
                     if not waiting[dst]:
-                        released.add(dst)
-            cycle += 1
+                        if earliest[dst] <= next_cycle:
+                            heapq.heappush(ready, (-priorities[dst], dst))
+                        else:
+                            heapq.heappush(delayed, (earliest[dst], dst))
+            cycle = next_cycle
 
         # Exposed delays must not leak across the block boundary: a consumer
         # in a successor block may issue immediately after this block, so a
@@ -152,7 +190,7 @@ class BlockScheduler:
         # information, so it pads conservatively).
         needed = 0
         for index, issue in enumerate(issue_slot):
-            delay = result_delay_slots(body[index].info, self.config.pipeline)
+            delay = result_delay_slots(instrs[index].info, self.config.pipeline)
             needed = max(needed, issue + 1 + delay)
         while len(slots) < needed:
             slots.append([NOP])
@@ -173,17 +211,16 @@ class BlockScheduler:
     # -- terminator placement ---------------------------------------------------------------
 
     def _place_terminator(self, slots: list[list[Instruction]],
-                          issue_slot: list[int], body: list[Instruction],
-                          terminator: Instruction) -> list[list[Instruction]]:
+                          issue_slot: list[int], graph: DependenceGraph
+                          ) -> list[list[Instruction]]:
+        terminator = graph.instructions[-1]
         delay_slots = control_delay_slots(terminator.info, self.config.pipeline)
 
         # Earliest position allowed by dependences from body instructions on
         # the terminator (guard predicate, call address register, srb/sro).
-        deps = build_dependence_graph(
-            body + [terminator], self.config.pipeline,
-            split_load_distance=self.split_load_distance)
         earliest = max((issue_slot[edge.src] + edge.distance
-                        for edge in deps.predecessors(len(body))), default=0)
+                        for edge in graph.predecessors(len(issue_slot))),
+                       default=0)
 
         n = len(slots)
         desired = max(earliest, n - delay_slots, 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from ..errors import IsaError
-from .opcodes import Format, Opcode, OpInfo
+from .opcodes import Format, MemType, Opcode, OpInfo
 from .registers import SpecialReg, gpr_name, pred_name
 
 
@@ -99,74 +99,98 @@ class Instruction:
 
     # -- def/use information for dependence analysis ---------------------------
 
+    def def_use(self) -> tuple[tuple, tuple[int, ...], tuple, tuple[int, ...]]:
+        """Registers read and written by this instruction, in one pass.
+
+        Returns ``(reads, pred_reads, writes, pred_writes)``.  ``reads`` and
+        ``writes`` hold general-purpose register indices and
+        :class:`SpecialReg` members, the other two predicate indices.  An
+        entry may repeat (``add r1 = r2, r2``); ``r0`` and ``p0`` are never
+        written.  This is the one statement of the def/use rules: the
+        per-kind sets below and the dependence builder all read it.
+        """
+        opcode = self.opcode
+        info = opcode.info
+        reads, writes = _IMPLICIT_SPECIALS[opcode]
+        rs1, rs2, rd = self.rs1, self.rs2, self.rd
+        if rs1 is not None:
+            reads = (rs1, *reads) if rs2 is None else (rs1, rs2, *reads)
+        if opcode is Opcode.LIH:
+            # lih merges into the existing low half of rd.
+            reads = (rd,)
+        if rd and info.writes_gpr:
+            writes = (rd,)
+        special = self.special
+        if special is not None:
+            if info.fmt is Format.MTS:
+                writes = (special,)
+            else:
+                reads = (special,)
+        guard = self.guard
+        pred_reads = () if guard.is_always else (guard.pred,)
+        if self.ps1 is not None:
+            pred_reads += ((self.ps1,) if self.ps2 is None
+                           else (self.ps1, self.ps2))
+        pd = self.pd
+        pred_writes = (pd,) if pd and info.writes_pred else ()
+        return reads, pred_reads, writes, pred_writes
+
     def gpr_defs(self) -> frozenset[int]:
         """Indices of general-purpose registers written by this instruction."""
-        if self.info.writes_gpr and self.rd is not None and self.rd != 0:
-            return frozenset((self.rd,))
-        return frozenset()
+        return _gprs(self.def_use()[2])
 
     def gpr_uses(self) -> frozenset[int]:
         """Indices of general-purpose registers read by this instruction."""
-        uses = set()
-        fmt = self.info.fmt
-        if self.rs1 is not None:
-            uses.add(self.rs1)
-        if self.rs2 is not None:
-            uses.add(self.rs2)
-        if fmt is Format.LI and self.opcode is Opcode.LIH:
-            # lih merges into the existing low half of rd.
-            uses.add(self.rd)
-        return frozenset(u for u in uses if u is not None)
+        return _gprs(self.def_use()[0])
 
     def pred_defs(self) -> frozenset[int]:
         """Indices of predicate registers written by this instruction."""
-        if self.info.writes_pred and self.pd is not None and self.pd != 0:
-            return frozenset((self.pd,))
-        return frozenset()
+        return frozenset(self.def_use()[3])
 
     def pred_uses(self) -> frozenset[int]:
         """Indices of predicate registers read by this instruction."""
-        uses = set()
-        if not self.guard.is_always:
-            uses.add(self.guard.pred)
-        if self.info.fmt is Format.PRED:
-            if self.ps1 is not None:
-                uses.add(self.ps1)
-            if self.ps2 is not None:
-                uses.add(self.ps2)
-        return frozenset(uses)
+        return frozenset(self.def_use()[1])
 
     def special_defs(self) -> frozenset[SpecialReg]:
         """Special registers written by this instruction."""
-        fmt = self.info.fmt
-        if fmt is Format.MUL:
-            return frozenset((SpecialReg.SL, SpecialReg.SH))
-        if fmt is Format.MTS:
-            return frozenset((self.special,))
-        if fmt is Format.STACK:
-            return frozenset((SpecialReg.ST, SpecialReg.SS))
-        if fmt in (Format.CALL, Format.CALLR):
-            return frozenset((SpecialReg.SRB, SpecialReg.SRO))
-        return frozenset()
+        return _specials(self.def_use()[2])
 
     def special_uses(self) -> frozenset[SpecialReg]:
         """Special registers read by this instruction."""
-        fmt = self.info.fmt
-        if fmt is Format.MFS:
-            return frozenset((self.special,))
-        if fmt is Format.RET:
-            return frozenset((SpecialReg.SRB, SpecialReg.SRO))
-        if fmt is Format.STACK:
-            return frozenset((SpecialReg.ST, SpecialReg.SS))
-        if self.info.is_mem_access and self.info.mem_type is not None and \
-                self.info.mem_type.value == "s":
-            return frozenset((SpecialReg.ST,))
-        return frozenset()
+        return _specials(self.def_use()[0])
 
     # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
         return render_instruction(self)
+
+
+def _implicit_specials(info: OpInfo
+                       ) -> tuple[tuple[SpecialReg, ...], tuple[SpecialReg, ...]]:
+    """Special registers an opcode reads and writes without naming them."""
+    fmt = info.fmt
+    if fmt is Format.MUL:
+        return (), (SpecialReg.SL, SpecialReg.SH)
+    if fmt is Format.STACK:
+        return (SpecialReg.ST, SpecialReg.SS), (SpecialReg.ST, SpecialReg.SS)
+    if fmt in (Format.CALL, Format.CALLR):
+        return (), (SpecialReg.SRB, SpecialReg.SRO)
+    if fmt is Format.RET:
+        return (SpecialReg.SRB, SpecialReg.SRO), ()
+    if info.is_mem_access and info.mem_type is MemType.STACK:
+        return (SpecialReg.ST,), ()
+    return (), ()
+
+
+_IMPLICIT_SPECIALS = {op: _implicit_specials(op.info) for op in Opcode}
+
+
+def _gprs(registers: tuple) -> frozenset[int]:
+    return frozenset(r for r in registers if isinstance(r, int))
+
+
+def _specials(registers: tuple) -> frozenset[SpecialReg]:
+    return frozenset(r for r in registers if isinstance(r, SpecialReg))
 
 
 def _require(cond: bool, message: str) -> None:

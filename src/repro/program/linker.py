@@ -297,12 +297,17 @@ def link(program: Program, config: PatmosConfig = DEFAULT_CONFIG) -> Image:
             record = image.block_record(func.name, block.label)
             bundle_addr = record.addr
             for bundle in block.bundles:
-                resolved = Bundle(*[
+                resolved = [
                     _resolve_instruction(instr, bundle_addr, image, func.name,
                                          local_labels)
-                    for instr in bundle.instructions()
-                ])
-                image.bundles[bundle_addr] = resolved
+                    for instr in bundle.slots
+                ]
+                # A bundle with nothing to resolve was validated when it was
+                # scheduled, so the image shares it.
+                image.bundles[bundle_addr] = (
+                    bundle if all(new is old for new, old
+                                  in zip(resolved, bundle.slots))
+                    else Bundle(*resolved))
                 bundle_addr += bundle.size_bytes
 
     entry_record = image.function_record(program.entry)

@@ -1,5 +1,6 @@
 """Tests for the WCET-aware compiler passes."""
 
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from repro.compiler import (
 from repro.compiler.dependence import (
     Dependence,
     DependenceGraph,
-    _is_ordered_side_effect,
+    _ORDERED,
 )
 from repro.compiler.simplify import merge_straightline_blocks
 from repro.compiler.stack_alloc import allocate_function, frame_size_words
@@ -167,7 +168,7 @@ def _pairwise_graph(instructions, pipeline, split_load_distance=1):
     # constraint is transitive.
     previous_ordered: int | None = None
     for index, instr in enumerate(instructions):
-        if not _is_ordered_side_effect(instr):
+        if instr.opcode not in _ORDERED:
             continue
         if previous_ordered is not None:
             distance = 1
@@ -202,19 +203,28 @@ def _random_block(seed):
     makers = (
         lambda: [_instr("add", reg(), reg(), reg(), pred=guard())],
         lambda: [_instr("addi", reg(), reg(), rng.randrange(64), pred=guard())],
+        lambda: [_instr("addl", reg(), reg(), rng.randrange(1 << 20),
+                        pred=guard())],
         lambda: [_instr(rng.choice(("lil", "lih")), reg(), rng.randrange(1 << 16))],
-        lambda: [_instr("mul", reg(), reg()),
+        lambda: [_instr(rng.choice(("mul", "mulu")), reg(), reg()),
                  _instr("mfs", reg(), rng.choice(("sl", "sh")))],
-        lambda: [_instr("mts", rng.choice(("sl", "sh", "st", "ss")), reg())],
+        lambda: [_instr("mts", rng.choice(("sl", "sh", "st", "ss", "srb",
+                                           "sro")), reg())],
         lambda: [_instr("lwc", reg(), reg(), rng.randrange(8), pred=guard())],
-        lambda: [_instr("lwm", reg(), reg(), rng.randrange(8)), _instr("wmem")],
-        lambda: [_instr("swc", reg(), rng.randrange(8), reg(), pred=guard())],
-        lambda: [_instr(rng.choice(("sres", "sens")), rng.randrange(1, 5))],
+        lambda: [_instr(rng.choice(("lwm", "lbum")), reg(), reg(),
+                        rng.randrange(8)), _instr("wmem")],
+        lambda: [_instr(rng.choice(("swc", "sws")), reg(), rng.randrange(8),
+                        reg(), pred=guard())],
+        lambda: [_instr(rng.choice(("sres", "sens", "sfree")),
+                        rng.randrange(1, 5))],
         lambda: [_instr("lws", reg(), reg(), rng.randrange(8))],
-        lambda: [_instr("cmplt", rng.choice(_PREDS), reg(), reg(), pred=guard())],
+        lambda: [_instr(rng.choice(("cmplt", "btest")), rng.choice(_PREDS),
+                        reg(), reg(), pred=guard())],
         lambda: [_instr("cmpineq", rng.choice(_PREDS), reg(), rng.randrange(8))],
         lambda: [_instr("por", rng.choice(_PREDS), rng.choice(_PREDS),
                         rng.choice(_PREDS))],
+        lambda: [_instr("pnot", rng.choice(_PREDS), rng.choice(_PREDS),
+                        pred=guard())],
         lambda: [_instr("out", reg())],
     )
     instrs = []
@@ -235,7 +245,9 @@ def _random_terminator(seed):
     return rng.choice((
         None,
         _instr("br", "loop", pred=rng.choice(_PREDS)),
+        _instr("brcf", "far"),
         _instr("call", "callee"),
+        _instr("callr", rng.choice(_REGS)),
         _instr("ret"),
         _instr("halt"),
     ))
@@ -257,6 +269,24 @@ def _longest_paths_from(graph, source):
 
 _ORACLE_SEEDS = range(240)
 
+#: SHA-256 over the schedules of every random block with its terminator,
+#: seed by seed, dual issue first and then single issue.
+_RANDOM_SCHEDULES_DIGEST = (
+    "c151afbf0e19954f84cc086546690d8bcd4b3bb20528eb30cb34b9e8bacf7a63")
+
+
+def _random_block_with_terminator(seed):
+    instrs = _random_block(seed)
+    terminator = _random_terminator(seed)
+    if terminator is not None:
+        instrs.append(terminator)
+    return instrs
+
+
+def _random_schedule(scheduler, seed):
+    block = BasicBlock(label="b", instrs=_random_block_with_terminator(seed))
+    return [str(bundle) for bundle in scheduler.schedule_block(block)]
+
 
 class TestDependenceOracle:
     """The table-driven builder against the pairwise oracle."""
@@ -266,12 +296,12 @@ class TestDependenceOracle:
         pipeline = PatmosConfig().pipeline
         pairs = []
         for seed in _ORACLE_SEEDS:
-            body = _random_block(seed)
+            block = _random_block_with_terminator(seed)
             distance = random.Random(seed).choice((1, 14))
             pairs.append((
-                build_dependence_graph(body, pipeline,
+                build_dependence_graph(block, pipeline,
                                        split_load_distance=distance),
-                _pairwise_graph(body, pipeline, split_load_distance=distance)))
+                _pairwise_graph(block, pipeline, split_load_distance=distance)))
         return pairs
 
     def test_blocks_cover_every_dependence_kind(self, graphs):
@@ -300,20 +330,21 @@ class TestDependenceOracle:
                                            dual_issue):
         import repro.compiler.scheduler as scheduler_module
         scheduler = BlockScheduler(config, dual_issue=dual_issue)
-
-        def schedule(seed):
-            instrs = _random_block(seed)
-            terminator = _random_terminator(seed)
-            if terminator is not None:
-                instrs.append(terminator)
-            bundles = scheduler.schedule_block(BasicBlock(label="b",
-                                                          instrs=instrs))
-            return [str(bundle) for bundle in bundles]
-
-        fast = [schedule(seed) for seed in _ORACLE_SEEDS]
+        fast = [_random_schedule(scheduler, seed) for seed in _ORACLE_SEEDS]
         monkeypatch.setattr(scheduler_module, "build_dependence_graph",
                             _pairwise_graph)
-        assert [schedule(seed) for seed in _ORACLE_SEEDS] == fast
+        assert [_random_schedule(scheduler, seed)
+                for seed in _ORACLE_SEEDS] == fast
+
+    def test_random_block_schedules_are_pinned(self, config):
+        digest = hashlib.sha256()
+        for dual_issue in (True, False):
+            scheduler = BlockScheduler(config, dual_issue=dual_issue)
+            for seed in _ORACLE_SEEDS:
+                for line in _random_schedule(scheduler, seed):
+                    digest.update(line.encode() + b"\n")
+                digest.update(b"--\n")
+        assert digest.hexdigest() == _RANDOM_SCHEDULES_DIGEST
 
 
 class TestScheduler:
@@ -374,6 +405,28 @@ class TestScheduler:
         br_index = next(i for i, b in enumerate(bundles)
                         if b.first.opcode is Opcode.BR)
         assert br_index > cmp_index
+
+    def test_one_dependence_build_per_block(self, config, monkeypatch):
+        import repro.compiler.scheduler as scheduler_module
+        built = []
+
+        def counting(instructions, *args, **kwargs):
+            built.append(len(instructions))
+            return build_dependence_graph(instructions, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "build_dependence_graph",
+                            counting)
+        body = [_instr("addi", "r1", "r0", 1), _instr("add", "r2", "r1", "r1")]
+        blocks = {
+            "body only": (body, 2),
+            "body and terminator": (body + [_instr("br", "b")], 3),
+            "terminator only": ([_instr("ret")], 1),
+            "empty": ([], None),
+        }
+        for name, (instrs, expected) in blocks.items():
+            built.clear()
+            self._schedule(instrs, config)
+            assert built == ([] if expected is None else [expected]), name
 
     def test_schedule_stats(self, config):
         kernel = build_saturate(8)

@@ -8,6 +8,7 @@ from repro.isa import (
     ALWAYS,
     Bundle,
     ControlKind,
+    Format,
     Guard,
     Instruction,
     MemType,
@@ -189,6 +190,83 @@ class TestInstructionValidation:
         assert str(instr) == "(!p1) addi r1 = r2, 5"
         store = Instruction(Opcode.SWC, rs1=3, rs2=4, imm=8)
         assert str(store) == "swc [r3 + 8] = r4"
+
+
+_SL, _SH, _ST, _SS, _SRB, _SRO = (
+    SpecialReg.SL, SpecialReg.SH, SpecialReg.ST, SpecialReg.SS,
+    SpecialReg.SRB, SpecialReg.SRO)
+
+#: (instruction, gpr_uses, gpr_defs, pred_uses, pred_defs, special_uses,
+#: special_defs), with at least one instruction of every format.
+_DEF_USE_TABLE = (
+    (Instruction(Opcode.ADD, rd=3, rs1=1, rs2=2), {1, 2}, {3}, (), (), (), ()),
+    (Instruction(Opcode.SUB, rd=0, rs1=4, rs2=4), {4}, (), (), (), (), ()),
+    (Instruction(Opcode.ADDI, rd=5, rs1=5, imm=1, guard=Guard(2, True)),
+     {5}, {5}, {2}, (), (), ()),
+    (Instruction(Opcode.ADDL, rd=6, rs1=7, imm=1 << 20), {7}, {6},
+     (), (), (), ()),
+    (Instruction(Opcode.LIL, rd=8, imm=1), (), {8}, (), (), (), ()),
+    (Instruction(Opcode.LIH, rd=8, imm=1), {8}, {8}, (), (), (), ()),
+    (Instruction(Opcode.MULU, rs1=1, rs2=2, guard=Guard(3)), {1, 2}, (),
+     {3}, (), (), {_SL, _SH}),
+    (Instruction(Opcode.CMPLT, pd=2, rs1=1, rs2=3), {1, 3}, (), (), {2},
+     (), ()),
+    (Instruction(Opcode.CMPIEQ, pd=0, rs1=1, imm=0), {1}, (), (), (), (), ()),
+    (Instruction(Opcode.POR, pd=1, ps1=2, ps2=3, guard=Guard(4)), (), (),
+     {2, 3, 4}, {1}, (), ()),
+    (Instruction(Opcode.PNOT, pd=5, ps1=5), (), (), {5}, {5}, (), ()),
+    (Instruction(Opcode.LWC, rd=1, rs1=2, imm=0), {2}, {1}, (), (), (), ()),
+    (Instruction(Opcode.LBUS, rd=1, rs1=2, imm=0), {2}, {1}, (), (),
+     {_ST}, ()),
+    (Instruction(Opcode.LWM, rd=0, rs1=2, imm=0), {2}, (), (), (), (), ()),
+    (Instruction(Opcode.SWS, rs1=1, rs2=2, imm=0, guard=Guard(1)), {1, 2},
+     (), {1}, (), {_ST}, ()),
+    (Instruction(Opcode.SBM, rs1=3, rs2=3, imm=0), {3}, (), (), (), (), ()),
+    (Instruction(Opcode.SFREE, imm=2), (), (), (), (), {_ST, _SS},
+     {_ST, _SS}),
+    (Instruction(Opcode.BR, target="loop", guard=Guard(1)), (), (), {1}, (),
+     (), ()),
+    (Instruction(Opcode.BRCF, target="far"), (), (), (), (), (), ()),
+    (Instruction(Opcode.CALL, target="callee"), (), (), (), (), (),
+     {_SRB, _SRO}),
+    (Instruction(Opcode.CALLR, rs1=9), {9}, (), (), (), (), {_SRB, _SRO}),
+    (Instruction(Opcode.RET), (), (), (), (), {_SRB, _SRO}, ()),
+    (Instruction(Opcode.MTS, special=SpecialReg.SRB, rs1=4), {4}, (), (),
+     (), (), {_SRB}),
+    (Instruction(Opcode.MFS, rd=4, special=SpecialReg.SL), (), {4}, (), (),
+     {_SL}, ()),
+    (Instruction(Opcode.WMEM), (), (), (), (), (), ()),
+    (Instruction(Opcode.NOP), (), (), (), (), (), ()),
+    (Instruction(Opcode.HALT, guard=Guard(0, True)), (), (), {0}, (), (), ()),
+    (Instruction(Opcode.OUT, rs1=2), {2}, (), (), (), (), ()),
+)
+
+
+class TestDefUse:
+    """Pins the def/use rules that the dependence builder reads."""
+
+    def test_table_covers_every_format(self):
+        formats = {row[0].info.fmt for row in _DEF_USE_TABLE}
+        assert formats == set(Format)
+
+    @pytest.mark.parametrize("row", _DEF_USE_TABLE,
+                             ids=[str(row[0]) for row in _DEF_USE_TABLE])
+    def test_sets(self, row):
+        instr, *expected = row
+        methods = ("gpr_uses", "gpr_defs", "pred_uses", "pred_defs",
+                   "special_uses", "special_defs")
+        actual = [getattr(instr, method)() for method in methods]
+        assert actual == [frozenset(values) for values in expected]
+
+    @pytest.mark.parametrize("row", _DEF_USE_TABLE,
+                             ids=[str(row[0]) for row in _DEF_USE_TABLE])
+    def test_reader_agrees_with_the_sets(self, row):
+        instr = row[0]
+        reads, pred_reads, writes, pred_writes = instr.def_use()
+        assert set(reads) == instr.gpr_uses() | instr.special_uses()
+        assert set(writes) == instr.gpr_defs() | instr.special_defs()
+        assert set(pred_reads) == instr.pred_uses()
+        assert set(pred_writes) == instr.pred_defs()
 
 
 class TestBundle:

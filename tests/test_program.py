@@ -364,6 +364,27 @@ class TestLinker:
         ]
         assert call_targets == [image.function_record("helper").entry_addr]
 
+    def test_bundles_without_targets_are_shared(self, config):
+        compiled = compile_program(_branchy_function(), config).program
+        image = link(compiled, config)
+        loop = image.block_record("main", "loop")
+        addr = loop.addr
+        shared = branches = 0
+        for scheduled in compiled.function("main").block("loop").bundles:
+            linked = image.bundles[addr]
+            branch = [i for i in scheduled if i.opcode is Opcode.BR]
+            if branch:
+                branches += 1
+                assert linked is not scheduled
+                assert branch[0].target == "loop"
+                assert [i.target for i in linked if i.opcode is Opcode.BR] \
+                    == [loop.addr]
+            else:
+                shared += 1
+                assert linked is scheduled
+            addr += scheduled.size_bytes
+        assert branches == 1 and shared >= 1
+
     def test_block_records(self, config):
         program = _branchy_function()
         compiled = compile_program(program, config).program
