@@ -11,7 +11,12 @@ machine-readable ``BENCH_wcet.json``::
                                                 [--max-rss-mb N]
 
 The report also records ``peak_rss_mb``, the peak resident set of this
-process and of its worker processes.  The process exits non-zero if
+process and of its worker processes, and a ``stages`` section that splits
+the conformance matrix by WCET stage: its wall time, the analyses run and
+the seconds spent in them, the cache analyses computed, and the IPET solves
+against the distinct IPET instances among them.  The stage counts are taken
+in this process, so they are ``null`` when ``--jobs`` above 1 runs the
+matrix in worker processes.  The process exits non-zero if
 
 * any scenario observes more cycles than its static bound (a soundness
   violation), or
@@ -31,6 +36,8 @@ import dataclasses
 import json
 import resource
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -40,7 +47,7 @@ from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
 from repro.memory import TdmaSchedule  # noqa: E402
 from repro.verify import run_conformance  # noqa: E402
-from repro.wcet import analyze_wcet  # noqa: E402
+from repro.wcet import analyze_wcet, analyzer  # noqa: E402
 from repro.workloads import build_kernel, resolve_kernels  # noqa: E402
 
 #: Weighted TDMA geometry on which the refinement win is demonstrated.
@@ -108,6 +115,64 @@ def tdma_refinement(kernels, config: PatmosConfig) -> dict:
     }
 
 
+#: The cache analyses the analyzer runs, by their names in its module.
+CACHE_ANALYSES = ("analyse_method_cache", "analyse_conventional_icache",
+                  "analyse_static_cache", "analyse_object_cache",
+                  "analyse_stack_cache")
+
+
+@contextmanager
+def wcet_stages():
+    """Count and time the WCET stages of the work done inside the block.
+
+    Wraps the analyzer's entry points from outside the program: each
+    ``WcetAnalyzer.analyze`` call (count and seconds), each cache analysis
+    and each ``solve_ipet`` call.  An IPET instance is the CFG object (one
+    per function of an image) with the block costs and loop bounds it was
+    solved for, so ``ipet_solves - ipet_instances`` are repeated solves.
+    """
+    stages = {"analyses": 0, "analysis_s": 0.0, "cache_analyses": 0,
+              "ipet_solves": 0, "ipet_instances": 0}
+    instances: dict[tuple, object] = {}
+    patched = {"solve_ipet": analyzer.solve_ipet,
+               **{name: getattr(analyzer, name) for name in CACHE_ANALYSES}}
+    analyze = analyzer.WcetAnalyzer.analyze
+
+    def timed_analyze(self, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return analyze(self, *args, **kwargs)
+        finally:
+            stages["analyses"] += 1
+            stages["analysis_s"] += time.perf_counter() - start
+
+    def cache_analysis(real):
+        def counted(*args, **kwargs):
+            stages["cache_analyses"] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    def solve_ipet(cfg, block_costs, loop_bounds=None):
+        stages["ipet_solves"] += 1
+        # The CFG is kept alive with its key, so its id is never reused.
+        instances[(id(cfg), tuple(block_costs.items()),
+                   tuple(sorted((loop_bounds or {}).items())))] = cfg
+        return patched["solve_ipet"](cfg, block_costs, loop_bounds)
+
+    analyzer.WcetAnalyzer.analyze = timed_analyze
+    analyzer.solve_ipet = solve_ipet
+    for name in CACHE_ANALYSES:
+        setattr(analyzer, name, cache_analysis(patched[name]))
+    try:
+        yield stages
+    finally:
+        analyzer.WcetAnalyzer.analyze = analyze
+        for name, real in patched.items():
+            setattr(analyzer, name, real)
+        stages["ipet_instances"] = len(instances)
+        stages["analysis_s"] = round(stages["analysis_s"], 4)
+
+
 def peak_rss_mb() -> float:
     """Peak resident set of this process and its reaped children, in MB."""
     scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss unit
@@ -121,8 +186,14 @@ def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
     kernel_set = ("performance",) if smoke else ("all",)
     kernels = resolve_kernels(kernel_set)
 
-    report = run_conformance(kernels=kernel_set, config=config, jobs=jobs,
-                             progress=None)
+    with wcet_stages() as stages:
+        start = time.perf_counter()
+        report = run_conformance(kernels=kernel_set, config=config,
+                                 jobs=jobs, progress=None)
+        matrix_s = time.perf_counter() - start
+    if jobs > 1:
+        stages = dict.fromkeys(stages)
+    stages = {"matrix_s": round(matrix_s, 4), **stages}
     refinement = tdma_refinement(kernels, config)
 
     payload = report.to_dict()
@@ -133,6 +204,7 @@ def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
         "conformance": payload["summary"],
         "scenarios": payload["scenarios"],
         "tdma_refinement": refinement,
+        "stages": stages,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
 
@@ -175,6 +247,13 @@ def main(argv=None) -> int:
           f"tightness {refinement['mean_refined_tightness']} vs blanket "
           f"{refinement['mean_blanket_tightness']} "
           f"(-{refinement['bound_reduction_pct']}%)")
+    stages = report["stages"]
+    counts = ("stage counts need --jobs 1" if stages["analyses"] is None
+              else f"{stages['analyses']} analyses in {stages['analysis_s']} "
+                   f"s, {stages['cache_analyses']} cache analyses, "
+                   f"{stages['ipet_solves']} IPET solves of "
+                   f"{stages['ipet_instances']} distinct instances")
+    print(f"matrix {stages['matrix_s']} s: {counts}")
     print(f"peak RSS {report['peak_rss_mb']} MB")
     print(f"wrote {args.output}")
 

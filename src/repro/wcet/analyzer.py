@@ -14,13 +14,26 @@ the architecture:
 
 The result is a WCET bound in cycles plus a per-function, per-category
 breakdown that the experiments compare against cycle-accurate simulation.
+
+The work is split by what it depends on.  Work that does not depend on the
+bus is done once per image and hardware and kept on the image
+(:class:`_ImageLayout`, in ``Image._caches``, dropped on pickling): merged
+CFGs, block summaries and the call graph once per image; the four cache
+analyses and each block's event profile (bundles, direct callees, the base
+cycles of its memory transfers and its transfer count per arbitrated word
+size) once per core configuration, cache-analysis modes and entry
+function; and each IPET solution once per instance (function, block costs,
+loop bounds).  Work that depends on the bus is done for every analysis by
+:class:`WcetAnalyzer`: the arbitration wait per transfer size, the retry
+attempts, the resulting block costs, the loop bounds and the one-off
+charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..config import DEFAULT_CONFIG, PatmosConfig
 from ..errors import ConfigError, WcetError
@@ -110,10 +123,16 @@ class WcetOptions:
         rank 0 — any other rank returns ``None`` (no bound exists).
         ``core_id`` selects the refined per-core TDMA bound (the analysed
         core's own slot); ``None`` keeps the blanket ``period - 1`` bound.
+        TDMA on two or more cores needs its ``schedule``: without one the
+        options would charge no bus wait at all, so that raises.
         """
         if num_cores <= 1:
             return cls(**overrides)
         if kind == "tdma":
+            if schedule is None:
+                raise WcetError(
+                    f"TDMA arbitration on {num_cores} cores needs its "
+                    f"schedule to bound the bus wait")
             overrides.setdefault("tdma_core_id", core_id)
             return cls(tdma=schedule, **overrides)
         if kind == "round_robin":
@@ -201,14 +220,180 @@ class WcetResult:
         return "\n".join(lines)
 
 
+class _BlockProfile(NamedTuple):
+    """The bus-independent timing events of one block.
+
+    Under a bus that charges each attempt of a transfer of ``words`` words
+    ``wait(words)`` cycles of arbitration, and makes ``attempts`` attempts,
+    the block costs ``bundles + attempts * (base_cycles + sum(count *
+    wait(words) for words, count in transfers))`` plus the WCET of each of
+    its direct ``calls``.
+    """
+
+    label: str
+    #: Local pipeline cycles: one per issued bundle.
+    bundles: int
+    #: Direct callees, one entry per call.
+    calls: tuple[str, ...]
+    #: Sum of the base (unarbitrated) cycles of the block's transfers.
+    base_cycles: int
+    #: ``(words, count)`` per arbitrated transfer size.
+    transfers: tuple[tuple[int, int], ...]
+
+
+class _Hardware:
+    """The bus-independent analysis of one image on one hardware.
+
+    One exists per image and key (the core configuration, the five
+    cache-analysis modes and the entry function; see
+    :meth:`_ImageLayout.hardware`).  It holds the cache analyses, the
+    callees-first order of the functions to analyse, the one-off costs
+    and, filled by :meth:`_ImageLayout.profiles`, each function's block
+    profiles.  The cache analyses are shared by every result of the key
+    and must not be mutated.
+    """
+
+    def __init__(self, image: Image, layout: "_ImageLayout",
+                 config: PatmosConfig, options: WcetOptions, entry: str):
+        # The same order analyze() has always run them in, so the first
+        # analysis that raises is still the one reported.
+        call_graph = layout.call_graph
+        self.method_cache: MethodCacheAnalysis | None = None
+        self.icache: ConventionalICacheAnalysis | None = None
+        if options.conventional_icache:
+            self.icache = analyse_conventional_icache(image, config)
+        else:
+            self.method_cache = analyse_method_cache(
+                image, config, mode=options.method_cache, entry=entry,
+                call_graph=call_graph)
+        self.static_cache = analyse_static_cache(
+            image, config, mode=options.static_cache,
+            unified=options.unified_data_cache)
+        self.object_cache = analyse_object_cache(config,
+                                                 mode=options.object_cache)
+        self.stack_cache = analyse_stack_cache(
+            layout.program, config, layout.frame_words,
+            mode=options.stack_cache, call_graph=call_graph)
+        if call_graph.is_recursive():
+            raise WcetError(
+                "WCET analysis requires a non-recursive call graph")
+
+        program = layout.program
+        self.functions = [
+            function for function in map(
+                program.function, call_graph.topological_order(root=entry))
+            if not function.is_subfunction]
+        self.one_off_cycles = self.static_cache.one_off_cycles
+        self.one_off_transfers = self.static_cache.one_off_transfers
+        for analysis in (self.method_cache, self.icache):
+            if analysis is not None:
+                self.one_off_cycles += analysis.one_off_cycles
+                self.one_off_transfers += analysis.one_off_transfers
+
+        self.config = config
+        self.unified = options.unified_data_cache
+        self.fill_words = layout.fill_words
+        #: Worst fill (words) of a sens in each caller, over its callees.
+        self.worst_fill: dict[str, int] = {}
+        for (caller, _callee), words in self.stack_cache.fill_words.items():
+            self.worst_fill[caller] = max(words,
+                                          self.worst_fill.get(caller, words))
+        #: Function name -> block profiles in summary order.
+        self.profiles: dict[str, tuple[_BlockProfile, ...]] = {}
+
+    def profile(self, summary: BlockSummary) -> _BlockProfile:
+        """The timing events of one summarised block on this hardware."""
+        if summary.indirect_calls:
+            raise WcetError(
+                f"{summary.function}/{summary.label}: indirect calls (callr) "
+                "cannot be bounded without target annotations")
+        config = self.config
+        memory = config.memory
+        base = 0
+        transfers: dict[int, int] = {}
+
+        def charge(count: int, base_cycles: int, words: int) -> None:
+            # Every event passes the word count of its (single, burst-capped)
+            # arbitrated transaction, mirroring what the simulator registers
+            # with the arbiter for that event.  An event with no base cost
+            # makes no transfer, so it waits for nothing either.
+            nonlocal base
+            if count and base_cycles > 0:
+                base += count * base_cycles
+                transfers[words] = transfers.get(words, 0) + count
+
+        static_line_words = config.static_cache.line_bytes // 4
+        # The simulator arbitrates every cached-line fill at the static-cache
+        # line size; take the larger of that and the object cache's own line
+        # so the charge dominates either wiring.
+        object_line_words = max(static_line_words,
+                                config.data_cache.line_bytes // 4)
+
+        if self.icache is not None:
+            charge(summary.bundles, self.icache.per_fetch_cost,
+                   self.icache.line_words)
+        method_cache = self.method_cache
+        if method_cache is not None:
+            fill_words = self.fill_words
+            # Calls: method-cache fill of the callee and, on return, of this
+            # function; brcf into sub-functions (or other functions).
+            for callee in summary.calls:
+                charge(1, method_cache.transfer_cost(callee),
+                       fill_words.get(callee, 0))
+                charge(1, method_cache.transfer_cost(summary.function),
+                       fill_words.get(summary.function, 0))
+            for target in summary.brcf_targets:
+                charge(1, method_cache.transfer_cost(target),
+                       fill_words.get(target, 0))
+
+        # Typed data accesses.
+        static_cache = self.static_cache
+        object_cache = self.object_cache
+        charge(summary.read_count(MemType.STATIC),
+               static_cache.per_read_cost, static_line_words)
+        charge(summary.write_count(MemType.STATIC),
+               static_cache.per_write_cost, 1)
+        charge(summary.read_count(MemType.OBJECT),
+               object_cache.per_read_cost, object_line_words)
+        charge(summary.write_count(MemType.OBJECT),
+               object_cache.per_write_cost, 1)
+        if self.unified:
+            # Stack accesses also compete in the unified cache.
+            charge(summary.read_count(MemType.STACK),
+                   static_cache.per_read_cost, static_line_words)
+            charge(summary.write_count(MemType.STACK),
+                   static_cache.per_write_cost, 1)
+        # Split main-memory loads are charged at the wait instruction.
+        charge(summary.wmem_count, memory.transfer_cycles(1), 1)
+        charge(summary.write_count(MemType.MAIN), memory.transfer_cycles(1), 1)
+
+        # Stack-control costs.
+        spill = self.stack_cache.spill_words.get(summary.function, 0)
+        charge(len(summary.sres_words), memory.transfer_cycles(spill), spill)
+        fill = self.worst_fill.get(summary.function, 0)
+        charge(len(summary.sens_words), memory.transfer_cycles(fill), fill)
+
+        return _BlockProfile(summary.label, summary.bundles,
+                             tuple(summary.calls), base,
+                             tuple(transfers.items()))
+
+
 class _ImageLayout:
-    """The option-independent part of the analysis of one linked image.
+    """The bus-independent part of the analysis of one linked image.
 
     Built once per image and cached on it (``Image._caches``, dropped on
-    pickling).  Every part is computed on first use, so ``analyze()``
-    raises in the same order as if it rebuilt them, and a part that raised
-    is not cached and raises again on the next call.  The block summaries
-    are shared by every analysis of the image and must not be mutated.
+    pickling).  It holds what no analysis option changes (merged CFGs,
+    block summaries, call graph, frame and fill words), one
+    :class:`_Hardware` per hardware key (cache analyses and block
+    profiles), and the IPET solutions by instance.  What depends on the
+    bus (arbitration waits, retry attempts) and the loop bounds are
+    applied per analysis by :class:`WcetAnalyzer`.
+
+    Every part is computed on first use, so ``analyze()`` raises in the
+    same order as if it rebuilt them, and a part that raised is not cached
+    and raises again on the next call.  The block summaries, cache
+    analyses and IPET results are shared by every analysis of the image
+    and must not be mutated.
     """
 
     def __init__(self, image: Image):
@@ -218,6 +403,8 @@ class _ImageLayout:
                            for record in image.functions}
         self._cfgs: dict[str, ControlFlowGraph] = {}
         self._summaries: dict[str, tuple[list, list[BlockSummary]]] = {}
+        self._hardware: dict[tuple, _Hardware] = {}
+        self._ipet: dict[tuple, IpetResult] = {}
 
     @classmethod
     def of(cls, image: Image) -> "_ImageLayout":
@@ -267,6 +454,50 @@ class _ImageLayout:
                 done.append(summary)
             yield done[index]
 
+    def hardware(self, image: Image, config: PatmosConfig,
+                 options: WcetOptions, entry: str) -> _Hardware:
+        """The bus-independent analysis for ``config``, the cache modes of
+        ``options`` and ``entry``, made on first use."""
+        key = (config, options.method_cache, options.static_cache,
+               options.object_cache, options.stack_cache,
+               options.conventional_icache, options.unified_data_cache,
+               entry)
+        hardware = self._hardware.get(key)
+        if hardware is None:
+            hardware = self._hardware[key] = _Hardware(
+                image, self, config, options, entry)
+        return hardware
+
+    def profiles(self, hardware: _Hardware, function: Function
+                 ) -> Iterable[_BlockProfile]:
+        """Profiles of the blocks of ``function`` on ``hardware``, in
+        summary order.  Like the summaries, each is made when first
+        reached, so block errors keep their order; the function's tuple is
+        kept once every block is profiled."""
+        profiles = hardware.profiles.get(function.name)
+        if profiles is None:
+            return self._profile_blocks(hardware, function)
+        return profiles
+
+    def _profile_blocks(self, hardware: _Hardware, function: Function
+                        ) -> Iterator[_BlockProfile]:
+        built = []
+        for summary in self.summaries(function):
+            built.append(hardware.profile(summary))
+            yield built[-1]
+        hardware.profiles[function.name] = tuple(built)
+
+    def solve(self, function: Function, labels: list[str], costs: tuple,
+              loop_bounds: dict[str, int]) -> IpetResult:
+        """:func:`solve_ipet` of ``function`` with block ``costs`` (in
+        summary order, ``labels`` naming them), once per instance."""
+        key = (function.name, costs, tuple(sorted(loop_bounds.items())))
+        result = self._ipet.get(key)
+        if result is None:
+            result = self._ipet[key] = solve_ipet(
+                self.cfg(function), dict(zip(labels, costs)), loop_bounds)
+        return result
+
 
 class WcetAnalyzer:
     """Static WCET analysis of a linked Patmos image."""
@@ -286,7 +517,13 @@ class WcetAnalyzer:
     # ------------------------------------------------------------------
 
     def analyze(self, entry: Optional[str] = None) -> WcetResult:
-        """Compute the WCET bound for the program starting at ``entry``."""
+        """Compute the WCET bound for the program starting at ``entry``.
+
+        The result's ``per_function``, ``FunctionWcet`` records and
+        ``block_costs`` belong to it; its cache analyses and IPET results
+        are shared with every analysis of the image and must not be
+        mutated.
+        """
         entry = entry or self.program.entry
         options = self.options
         # Fail fast on an unbounded interference model (e.g. any core below
@@ -307,49 +544,18 @@ class WcetAnalyzer:
             facts = program_facts(self.program)
         self._facts = facts
 
-        method_cache = None
-        icache = None
-        if options.conventional_icache:
-            icache = analyse_conventional_icache(self.image, self.config)
-        else:
-            method_cache = analyse_method_cache(
-                self.image, self.config, mode=options.method_cache, entry=entry,
-                call_graph=self._layout.call_graph)
-        static_cache = analyse_static_cache(
-            self.image, self.config, mode=options.static_cache,
-            unified=options.unified_data_cache)
-        object_cache = analyse_object_cache(self.config, mode=options.object_cache)
-        stack_cache = analyse_stack_cache(
-            self.program, self.config, self._layout.frame_words,
-            mode=options.stack_cache, call_graph=self._layout.call_graph)
-
-        call_graph = self._layout.call_graph
-        if call_graph.is_recursive():
-            raise WcetError("WCET analysis requires a non-recursive call graph")
-
+        hardware = self._layout.hardware(self.image, self.config, options,
+                                         entry)
         per_function: dict[str, FunctionWcet] = {}
         function_wcet: dict[str, int] = {}
-        order = call_graph.topological_order(root=entry)  # callees first
-        for name in order:
-            function = self.program.function(name)
-            if function.is_subfunction:
-                continue
-            result = self._analyse_function(
-                function, function_wcet, method_cache, icache, static_cache,
-                object_cache, stack_cache)
-            per_function[name] = result
-            function_wcet[name] = result.wcet_cycles
+        for function in hardware.functions:  # callees first
+            result = self._analyse_function(function, function_wcet,
+                                            hardware)
+            per_function[function.name] = result
+            function_wcet[function.name] = result.wcet_cycles
 
-        one_off = 0
-        one_off_transfers = 0
-        if method_cache is not None:
-            one_off += method_cache.one_off_cycles
-            one_off_transfers += method_cache.one_off_transfers
-        if icache is not None:
-            one_off += icache.one_off_cycles
-            one_off_transfers += icache.one_off_transfers
-        one_off += static_cache.one_off_cycles
-        one_off_transfers += static_cache.one_off_transfers
+        one_off = hardware.one_off_cycles
+        one_off_transfers = hardware.one_off_transfers
         if one_off_transfers > 0:
             # Every one-off transfer may additionally wait for the bus; each
             # is at most one burst on the bus (the controller's slot limit).
@@ -359,7 +565,7 @@ class WcetAnalyzer:
             if options.bus_retry_limit:
                 # Each retried attempt re-occupies a full burst slot and may
                 # wait for the bus again (the same per-attempt bound the
-                # per-block costs charge via transfer_event).
+                # block costs charge every transfer).
                 one_off += (one_off_transfers * options.bus_retry_limit
                             * (self.config.memory.burst_cycles()
                                + interference))
@@ -370,9 +576,10 @@ class WcetAnalyzer:
             entry=entry, wcet_cycles=total, one_off_cycles=one_off,
             per_function=per_function, options=options,
             loop_audits=facts.loop_audits() if facts is not None else [],
-            method_cache=method_cache, icache=icache,
-            static_cache=static_cache, object_cache=object_cache,
-            stack_cache=stack_cache)
+            method_cache=hardware.method_cache, icache=hardware.icache,
+            static_cache=hardware.static_cache,
+            object_cache=hardware.object_cache,
+            stack_cache=hardware.stack_cache)
 
     # ------------------------------------------------------------------
     # Per-function analysis
@@ -424,16 +631,18 @@ class WcetAnalyzer:
         simulator registers with the arbiter at each call site, keeping the
         bound aligned if the cost model ever gains sub-burst transfers.
         """
-        options = self.options
-        if options.arbiter != "tdma":
-            return self._interference_wait()
-        schedule = options.tdma
-        if schedule is None:
-            return 0
-        if options.tdma_core_id is None:
-            return schedule.worst_case_wait()
         cached = self._wait_memo.get(words)
-        if cached is None:
+        if cached is not None:
+            return cached
+        options = self.options
+        schedule = options.tdma
+        if options.arbiter != "tdma":
+            cached = self._interference_wait()
+        elif schedule is None:
+            cached = 0
+        elif options.tdma_core_id is None:
+            cached = schedule.worst_case_wait()
+        else:
             memory = self.config.memory
             transfer = min(
                 memory.transfer_cycles(min(words, memory.burst_words)),
@@ -446,123 +655,41 @@ class WcetAnalyzer:
                     f"core {options.tdma_core_id}'s TDMA slot cannot fit a "
                     f"{transfer}-cycle burst transfer; no WCET bound exists "
                     f"(widen the slot or the core's weight)") from exc
-            self._wait_memo[words] = cached
+        self._wait_memo[words] = cached
         return cached
-
-    def _block_cost(self, summary: BlockSummary, function: Function,
-                    function_wcet: dict[str, int],
-                    method_cache: MethodCacheAnalysis | None,
-                    icache: ConventionalICacheAnalysis | None,
-                    static_cache: StaticCacheAnalysis,
-                    object_cache: ObjectCacheAnalysis,
-                    stack_cache: StackCacheAnalysis) -> tuple[int, int]:
-        """Worst-case cost of one block; returns ``(cost, callee_part)``."""
-        config = self.config
-        cost = summary.bundles
-        callee_part = 0
-
-        if summary.indirect_calls:
-            raise WcetError(
-                f"{summary.function}/{summary.label}: indirect calls (callr) "
-                "cannot be bounded without target annotations")
-
-        # Per-transfer bus interference: every event passes the word count of
-        # its (single, burst-capped) arbitrated transaction, mirroring what
-        # the simulator registers with the arbiter for that event.
-        wait = self._transfer_wait
-        fill_words = self._layout.fill_words
-        static_line_words = config.static_cache.line_bytes // 4
-        # The simulator arbitrates every cached-line fill at the static-cache
-        # line size; take the larger of that and the object cache's own line
-        # so the charge dominates either wiring.
-        object_line_words = max(static_line_words,
-                                config.data_cache.line_bytes // 4)
-
-        # Under the bounded-retry bus-fault model every arbitrated transfer
-        # may fail and be re-arbitrated up to bus_retry_limit times; each
-        # attempt occupies its slot in full and waits for the bus again, so
-        # every transfer event is charged (1 + retries) attempts.
-        attempts = 1 + self.options.bus_retry_limit
-
-        def transfer_event(base_cycles: int, words: int) -> int:
-            if base_cycles <= 0:
-                return 0
-            return (base_cycles + wait(words)) * attempts
-
-        if icache is not None:
-            cost += summary.bundles * transfer_event(icache.per_fetch_cost,
-                                                     icache.line_words)
-
-        # Calls: method-cache fill of the callee, the callee's own WCET and
-        # the method-cache fill of this function on return.
-        for callee in summary.calls:
-            if callee not in function_wcet:
-                raise WcetError(
-                    f"callee {callee!r} analysed after its caller "
-                    f"{summary.function!r} (call-graph order error)")
-            callee_part += function_wcet[callee]
-            if method_cache is not None:
-                cost += transfer_event(method_cache.transfer_cost(callee),
-                                       fill_words.get(callee, 0))
-                cost += transfer_event(
-                    method_cache.transfer_cost(summary.function),
-                    fill_words.get(summary.function, 0))
-
-        # brcf into sub-functions (or other functions).
-        for target in summary.brcf_targets:
-            if method_cache is not None:
-                cost += transfer_event(method_cache.transfer_cost(target),
-                                       fill_words.get(target, 0))
-
-        # Typed data accesses.
-        cost += summary.read_count(MemType.STATIC) * transfer_event(
-            static_cache.per_read_cost, static_line_words)
-        cost += summary.write_count(MemType.STATIC) * transfer_event(
-            static_cache.per_write_cost, 1)
-        cost += summary.read_count(MemType.OBJECT) * transfer_event(
-            object_cache.per_read_cost, object_line_words)
-        cost += summary.write_count(MemType.OBJECT) * transfer_event(
-            object_cache.per_write_cost, 1)
-        if self.options.unified_data_cache:
-            # Stack accesses also compete in the unified cache.
-            cost += summary.read_count(MemType.STACK) * transfer_event(
-                static_cache.per_read_cost, static_line_words)
-            cost += summary.write_count(MemType.STACK) * transfer_event(
-                static_cache.per_write_cost, 1)
-        # Split main-memory loads are charged at the wait instruction.
-        cost += summary.wmem_count * transfer_event(
-            config.memory.transfer_cycles(1), 1)
-        cost += summary.write_count(MemType.MAIN) * transfer_event(
-            config.memory.transfer_cycles(1), 1)
-
-        # Stack-control costs.
-        spill = stack_cache.spill_words.get(summary.function, 0)
-        for _ in summary.sres_words:
-            cost += transfer_event(config.memory.transfer_cycles(spill), spill)
-        worst_fill = max(
-            (words for (caller, _), words in stack_cache.fill_words.items()
-             if caller == summary.function), default=0)
-        for _ in summary.sens_words:
-            cost += transfer_event(config.memory.transfer_cycles(worst_fill),
-                                   worst_fill)
-
-        return cost, callee_part
 
     def _analyse_function(self, function: Function,
                           function_wcet: dict[str, int],
-                          method_cache: MethodCacheAnalysis | None,
-                          icache: ConventionalICacheAnalysis | None,
-                          static_cache: StaticCacheAnalysis,
-                          object_cache: ObjectCacheAnalysis,
-                          stack_cache: StackCacheAnalysis) -> FunctionWcet:
-        cfg = self._layout.cfg(function)
-        block_costs: dict[str, int] = {}
+                          hardware: _Hardware) -> FunctionWcet:
+        """Price the blocks of ``function`` for this analysis's bus and
+        solve its IPET instance."""
+        layout = self._layout
+        layout.cfg(function)  # built before any block, as it always was
+        wait = self._transfer_wait
+        # Under the bounded-retry bus-fault model every arbitrated transfer
+        # may fail and be re-arbitrated up to bus_retry_limit times; each
+        # attempt occupies its slot in full and waits for the bus again, so
+        # every transfer is charged (1 + retries) attempts.
+        attempts = 1 + self.options.bus_retry_limit
+        labels: list[str] = []
+        costs: list[int] = []
         callee_total = 0
-        for summary in self._layout.summaries(function):
-            cost, callee_part = self._block_cost(
-                summary, function, function_wcet, method_cache, icache,
-                static_cache, object_cache, stack_cache)
-            block_costs[summary.label] = cost + callee_part
+        for label, bundles, calls, base, transfers in layout.profiles(
+                hardware, function):
+            # The callee's own WCET, which the method-cache fills around
+            # the call (in the profile) do not include.
+            callee_part = 0
+            for callee in calls:
+                if callee not in function_wcet:
+                    raise WcetError(
+                        f"callee {callee!r} analysed after its caller "
+                        f"{function.name!r} (call-graph order error)")
+                callee_part += function_wcet[callee]
+            bus = base
+            for words, count in transfers:
+                bus += count * wait(words)
+            labels.append(label)
+            costs.append(bundles + attempts * bus + callee_part)
             callee_total += callee_part
 
         # Bound precedence: explicit per-call overrides > audited effective
@@ -578,9 +705,9 @@ class WcetAnalyzer:
             for (func_name, label), bound in self.options.loop_bounds.items()
             if func_name == function.name
         })
-        ipet = solve_ipet(cfg, block_costs, loop_bounds)
+        ipet = layout.solve(function, labels, tuple(costs), loop_bounds)
         return FunctionWcet(name=function.name, wcet_cycles=ipet.wcet,
-                            ipet=ipet, block_costs=block_costs,
+                            ipet=ipet, block_costs=dict(zip(labels, costs)),
                             callee_cycles=callee_total)
 
 

@@ -17,9 +17,9 @@ from repro import PatmosConfig, compile_and_link
 from repro.cmp import MulticoreSystem
 from repro.errors import (ExplorationError, SimulationError,
                           VerificationError, WcetError)
-from repro.explore import ParameterSpace
+from repro.explore import ExperimentSpec, ParameterSpace
 from repro.jobs import RunDirectory
-from repro.memory import TdmaSchedule
+from repro.memory import TdmaBusArbiter, TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
     DEFAULT_ARBITERS,
@@ -484,3 +484,41 @@ class TestOptionsCacheKeyAudit:
         assert overridden.tdma_core_id is None
         # Single-core systems never carry interference options.
         assert WcetOptions.for_arbiter("tdma", 1).tdma is None
+
+    def test_for_arbiter_rejects_tdma_without_schedule(self):
+        """Schedule-less multicore TDMA options would charge no bus wait:
+        on 4-core matmul they gave the single-core bound (1,358 cycles)
+        where the default schedule's core 0 bound is 2,953."""
+        for cores in (2, 4):
+            for core_id in (None, 0):
+                with pytest.raises(WcetError, match="needs its schedule"):
+                    WcetOptions.for_arbiter("tdma", cores, core_id=core_id)
+        image, _ = compile_and_link(build_kernel("matmul").program, CONFIG)
+        system = MulticoreSystem([image] * 4, CONFIG, mode="cosim")
+        options = system.wcet_options_for_core(0)
+        assert analyze_wcet(image, CONFIG, options=options).wcet_cycles \
+            > analyze_wcet(image, CONFIG).wcet_cycles
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_callers_always_pass_a_tdma_schedule(self, cores):
+        image, _ = compile_and_link(build_kernel("vector_sum").program,
+                                    CONFIG)
+        schedule = TdmaSchedule(num_cores=cores, slot_cycles=28)
+        systems = [
+            MulticoreSystem([image] * cores, CONFIG, mode="cosim"),
+            MulticoreSystem([image] * cores, CONFIG, mode="cosim",
+                            slot_weights=tuple(range(1, cores + 1))),
+            MulticoreSystem([image] * cores, CONFIG, schedule=schedule),
+            MulticoreSystem([image] * cores, CONFIG, mode="cosim",
+                            arbiter=TdmaBusArbiter(schedule)),
+        ]
+        for system in systems:
+            for core_id in range(cores):
+                options = system.wcet_options_for_core(core_id)
+                assert options.tdma is system.schedule is not None
+                assert options.tdma_core_id == core_id
+        for weights in (None, (1, 2)):
+            spec = ExperimentSpec(kernel="vector_sum", config=CONFIG,
+                                  cores=cores, arbiter="tdma",
+                                  slot_weights=weights)
+            assert spec.wcet_options().tdma == spec.tdma_schedule() is not None

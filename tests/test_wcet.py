@@ -1,7 +1,9 @@
 """Tests of the WCET analysis: IPET, cache analyses and whole-program bounds."""
 
 import collections
+import hashlib
 import itertools
+import json
 import pickle
 import random
 import subprocess
@@ -33,6 +35,7 @@ from repro.wcet import (
     solve_ipet,
     summarise_function,
 )
+from repro.analysis import facts as analysis_facts
 from repro.wcet import analyzer, cache_analysis, ipet
 from repro.workloads import (
     build_call_tree,
@@ -534,30 +537,182 @@ class TestBlockSummaries:
 def _wcet_fields(result):
     return (result.wcet_cycles, result.one_off_cycles, {
         name: (func.wcet_cycles, func.block_costs, func.ipet.block_counts,
-               func.ipet.edge_counts)
+               func.ipet.edge_counts, func.callee_cycles)
         for name, func in result.per_function.items()})
 
 
+def _bus_options(image, config):
+    """One option set per bus model the analysis prices differently."""
+    schedule = TdmaSchedule(num_cores=4,
+                            slot_cycles=2 * config.memory.burst_cycles(),
+                            slot_weights=(1, 2, 1, 1))
+    facts = analysis_facts.program_facts(image.program)
+    # One more iteration than the effective bound of every loop.
+    loop_bounds = {key: bound + 1
+                   for key, bound in facts.effective_loop_bounds().items()}
+    return [
+        {},
+        *(dict(tdma=schedule, tdma_core_id=core) for core in range(4)),
+        dict(arbiter="round_robin", arbiter_cores=2),
+        dict(arbiter="round_robin", arbiter_cores=4),
+        dict(arbiter="priority", arbiter_cores=4, priority_rank=0),
+        dict(bus_retry_limit=2),
+        dict(fault_overhead_cycles=37),
+        dict(loop_bounds=loop_bounds),
+    ]
+
+
+def _option_sets(image, config):
+    """Every DEFAULT_VARIANTS cache model under every bus of
+    :func:`_bus_options`."""
+    return [WcetOptions(**dict(variant.wcet_overrides), **bus)
+            for variant, bus in itertools.product(
+                DEFAULT_VARIANTS, _bus_options(image, config))]
+
+
+def _uneven_frames():
+    """``main`` calls two leaves whose stack frames displace different
+    amounts of its own, so its two ``sens`` fill differently."""
+    b = ProgramBuilder("uneven_frames")
+    f = b.function("main")
+    f.frame(24)
+    f.li("r20", 0)
+    f.emit("sws", "r0", 0, "r20")
+    f.call("small")
+    f.call("big")
+    f.emit("lws", "r21", "r0", 0)
+    f.out("r20")
+    f.halt()
+    for name, words in (("small", 2), ("big", 60)):
+        g = b.function(name)
+        g.frame(words)
+        g.emit("sws", "r0", 0, "r20")
+        g.emit("addi", "r20", "r20", 1)
+        g.ret()
+    return b.build()
+
+
+#: SHA-256 over every result of the suite kernels (and ``_uneven_frames``)
+#: x DEFAULT_VARIANTS x ``_bus_options`` matrix, recorded with the
+#: per-block costing that the block profiles replaced.
+_SUITE_BOUNDS_DIGEST = (
+    "4bf5366bacf83386497b2c043375cdf9d3bc7625c13ad0a34d59ac2213e03272")
+
+
 class TestImageLayout:
-    """The option-independent analysis work is done once per image."""
+    """The bus-independent analysis work is done once per image and
+    hardware; only the bus pricing and the IPET instances vary."""
 
-    KERNELS = ("large_function", "call_tree", "stack_chain")
+    def test_suite_bounds_are_pinned(self, config):
+        programs = [(name, build_kernel(name).program)
+                    for name in SUITES["all"]]
+        programs.append(("uneven_frames", _uneven_frames()))
+        digest = hashlib.sha256()
+        for kernel, program in programs:
+            image, _ = compile_and_link(program, config)
+            for variant, bus in itertools.product(
+                    DEFAULT_VARIANTS, _bus_options(image, config)):
+                result = analyze_wcet(image, config, options=WcetOptions(
+                    **dict(variant.wcet_overrides), **bus))
+                # Sorted: the call-graph order of functions varies with
+                # string hashing.
+                functions = sorted(result.per_function.items())
+                line = [kernel, variant.name, result.wcet_cycles,
+                        result.one_off_cycles,
+                        [[name, func.wcet_cycles, func.callee_cycles,
+                          list(func.block_costs.values())]
+                         for name, func in functions]]
+                digest.update(json.dumps(line).encode() + b"\n")
+        assert digest.hexdigest() == _SUITE_BOUNDS_DIGEST
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", SUITES["all"])
     def test_shared_layout_matches_fresh_analyses(self, config, kernel):
         image = _compiled(build_kernel(kernel), config)
-        schedule = TdmaSchedule(num_cores=2,
-                                slot_cycles=config.memory.burst_cycles())
-        interference = (dict(tdma=schedule, tdma_core_id=1),
-                        dict(arbiter="round_robin", arbiter_cores=2))
-        for variant, arbiter in itertools.product(DEFAULT_VARIANTS,
-                                                  interference):
-            options = WcetOptions(**dict(variant.wcet_overrides), **arbiter)
-            fresh_image = _compiled(build_kernel(kernel), config)
+        option_sets = _option_sets(image, config)
+        random.Random(kernel).shuffle(option_sets)
+        for options in option_sets:
+            # A pickled copy has its own program and empty caches.
+            fresh_image = pickle.loads(pickle.dumps(image))
             fresh = analyzer.WcetAnalyzer(fresh_image, config,
                                           options).analyze()
             shared = analyze_wcet(image, config, options=options)
-            assert _wcet_fields(shared) == _wcet_fields(fresh), variant.name
+            assert _wcet_fields(shared) == _wcet_fields(fresh), options
+
+    def test_cache_analyses_run_once_per_key(self, config, monkeypatch):
+        calls = collections.Counter()
+        for name in ("analyse_method_cache", "analyse_conventional_icache",
+                     "analyse_static_cache", "analyse_object_cache",
+                     "analyse_stack_cache"):
+            def counting(*args, _name=name, _real=getattr(analyzer, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(analyzer, name, counting)
+        image = _compiled(build_kernel("call_tree"), config)
+        option_sets = _option_sets(image, config)
+        for _ in range(2):
+            for options in option_sets:
+                analyze_wcet(image, config, options=options)
+        keys = {(options.method_cache, options.static_cache,
+                 options.object_cache, options.stack_cache,
+                 options.conventional_icache, options.unified_data_cache)
+                for options in option_sets}
+        icache_keys = sum(1 for key in keys if key[4])
+        assert 0 < icache_keys < len(keys)
+        assert calls == {
+            "analyse_method_cache": len(keys) - icache_keys,
+            "analyse_conventional_icache": icache_keys,
+            "analyse_static_cache": len(keys),
+            "analyse_object_cache": len(keys),
+            "analyse_stack_cache": len(keys)}
+        # Another entry function is another key.
+        analyze_wcet(image, config, entry="work0")
+        assert calls["analyse_stack_cache"] == len(keys) + 1
+
+    def test_ipet_solved_once_per_instance(self, config, monkeypatch):
+        instances = []
+
+        def recording(cfg, block_costs, loop_bounds=None):
+            instances.append((cfg.function.name,
+                              tuple(block_costs.items()),
+                              tuple(sorted((loop_bounds or {}).items()))))
+            return solve_ipet(cfg, block_costs, loop_bounds)
+
+        monkeypatch.setattr(analyzer, "solve_ipet", recording)
+        image = _compiled(build_kernel("call_tree"), config)
+        option_sets = _option_sets(image, config)
+        solved = []
+        for _ in range(2):
+            analysed = 0
+            for options in option_sets:
+                result = analyze_wcet(image, config, options=options)
+                analysed += len(result.per_function)
+            solved.append(len(instances))
+        assert len(set(instances)) == len(instances)
+        # Many option sets share instances (29 of 385 function analyses
+        # here), and analysing them all again solves nothing.
+        assert solved[0] < analysed / 2 and solved[1] == solved[0]
+
+    def test_results_do_not_leak_into_later_analyses(self, config):
+        image = _compiled(build_kernel("call_tree"), config)
+        options = WcetOptions(arbiter="round_robin", arbiter_cores=2)
+        first = analyze_wcet(image, config, options=options)
+        expected = _wcet_fields(
+            analyze_wcet(_compiled(build_kernel("call_tree"), config),
+                         config, options=options))
+        first.wcet_cycles = first.one_off_cycles = 0
+        for func in first.per_function.values():
+            func.wcet_cycles = func.callee_cycles = 0
+            func.block_costs.clear()
+        first.per_function.clear()
+        second = analyze_wcet(image, config, options=options)
+        assert _wcet_fields(second) == expected
+        # The cache analyses and IPET results are documented as shared and
+        # read-only: a later analysis of the same key returns the same ones.
+        third = analyze_wcet(image, config, options=options)
+        assert third.method_cache is second.method_cache
+        assert all(third.per_function[name].ipet is func.ipet
+                   for name, func in second.per_function.items())
 
     def test_suite_covers_merged_subfunctions(self, config):
         image = _compiled(build_kernel("large_function"), config)
