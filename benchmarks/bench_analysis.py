@@ -12,7 +12,12 @@ value analysis buys the WCET story:
   records its delta against the annotated bound;
 * **tightness** — WCET with the analysis enabled vs disabled, against
   simulated cycles, so a regression that loosens bounds is visible;
-* **lint statistics** — findings per kernel.
+* **lint statistics** — findings per kernel;
+* **stages** — what the WCET path spends on the analysis facts, over the
+  suite and over seeded loop-free ALU programs: facts seconds, fixpoints
+  run and programs whose clobber summaries were built.  A function's
+  fixpoint runs only where a loop bound needs it, so a loop-free program
+  should show neither.
 
 Emits machine-readable ``BENCH_analysis.json``::
 
@@ -30,20 +35,28 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import analyse_program, lint_program  # noqa: E402
+from repro.analysis import facts as facts_module  # noqa: E402
 from repro.analysis.loopbounds import STATUS_MATCH  # noqa: E402
 from repro.compiler.passes import compile_and_link  # noqa: E402
 from repro.sim.cycle import CycleSimulator  # noqa: E402
 from repro.wcet.analyzer import WcetOptions, analyze_wcet  # noqa: E402
 from repro.workloads.suite import build_kernel, resolve_kernels  # noqa: E402
+from repro.workloads.synthetic import random_alu_kernel  # noqa: E402
 
 #: Committed floor: fraction of suite loops whose inferred bound equals
 #: the manual annotation.  The suite currently sits at 1.0.
 MIN_MATCH_FRACTION = 0.5
+
+#: Seeded loop-free programs of the stages section: (seed, length).
+ALU_PROGRAMS = tuple((seed, 32 + 40 * seed) for seed in range(8))
+#: Repetitions of the timed facts stage; the fastest one is reported.
+STAGE_REPEATS = 5
 
 
 def _strip_annotations(program):
@@ -92,6 +105,69 @@ def bench_kernel(name: str) -> dict:
     }
 
 
+@contextmanager
+def facts_counters():
+    """Count the fixpoints the facts run and the summaries they build.
+
+    Wraps the facts module's entry points from outside the program.
+    """
+    counts = {"fixpoints": 0, "summaries": 0}
+    keys = {"analyse_function": "fixpoints", "clobber_summaries": "summaries"}
+    patched = {name: getattr(facts_module, name) for name in keys}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name, real in patched.items():
+        setattr(facts_module, name, counted(keys[name], real))
+    try:
+        yield counts
+    finally:
+        for name, real in patched.items():
+            setattr(facts_module, name, real)
+
+
+def bench_stage(programs) -> dict:
+    """Facts cost of the WCET analysis of ``programs`` (compiled here).
+
+    ``fixpoints`` and ``programs_with_summaries`` count the work one cold
+    WCET analysis per image does; ``facts_s`` is the fastest of
+    :data:`STAGE_REPEATS` timed passes of the uncached facts over all
+    images.
+    """
+    images = [compile_and_link(program)[0] for program in programs]
+    stage = {"programs": len(images), "functions": 0, "looped_functions": 0,
+             "fixpoints": 0, "programs_with_summaries": 0}
+    for image in images:
+        with facts_counters() as counts:
+            analyze_wcet(image)
+        stage["fixpoints"] += counts["fixpoints"]
+        stage["programs_with_summaries"] += counts["summaries"] > 0
+        for func in analyse_program(image.program).functions.values():
+            stage["functions"] += 1
+            stage["looped_functions"] += bool(func.cfg.natural_loops())
+    passes = []
+    for _ in range(STAGE_REPEATS):
+        start = time.perf_counter()
+        for image in images:
+            analyse_program(image.program)
+        passes.append(time.perf_counter() - start)
+    stage["facts_s"] = round(min(passes), 4)
+    return stage
+
+
+def bench_stages(names) -> dict:
+    return {
+        "suite": bench_stage([build_kernel(name).program for name in names]),
+        "loop_free_alu": bench_stage([
+            random_alu_kernel(seed, length=length).program
+            for seed, length in ALU_PROGRAMS]),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kernels", nargs="+", default=["all"])
@@ -133,9 +209,11 @@ def main(argv=None) -> int:
             f"inference coverage {match_fraction:.2f} below floor "
             f"{MIN_MATCH_FRACTION}")
 
+    stages = bench_stages(names)
     report = {
         "schema": "bench_analysis/v1",
         "kernels": kernels,
+        "stages": stages,
         "summary": {
             "kernel_count": len(kernels),
             "loops": total_loops,
@@ -156,6 +234,12 @@ def main(argv=None) -> int:
     print(f"loops: {matched}/{total_loops} infer exactly; "
           f"{verified_without_annotations}/{len(kernels)} kernels verify "
           "with annotations deleted")
+    for group, stage in stages.items():
+        print(f"{group}: {stage['programs']} programs, facts "
+              f"{stage['facts_s']} s, {stage['fixpoints']} fixpoints for "
+              f"{stage['functions']} functions ({stage['looped_functions']} "
+              f"with loops), summaries built for "
+              f"{stage['programs_with_summaries']} programs")
     for failure in failures:
         print(f"GATE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -17,7 +17,10 @@ Module map
                (scratchpad / static data / stack / heap), for the lint
                pass.
 ``facts``      ``program_facts(program)`` — the cached whole-program entry
-               point bundling the fixpoint, loop bounds and their audit.
+               point bundling loop bounds, their audit and the fixpoint.
+               The fixpoint runs on demand: at once for a function with a
+               natural loop (its bounds need it), on first read for any
+               other; the may-write summaries are built on first use.
 ``lint``       IR verifier: unreachable blocks, unbounded loops, reserved
                registers, single-path violations, bad accesses.
 ``__main__``   ``python -m repro.analysis [--lint] [--strict]`` CLI.

@@ -1,21 +1,32 @@
 """Whole-program analysis facts: one object bundling every derived result.
 
 ``program_facts(program)`` is the cached entry point used by the WCET
-analyzer, the verifier and the lint pass.  It runs, per top-level function
+analyzer, the verifier and the lint pass.  It works per top-level function
 (sub-functions created by the method-cache splitter are merged into their
 parent by :meth:`~repro.program.Program.merged_function`, as the WCET
-analyzer does, so loop headers and edges line up):
+analyzer does, so loop headers and edges line up).
 
-1. the interval fixpoint (:mod:`repro.analysis.fixpoint`),
-2. loop-bound inference + the annotation audit
-   (:mod:`repro.analysis.loopbounds`).
+The interval fixpoint (:mod:`repro.analysis.fixpoint`) runs on demand:
 
-The lint pass classifies memory accesses
-(:mod:`repro.analysis.addresses`) from the same fixpoint states.
+* a function whose CFG has natural loops gets its fixpoint at once, followed
+  by loop-bound inference and the annotation audit
+  (:mod:`repro.analysis.loopbounds`), which read it;
+* any other function has no bound to infer and an empty audit, so its
+  fixpoint runs the first time :attr:`FunctionFacts.fixpoint` is read (the
+  lint pass classifies memory accesses, :mod:`repro.analysis.addresses`,
+  from it) and is then kept.
+
+The interprocedural clobber summaries that every fixpoint reads are built
+the same way, once per program on first use: a program without loops,
+analysed for its WCET bound only, runs no fixpoint and builds no summary.
+The call graph is built up front, so a call to an unknown function raises
+:class:`~repro.errors.WcetError` here, not on a later read.
 
 The cache is keyed by object identity with a weak reference guard, so a
 program analysed for WCET, verification and lint in the same process pays
-for the fixpoint once.
+for each fixpoint once.  The facts keep the program's function table, never
+the :class:`~repro.program.Program` itself, so a cached entry does not keep
+its program alive.
 """
 
 from __future__ import annotations
@@ -24,16 +35,40 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..program.callgraph import CallGraph
 from ..program.cfg import ControlFlowGraph
 from ..program.function import Function
 from ..program.program import Program
-from .fixpoint import FixpointResult, analyse_function, may_write_summaries
+from .fixpoint import FixpointResult, analyse_function, clobber_summaries
 from .loopbounds import (
     InferredBound,
     LoopBoundAudit,
     audit_loop_bounds,
     infer_loop_bounds,
 )
+from .transfer import ClobberSummary
+
+
+class _Clobbers:
+    """A program's clobber summaries, built on first use.
+
+    One instance is shared by a :class:`ProgramFacts` and each of its
+    :class:`FunctionFacts`, so the summaries are built once per program,
+    from its function table and the call edges of its call graph.
+    """
+
+    __slots__ = ("_functions", "_calls", "_summaries")
+
+    def __init__(self, functions: dict[str, Function],
+                 calls: dict[str, list[str]]):
+        self._functions = functions
+        self._calls = calls
+        self._summaries: Optional[dict[str, ClobberSummary]] = None
+
+    def get(self) -> dict[str, ClobberSummary]:
+        if self._summaries is None:
+            self._summaries = clobber_summaries(self._functions, self._calls)
+        return self._summaries
 
 
 @dataclass
@@ -43,9 +78,19 @@ class FunctionFacts:
     name: str
     function: Function
     cfg: ControlFlowGraph
-    fixpoint: FixpointResult
     inferred_bounds: dict[str, InferredBound] = field(default_factory=dict)
     audits: list[LoopBoundAudit] = field(default_factory=list)
+    _clobbers: Optional[_Clobbers] = field(
+        default=None, repr=False, compare=False)
+    _fixpoint: Optional[FixpointResult] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def fixpoint(self) -> FixpointResult:
+        """The interval fixpoint of :attr:`cfg`, run on first read."""
+        if self._fixpoint is None:
+            self._fixpoint = analyse_function(self.cfg, self._clobbers.get())
+        return self._fixpoint
 
     def effective_bounds(self) -> dict[str, int]:
         """Header label -> effective bound (audit rule applied)."""
@@ -60,7 +105,13 @@ class ProgramFacts:
     """Analysis results of a whole program, per top-level function."""
 
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
-    may_writes: dict = field(default_factory=dict)
+    _clobbers: Optional[_Clobbers] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def may_writes(self) -> dict[str, ClobberSummary]:
+        """Clobber summary of every function, built on first read."""
+        return self._clobbers.get() if self._clobbers is not None else {}
 
     def function_facts(self, name: str) -> Optional[FunctionFacts]:
         return self.functions.get(name)
@@ -81,24 +132,25 @@ class ProgramFacts:
 
 
 def analyse_program(program: Program) -> ProgramFacts:
-    """Run the full analysis over every top-level function of ``program``."""
-    may_writes = may_write_summaries(program)
-    result = ProgramFacts(may_writes=may_writes)
+    """Analyse every top-level function of ``program``.
+
+    Functions with a natural loop get their fixpoint, inferred loop bounds
+    and audit here; the others get their fixpoint on first read.
+    """
+    clobbers = _Clobbers(dict(program.functions),
+                         CallGraph.build(program).calls)
+    result = ProgramFacts(_clobbers=clobbers)
     for function in program.functions.values():
         if function.is_subfunction:
             continue
         merged = program.merged_function(function)
         cfg = ControlFlowGraph.build(merged)
-        fix = analyse_function(cfg, may_writes)
-        inferred = infer_loop_bounds(cfg, fix)
-        result.functions[function.name] = FunctionFacts(
-            name=function.name,
-            function=merged,
-            cfg=cfg,
-            fixpoint=fix,
-            inferred_bounds=inferred,
-            audits=audit_loop_bounds(cfg, inferred),
-        )
+        facts = FunctionFacts(name=function.name, function=merged, cfg=cfg,
+                              _clobbers=clobbers)
+        if cfg.natural_loops():
+            facts.inferred_bounds = infer_loop_bounds(cfg, facts.fixpoint)
+            facts.audits = audit_loop_bounds(cfg, facts.inferred_bounds)
+        result.functions[function.name] = facts
     return result
 
 

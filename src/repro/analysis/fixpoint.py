@@ -10,10 +10,11 @@ the (never produced by our builder, but possible in principle) irreducible
 case the engine falls back to widening at every block after a soft
 iteration cap.
 
-Interprocedural effects are precomputed bottom-up over the call graph as
+Interprocedural effects are summarised bottom-up over the call graph as
 :class:`~repro.analysis.transfer.ClobberSummary` sets: the registers a
 call may overwrite, with indirect calls and recursion collapsing to a
-total havoc.
+total havoc.  A fixpoint reads the summaries of the whole program, so
+:mod:`repro.analysis.facts` builds them only once a fixpoint is needed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterator, Optional
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..program.callgraph import CallGraph
-from ..program.cfg import ControlFlowGraph
+from ..program.cfg import ControlFlowGraph, kahn_order
+from ..program.function import Function
 from ..program.program import Program
 from .domain import AbsState
 from .transfer import (
@@ -43,29 +45,39 @@ def may_write_summaries(program: Program) -> dict[str, ClobberSummary]:
     and, transitively, everything its callees may write.  Indirect calls
     (``callr``) and recursive call graphs degrade to :data:`TOTAL_CLOBBER`.
     """
-    graph = CallGraph.build(program)
-    names = list(program.functions)
-    if graph.is_recursive():
-        return {name: TOTAL_CLOBBER for name in names}
+    return clobber_summaries(program.functions,
+                             CallGraph.build(program).calls)
+
+
+def clobber_summaries(functions: dict[str, Function],
+                      calls: dict[str, list[str]]
+                      ) -> dict[str, ClobberSummary]:
+    """:func:`may_write_summaries` from a program's function table and the
+    ``calls`` edges of its :class:`~repro.program.callgraph.CallGraph`."""
+    order = kahn_order(calls)
+    if order is None:
+        return dict.fromkeys(functions, TOTAL_CLOBBER)
 
     subfunctions: dict[str, list] = {}
-    for func in program.functions.values():
+    for func in functions.values():
         if func.is_subfunction and func.parent:
             subfunctions.setdefault(func.parent, []).append(func)
 
     summaries: dict[str, ClobberSummary] = {}
-    for name in graph.topological_order():
-        func = program.functions[name]
+    for name in reversed(order):  # callees first
         gprs: set[int] = set()
         preds: set[int] = set()
         total = False
-        for part in [func] + subfunctions.get(name, []):
+        for part in [functions[name]] + subfunctions.get(name, []):
             for instr in part.instructions():
-                gprs |= instr.gpr_defs()
-                preds |= instr.pred_defs()
+                _reads, _pred_reads, writes, pred_writes = instr.def_use()
+                for reg in writes:
+                    if isinstance(reg, int):  # not a special register
+                        gprs.add(reg)
+                preds.update(pred_writes)
                 if instr.opcode is Opcode.CALLR:
                     total = True
-        for callee in graph.callees(name):
+        for callee in calls[name]:
             callee_summary = summaries.get(callee, TOTAL_CLOBBER)
             if callee_summary.total:
                 total = True
@@ -79,7 +91,7 @@ def may_write_summaries(program: Program) -> dict[str, ClobberSummary]:
     for parent, subs in subfunctions.items():
         for sub in subs:
             summaries.setdefault(sub.name, summaries.get(parent, TOTAL_CLOBBER))
-    for name in names:
+    for name in functions:
         summaries.setdefault(name, TOTAL_CLOBBER)
     return summaries
 
@@ -199,5 +211,6 @@ def analyse_function(cfg: ControlFlowGraph,
 __all__ = [
     "FixpointResult",
     "analyse_function",
+    "clobber_summaries",
     "may_write_summaries",
 ]

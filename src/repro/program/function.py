@@ -69,13 +69,17 @@ class Function:
             out.extend(blk.instrs)
         return out
 
-    def callees(self) -> set[str]:
-        """Names of functions called (via ``call``) from this function."""
-        names: set[str] = set()
+    def callees(self) -> list[str]:
+        """Names of functions called (via ``call``) from this function.
+
+        Each name appears once, in the order of its first call, so that the
+        call graph and every report walking it are the same in every process.
+        """
+        names: dict[str, None] = {}
         for instr in self.instructions():
             if instr.opcode is Opcode.CALL and isinstance(instr.target, str):
-                names.add(instr.target)
-        return names
+                names[instr.target] = None
+        return list(names)
 
     def has_calls(self) -> bool:
         return any(

@@ -300,6 +300,20 @@ class TestCallGraph:
         order = cg.topological_order(root="main")
         assert order.index("leaf") < order.index("middle") < order.index("main")
 
+    def test_callees_in_first_call_order(self):
+        b = ProgramBuilder("p")
+        f = b.function("main")
+        for name in ("zeta", "alpha", "zeta", "mu", "alpha"):
+            f.call(name)
+        f.halt()
+        for name in ("zeta", "alpha", "mu"):
+            b.function(name).ret()
+        program = b.build()
+        assert program.functions["main"].callees() == ["zeta", "alpha", "mu"]
+        cg = CallGraph.build(program)
+        assert cg.callees("main") == ["zeta", "alpha", "mu"]
+        assert cg.topological_order() == ["mu", "alpha", "zeta", "main"]
+
 
 class TestLinker:
     def test_linking_requires_scheduling(self):
