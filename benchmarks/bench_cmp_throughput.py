@@ -6,9 +6,9 @@ arbitration with *both* interleaving schedulers — the event-driven default
 and the quantum-polling reference (``scheduler="reference"``) — measures
 aggregate simulated bundles per second of wall time, records the scheduler
 activity (slices / releases / recorded traces per run), verifies the TDMA
-decoupling property (co-simulated per-core cycles identical to independent
-per-core simulation) *and* the scheduler equivalence (event and reference
-timing bit-identical), and emits a machine-readable ``BENCH_cmp.json``
+decoupling property (co-simulated per-core cycles identical to each core
+simulated alone on its port of a ``TdmaBusArbiter``) *and* the scheduler
+equivalence (event and reference timing bit-identical), and emits a machine-readable ``BENCH_cmp.json``
 (schema v3)::
 
     python benchmarks/bench_cmp_throughput.py [--smoke] [--output PATH]
@@ -43,6 +43,8 @@ from harness import profiled  # noqa: E402
 from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
 from repro.cmp.replay import traces_of  # noqa: E402
+from repro.memory import TdmaBusArbiter  # noqa: E402
+from repro.sim.cycle import CycleSimulator  # noqa: E402
 from repro.workloads import build_kernel  # noqa: E402
 
 CORE_COUNTS = (1, 2, 4, 8)
@@ -75,7 +77,7 @@ def _measure(images, config, arbiter: str, scheduler: str,
             for image in images:
                 traces_of(image).clear()
         system = MulticoreSystem(images, config, arbiter=arbiter,
-                                 mode="cosim", scheduler=scheduler)
+                                 scheduler=scheduler)
         started = time.perf_counter()
         result = system.run(analyse=False, strict=True)
         elapsed += time.perf_counter() - started
@@ -134,11 +136,14 @@ def run_benchmark(smoke: bool) -> dict:
                       f"{reference.observed_by_core()}", file=sys.stderr)
             if arbiter == "tdma":
                 # The decoupling gate: every TDMA-co-simulated core must
-                # match its fully independent simulation, cycle for cycle.
-                analytic = MulticoreSystem(
-                    images, config, arbiter="tdma", mode="analytic").run(
-                        analyse=False, strict=True)
-                expected = analytic.observed_by_core()
+                # match a run of the core alone on its port of the TDMA
+                # arbiter, cycle for cycle.
+                expected = [
+                    CycleSimulator(image, config=config, strict=True,
+                                   arbiter=TdmaBusArbiter(event.schedule)
+                                   .port(core_id), core_id=core_id)
+                    .run().cycles
+                    for core_id, image in enumerate(images)]
                 cell["decoupling_ok"] = (
                     event.observed_by_core() == expected
                     and reference.observed_by_core() == expected)

@@ -9,7 +9,7 @@ predictably (roughly linearly in the TDMA period) with the core count.
 from harness import print_table
 
 from repro import PatmosConfig, compile_and_link
-from repro.cmp import CmpSystem, single_core_reference
+from repro.cmp import MulticoreSystem, single_core_reference
 from repro.workloads import build_kernel
 
 
@@ -31,7 +31,7 @@ def _measure():
             img, _ = compile_and_link(k.program, config)
             images.append(img)
             kernels.append(k)
-        system = CmpSystem(images, config)
+        system = MulticoreSystem(images, config)
         result = system.run(analyse=True)
         core0 = result.cores[0]
         assert core0.sim.output == kernels[0].expected_output

@@ -43,7 +43,7 @@ def _best_of(images, config, faults, repeats: int) -> tuple[float, list]:
     cycles = None
     for _ in range(repeats):
         system = MulticoreSystem(images, config, arbiter="tdma",
-                                 mode="cosim", faults=faults)
+                                 faults=faults)
         started = time.perf_counter()
         result = system.run(analyse=False)
         best = min(best, time.perf_counter() - started)

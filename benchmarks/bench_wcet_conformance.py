@@ -80,7 +80,7 @@ def tdma_refinement(kernels, config: PatmosConfig) -> dict:
         kernel = build_kernel(name)
         image, _ = compile_and_link(kernel.program, config)
         system = MulticoreSystem([image] * REFINEMENT_CORES, config,
-                                 schedule=schedule, mode="cosim")
+                                 schedule=schedule)
         result = system.run(analyse=False, strict=True)
         for core in result.cores:
             refined_options = system.wcet_options_for_core(core.core_id)

@@ -8,7 +8,7 @@ Run with ``python examples/cmp_tdma.py``.
 """
 
 from repro import compile_and_link
-from repro.cmp import CmpSystem, default_tdma_schedule, single_core_reference
+from repro.cmp import MulticoreSystem, default_tdma_schedule, single_core_reference
 from repro.workloads import build_kernel
 
 CORE_KERNELS = ("vector_sum", "checksum", "fir_filter", "saturate")
@@ -22,7 +22,7 @@ def main() -> None:
     print(f"TDMA schedule: {schedule.num_cores} slots of "
           f"{schedule.slot_cycles} cycles (period {schedule.period})\n")
 
-    system = CmpSystem(images, schedule=schedule)
+    system = MulticoreSystem(images, schedule=schedule)
     shared = system.run(analyse=True)
 
     print(f"{'core':4s} {'kernel':12s} {'alone':>8s} {'shared':>8s} "

@@ -3,7 +3,7 @@
 Four Patmos cores run a mixed workload against one shared main memory.  The
 same mix is co-simulated twice — once under the paper's static TDMA
 arbitration and once under a work-conserving round-robin arbiter — and each
-core is also simulated completely alone with the closed-form TDMA arbiter.
+core is also simulated completely alone on its port of the TDMA arbiter.
 
 The point of the experiment is the paper's CMP claim made visible:
 
@@ -22,8 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import compile_and_link
+from repro import CycleSimulator, compile_and_link
 from repro.cmp import MulticoreSystem
+from repro.memory import TdmaBusArbiter
 from repro.workloads import build_kernel
 
 CORE_KERNELS = ("vector_sum", "stream_checksum", "fir_filter", "saturate")
@@ -33,27 +34,27 @@ def main() -> None:
     kernels = [build_kernel(name) for name in CORE_KERNELS]
     images = [compile_and_link(kernel.program)[0] for kernel in kernels]
 
-    analytic = MulticoreSystem(images, mode="analytic").run(analyse=True)
-    tdma = MulticoreSystem(images, mode="cosim", arbiter="tdma").run(
-        analyse=True)
-    rr = MulticoreSystem(images, mode="cosim", arbiter="round_robin").run(
-        analyse=True)
+    tdma = MulticoreSystem(images, arbiter="tdma").run(analyse=True)
+    rr = MulticoreSystem(images, arbiter="round_robin").run(analyse=True)
+    alone = [CycleSimulator(image, arbiter=TdmaBusArbiter(tdma.schedule)
+                            .port(core_id), core_id=core_id).run().cycles
+             for core_id, image in enumerate(images)]
 
     print("4-core mix on one shared memory "
           f"(TDMA period {tdma.schedule.period} cycles)\n")
     print(f"{'core':4s} {'kernel':16s} {'alone(TDMA)':>11s} "
           f"{'cosim TDMA':>10s} {'cosim RR':>9s} {'WCET(TDMA)':>11s} "
           f"{'WCET(RR)':>9s}")
-    for kernel, alone, t_core, r_core in zip(kernels, analytic.cores,
-                                             tdma.cores, rr.cores):
+    for kernel, alone_cycles, t_core, r_core in zip(kernels, alone,
+                                                    tdma.cores, rr.cores):
         assert t_core.sim.output == kernel.expected_output
         assert r_core.sim.output == kernel.expected_output
         print(f"{t_core.core_id:<4d} {kernel.name:16s} "
-              f"{alone.observed_cycles:11d} {t_core.observed_cycles:10d} "
+              f"{alone_cycles:11d} {t_core.observed_cycles:10d} "
               f"{r_core.observed_cycles:9d} {t_core.wcet_cycles:11d} "
               f"{r_core.wcet_cycles:9d}")
 
-    assert tdma.observed_by_core() == analytic.observed_by_core()
+    assert tdma.observed_by_core() == alone
     print("\nTDMA co-simulation == independent simulation on every core:")
     print("  the arbiter decouples the cores, the bounds stay per-core.")
     print(f"round-robin makespan {rr.makespan} vs TDMA {tdma.makespan}: "

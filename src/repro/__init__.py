@@ -15,8 +15,8 @@ The package provides, in Python:
   WCET-vs-simulation soundness conformance harness (:mod:`repro.verify`,
   ``python -m repro.verify``);
 * a chip-multiprocessor model: true shared-memory multicore co-simulation
-  with pluggable arbitration (TDMA, round-robin, priority) plus the
-  decoupled analytic TDMA view (:mod:`repro.cmp`);
+  with pluggable arbitration (TDMA, round-robin, priority)
+  (:mod:`repro.cmp`);
 * an FPGA timing/resource model reproducing the register-file evaluation of
   the paper (:mod:`repro.hw`);
 * the kernel workloads used by the benchmarks (:mod:`repro.workloads`).
@@ -47,7 +47,7 @@ from .config import (
     SetAssocCacheConfig,
     StackCacheConfig,
 )
-from .cmp import CmpSystem, MulticoreSystem, default_tdma_schedule
+from .cmp import MulticoreSystem, default_tdma_schedule
 from .compiler import CompileOptions, CompileResult, compile_and_link, compile_program
 from .errors import (
     AssemblerError,
@@ -138,7 +138,6 @@ __all__ = [
     "StackCacheConfig",
     "StackCacheError",
     "VerificationError",
-    "CmpSystem",
     "MulticoreSystem",
     "WcetAnalyzer",
     "WcetError",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..program.callgraph import CallGraph
-from ..program.cfg import ControlFlowGraph
+from ..program.cfg import ControlFlowGraph, merged_cfg
 from ..program.function import Function
 from ..program.program import Program
 from .fixpoint import FixpointResult, analyse_function, clobber_summaries
@@ -143,10 +143,9 @@ def analyse_program(program: Program) -> ProgramFacts:
     for function in program.functions.values():
         if function.is_subfunction:
             continue
-        merged = program.merged_function(function)
-        cfg = ControlFlowGraph.build(merged)
-        facts = FunctionFacts(name=function.name, function=merged, cfg=cfg,
-                              _clobbers=clobbers)
+        cfg = merged_cfg(program, function)
+        facts = FunctionFacts(name=function.name, function=cfg.function,
+                              cfg=cfg, _clobbers=clobbers)
         if cfg.natural_loops():
             facts.inferred_bounds = infer_loop_bounds(cfg, facts.fixpoint)
             facts.audits = audit_loop_bounds(cfg, facts.inferred_bounds)

@@ -1,9 +1,8 @@
 """Chip-multiprocessor model: shared-memory multicore co-simulation.
 
 :class:`MulticoreSystem` interleaves N cores on one clock against one shared
-memory and a pluggable arbiter (TDMA, round-robin, priority);
-:class:`CmpSystem` keeps the historical decoupled TDMA view as
-``mode="analytic"``.
+memory and a pluggable arbiter (TDMA, round-robin, priority).  Under TDMA a
+core's timing is the same whatever its co-runners run.
 
 Module map
 ----------
@@ -37,7 +36,6 @@ Module map
 
 from .system import (
     CmpResult,
-    CmpSystem,
     CoreResult,
     MulticoreSystem,
     default_tdma_schedule,
@@ -46,7 +44,6 @@ from .system import (
 
 __all__ = [
     "CmpResult",
-    "CmpSystem",
     "CoreResult",
     "MulticoreSystem",
     "default_tdma_schedule",

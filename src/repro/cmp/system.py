@@ -5,11 +5,10 @@ The paper proposes building a CMP from replicated Patmos pipelines with
 core owns a fixed TDMA slot, so the worst-case waiting time of a memory
 transfer is independent of the other cores' behaviour.
 
-:class:`MulticoreSystem` makes that claim *empirical* instead of assumed.  In
-the default ``mode="cosim"`` it interleaves N (possibly heterogeneous)
-cores on one global clock against one shared physical
-:class:`~repro.memory.main_memory.MainMemory` (each core owns a private,
-zero-copy bank view) and one shared
+:class:`MulticoreSystem` makes that claim *empirical* instead of assumed.  It
+interleaves N (possibly heterogeneous) cores on one global clock against
+one shared physical :class:`~repro.memory.main_memory.MainMemory` (each
+core owns a private, zero-copy bank view) and one shared
 :class:`~repro.memory.arbiter.MemoryArbiter`, so every arbitration decision
 observes the cores' actual concurrent memory traffic.
 
@@ -45,16 +44,12 @@ take the quantum loop, and the preemptive task runtimes of
 :mod:`repro.rtos` (whose interrupts change cache state) keep the
 event-driven pause protocol of :meth:`MulticoreSystem._schedule_event`.
 
-Under TDMA arbitration the interleaved co-simulation must reproduce, cycle
-for cycle, what each core observes when simulated completely alone with the
-closed-form per-core arbiter — that equality is the paper's decoupling
-property and is checked by the golden tests.  Under round-robin or priority
+Under TDMA arbitration a core's timing is the same whatever its co-runners
+run: cycle for cycle, it equals a run of the core alone on its port of a
+:class:`~repro.memory.arbiter.TdmaBusArbiter` — the paper's decoupling
+property, checked by the golden tests.  Under round-robin or priority
 arbitration the same system exhibits genuine, co-runner-dependent
 interference, which is exactly what makes those arbiters hard to analyse.
-
-``mode="analytic"`` keeps the historical decoupled behaviour: every core is
-simulated independently with its own :class:`~repro.memory.tdma.TdmaArbiter`
-(TDMA only — no other policy has a per-core closed form).
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultLog, FaultPlan
 from ..memory.arbiter import MemoryArbiter, PriorityArbiter, make_arbiter
 from ..memory.main_memory import MainMemory
-from ..memory.tdma import TdmaArbiter, TdmaSchedule
+from ..memory.tdma import TdmaSchedule
 from ..program.linker import Image
 from ..sim.cycle import CycleSimulator
 from ..sim.results import SimResult
@@ -119,12 +114,11 @@ class CmpResult:
     num_cores: int
     schedule: Optional[TdmaSchedule] = None
     cores: list[CoreResult] = field(default_factory=list)
-    mode: str = "analytic"
     arbiter: str = "tdma"
-    #: Shared-arbiter activity (co-simulation mode only).
+    #: Shared-arbiter activity.
     arbiter_stats: Optional[dict] = None
     #: Interleaving scheduler that produced this result and its activity
-    #: counters (slices / releases); co-simulation mode only.
+    #: counters (slices / releases).
     scheduler: Optional[str] = None
     scheduler_stats: Optional[dict] = None
     #: Executed fault events of this run (``None`` when no plan was given).
@@ -166,7 +160,6 @@ class CmpResult:
             for key in totals:
                 totals[key] += row[key]
         return {
-            "mode": self.mode,
             "arbiter": self.arbiter,
             "scheduler": self.scheduler,
             "makespan": self.makespan,
@@ -193,10 +186,9 @@ class MulticoreSystem:
     affects the reference scheduler; values above 1 trade request-ordering
     fidelity for fewer engine re-entries.
 
-    ``faults`` threads a :class:`~repro.faults.FaultPlan` through the run
-    (co-simulation mode only).  An empty plan is indistinguishable from no
-    plan: the unmodified scheduler code paths run and no injector objects
-    exist.  A plan with memory flips forces the quantum scheduler — a flip
+    ``faults`` threads a :class:`~repro.faults.FaultPlan` through the run.
+    An empty plan is indistinguishable from no plan: the unmodified
+    scheduler code paths run and no injector objects exist.  A plan with memory flips forces the quantum scheduler — a flip
     can change data-dependent control flow and hence the request stream, so
     slices are clipped to the next flip cycle; bus-only plans keep the
     configured scheduler because retries happen inside a single arbitration
@@ -220,15 +212,12 @@ class MulticoreSystem:
                  schedule: Optional[TdmaSchedule] = None,
                  slot_weights: Optional[Sequence[int]] = None,
                  priorities: Optional[Sequence[int]] = None,
-                 mode: str = "cosim", engine: str = "fast",
+                 engine: str = "fast",
                  scheduler: str = "event", quantum: int = 1,
                  hierarchy_options: Optional[HierarchyOptions] = None,
                  faults: Optional[FaultPlan] = None):
         if not images:
             raise ConfigError("a multicore system needs at least one core image")
-        if mode not in ("cosim", "analytic"):
-            raise ConfigError(
-                f"unknown mode {mode!r}; use 'cosim' or 'analytic'")
         if scheduler not in ("event", "reference"):
             raise ConfigError(
                 f"unknown scheduler {scheduler!r}; use 'event' or 'reference'")
@@ -248,12 +237,11 @@ class MulticoreSystem:
                 raise ConfigError(
                     f"core {core_id} has a different MemoryConfig; all cores "
                     "share one physical memory and bus")
-        self.mode = mode
         self.engine = engine
         self.scheduler = scheduler
         self.quantum = quantum
-        #: Shared physical memory of the most recent co-simulation run
-        #: (all banks); exposed for memory-image inspection and tests.
+        #: Shared physical memory of the most recent run (all banks);
+        #: exposed for memory-image inspection and tests.
         self.shared_memory: Optional[MainMemory] = None
         #: Cache-organisation baseline applied to every core (conventional
         #: I-cache / unified data cache experiments on the CMP).
@@ -294,10 +282,6 @@ class MulticoreSystem:
                 schedule=schedule, priorities=priorities)
             self.arbiter_kind = arbiter
             self.schedule = schedule if arbiter == "tdma" else None
-        if mode == "analytic" and self.arbiter_kind != "tdma":
-            raise ConfigError(
-                f"analytic mode needs the closed-form TDMA arbiter, not "
-                f"{self.arbiter_kind!r}; use mode='cosim'")
         self._validate_schedule()
 
         #: Fault plan of this system (``None`` or empty = fault-free), the
@@ -306,10 +290,6 @@ class MulticoreSystem:
         self._injector: Optional[FaultInjector] = None
         self.fault_log: Optional[FaultLog] = None
         if faults is not None and not faults.empty:
-            if mode == "analytic":
-                raise ConfigError(
-                    "fault injection needs the interleaved co-simulation; "
-                    "use mode='cosim'")
             self._validate_fault_plan(faults)
 
     def _validate_fault_plan(self, plan: FaultPlan) -> None:
@@ -340,7 +320,7 @@ class MulticoreSystem:
         This is the configuration the design-space exploration sweeps: the
         TDMA slot defaults to one burst transfer per core, or can be widened
         or narrowed via ``slot_cycles``; every keyword of the constructor
-        (``arbiter``, ``slot_weights``, ``mode``, ...) passes through.
+        (``arbiter``, ``slot_weights``, ``scheduler``, ...) passes through.
         """
         if num_cores < 1:
             raise ConfigError("a multicore system needs at least one core")
@@ -401,23 +381,12 @@ class MulticoreSystem:
         :class:`~repro.errors.SimulationTimeout` instead of spinning — the
         resilience guard the sweep runners rely on to contain hung cells.
         """
-        scheduler_stats = None
-        if self.mode == "analytic":
-            if max_cycles is not None or max_wall_s is not None:
-                raise ConfigError(
-                    "the watchdog applies to co-simulation; analytic mode "
-                    "runs each core alone (use max_bundles)")
-            sims = self._run_analytic(strict, max_bundles)
-            arbiter_stats = None
-        else:
-            sims, arbiter, scheduler_stats = self._run_cosim(
-                strict, max_bundles, max_cycles=max_cycles,
-                max_wall_s=max_wall_s)
-            arbiter_stats = arbiter.stats_summary()
+        sims, arbiter, scheduler_stats = self._run_cosim(
+            strict, max_bundles, max_cycles=max_cycles, max_wall_s=max_wall_s)
         result = CmpResult(num_cores=self.num_cores, schedule=self.schedule,
-                           mode=self.mode, arbiter=self.arbiter_kind,
-                           arbiter_stats=arbiter_stats,
-                           scheduler=(scheduler_stats or {}).get("scheduler"),
+                           arbiter=self.arbiter_kind,
+                           arbiter_stats=arbiter.stats_summary(),
+                           scheduler=scheduler_stats["scheduler"],
                            scheduler_stats=scheduler_stats,
                            fault_log=self.fault_log)
         for core_id, sim in enumerate(sims):
@@ -425,21 +394,6 @@ class MulticoreSystem:
             result.cores.append(CoreResult(core_id=core_id,
                                            sim=sim.result(), wcet=wcet))
         return result
-
-    def _run_analytic(self, strict: bool,
-                      max_bundles: int) -> list[CycleSimulator]:
-        """Decoupled mode: every core alone with its closed-form arbiter."""
-        sims = []
-        for core_id, (image, config) in enumerate(
-                zip(self.images, self.configs)):
-            arbiter = TdmaArbiter(self.schedule, core_id)
-            simulator = CycleSimulator(image, config=config, strict=strict,
-                                       arbiter=arbiter, core_id=core_id,
-                                       engine=self.engine,
-                                       hierarchy_options=self.hierarchy_options)
-            simulator.run(max_bundles=max_bundles)
-            sims.append(simulator)
-        return sims
 
     def _run_cosim(self, strict: bool, max_bundles: int,
                    max_cycles: Optional[int] = None,
@@ -907,22 +861,6 @@ class MulticoreSystem:
             return None
         return analyze_wcet(self.images[core_id],
                             config=self.configs[core_id], options=options)
-
-
-class CmpSystem(MulticoreSystem):
-    """Backwards-compatible TDMA CMP defaulting to the decoupled analytic mode.
-
-    Existing experiments (E9) and examples construct this with a TDMA
-    schedule and rely on per-core independence; new code should use
-    :class:`MulticoreSystem` directly and pick a mode and arbiter.
-    """
-
-    def __init__(self, images: list[Image],
-                 config: PatmosConfig = DEFAULT_CONFIG,
-                 schedule: Optional[TdmaSchedule] = None,
-                 mode: str = "analytic", **kwargs):
-        super().__init__(images, config=config, schedule=schedule,
-                         arbiter="tdma", mode=mode, **kwargs)
 
 
 def single_core_reference(image: Image, config: PatmosConfig = DEFAULT_CONFIG,

@@ -171,8 +171,7 @@ def execute_spec(spec: ExperimentSpec) -> SpecResult:
         # than assumed.
         system = MulticoreSystem.homogeneous(
             image, spec.cores, spec.config, arbiter=spec.arbiter,
-            schedule=spec.tdma_schedule(), mode="cosim",
-            engine=spec.engine)
+            schedule=spec.tdma_schedule(), engine=spec.engine)
         cmp_result = system.run(analyse=False, strict=True)
         for core in cmp_result.cores:
             _check_output(spec, core.sim.output, expected_output)

@@ -245,8 +245,7 @@ def _run_cell(MulticoreSystem, analyze_wcet, ReproError,
                         plan_hash="", faults_planned=0)
     try:
         baseline = MulticoreSystem(
-            [image] * num_cores, config, arbiter=arbiter,
-            mode="cosim").run(analyse=False)
+            [image] * num_cores, config, arbiter=arbiter).run(analyse=False)
         cell.baseline_cycles = baseline.observed_by_core()
         for core in baseline.cores:
             if core.sim.output != expected:
@@ -262,7 +261,7 @@ def _run_cell(MulticoreSystem, analyze_wcet, ReproError,
         cell.plan_hash = plan.content_hash()
         cell.faults_planned = len(plan)
         system = MulticoreSystem([image] * num_cores, config,
-                                 arbiter=arbiter, mode="cosim", faults=plan)
+                                 arbiter=arbiter, faults=plan)
         # The watchdog turns a fault-induced hang into a structured,
         # contained cell error instead of wedging the whole campaign.
         result = system.run(analyse=False,

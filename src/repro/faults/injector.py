@@ -106,15 +106,14 @@ class FaultInjector:
 class FaultyPort:
     """An arbiter port whose scheduled transfers fail and retry.
 
-    Wraps an :class:`~repro.memory.arbiter.ArbiterPort` (or the closed-form
-    per-core TDMA arbiter) transparently: the memory controller and the
-    stepping engines only see the same ``arbitration_delay`` /
-    ``worst_case_delay`` / ``events`` protocol.  A scheduled error on the
-    ``n``-th transfer makes each failed attempt occupy its granted bus slot
-    — the retry is a genuinely re-arbitrated transfer, so under TDMA it
-    waits for the core's *next own slot* and under round-robin/priority it
-    competes again — until the attempt succeeds or ``retry_limit`` retries
-    are exhausted (a structured :class:`FaultInjectionError`).
+    Wraps an :class:`~repro.memory.arbiter.ArbiterPort` transparently: the
+    memory controller and the stepping engines only see the same
+    ``arbitration_delay`` / ``worst_case_delay`` / ``events`` protocol.  A
+    scheduled error on the ``n``-th transfer makes each failed attempt
+    occupy its granted bus slot — the retry is a genuinely re-arbitrated
+    transfer, so under TDMA it waits for the core's *next own slot* and
+    under round-robin/priority it competes again — until the attempt
+    succeeds or ``retry_limit`` retries are exhausted (a structured :class:`FaultInjectionError`).
     """
 
     __slots__ = ("inner", "core_id", "errors", "retry_limit", "log",

@@ -12,7 +12,7 @@ from .arbiter import (
 from .controller import ControllerStats, MemoryController, PendingLoad
 from .main_memory import MainMemory
 from .scratchpad import Scratchpad
-from .tdma import TdmaArbiter, TdmaSchedule
+from .tdma import TdmaSchedule
 
 __all__ = [
     "ARBITER_KINDS",
@@ -25,7 +25,6 @@ __all__ = [
     "PriorityArbiter",
     "RoundRobinArbiter",
     "Scratchpad",
-    "TdmaArbiter",
     "TdmaBusArbiter",
     "TdmaSchedule",
     "make_arbiter",

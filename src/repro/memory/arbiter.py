@@ -2,11 +2,11 @@
 
 A :class:`MemoryArbiter` owns the *shared* state of the memory bus — who was
 granted the bus until when — and hands out one :class:`ArbiterPort` per core.
-The port speaks the same protocol as the closed-form
-:class:`~repro.memory.tdma.TdmaArbiter` (``arbitration_delay`` /
-``worst_case_delay``), so a :class:`~repro.memory.controller.MemoryController`
-or :class:`~repro.sim.cycle.CycleSimulator` plugs into either without knowing
-whether it is being simulated alone or interleaved with other cores.
+The port speaks the per-core protocol of the
+:class:`~repro.memory.controller.MemoryController` and the
+:class:`~repro.sim.cycle.CycleSimulator` (``arbitration_delay`` /
+``worst_case_delay`` / ``events``), so a core runs the same whether it is
+simulated alone on a port or interleaved with other cores.
 
 Three policies are provided:
 

@@ -12,12 +12,11 @@ memory controller:
 
 When an arbiter is attached, every *blocking* transfer — cache fills and
 spills, split loads, and stores once the buffer forces a stall — is
-registered with it before it may start.  The arbiter is either the
-closed-form per-core :class:`~repro.memory.tdma.TdmaArbiter` (decoupled
-analytic CMP mode) or an :class:`~repro.memory.arbiter.ArbiterPort` of a
-shared :class:`~repro.memory.arbiter.MemoryArbiter`, in which case the
-transfer is recorded in the *shared* bus state and the delay reflects the
-actual concurrent traffic of the other cores (multicore co-simulation).
+registered with it before it may start.  The arbiter is an
+:class:`~repro.memory.arbiter.ArbiterPort` of a shared
+:class:`~repro.memory.arbiter.MemoryArbiter`: the transfer is recorded in
+the *shared* bus state and the delay reflects the actual concurrent traffic
+of the other cores (multicore co-simulation).
 
 Known simplification: *background* drains of a non-empty write buffer are
 not modelled on the shared bus, so co-simulated contention from buffered

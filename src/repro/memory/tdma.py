@@ -8,10 +8,9 @@ The worst-case extra waiting time is therefore independent of what the other
 cores do — the property that makes the memory system WCET-analysable.
 
 This module holds the schedule itself (generalised to per-core slot weights,
-so asymmetric bandwidth guarantees can be expressed) and the closed-form
-per-core :class:`TdmaArbiter` used by the decoupled *analytic* CMP mode.  The
-shared-state arbiters used by the interleaved co-simulation — including the
-TDMA one — live in :mod:`repro.memory.arbiter`.
+so asymmetric bandwidth guarantees can be expressed) and its closed-form
+worst-case waits.  The grant rule the simulator runs is
+:meth:`repro.memory.arbiter.TdmaBusArbiter.grant_cycle`.
 """
 
 from __future__ import annotations
@@ -52,11 +51,8 @@ class TdmaSchedule:
                     f"for {self.num_cores} cores")
             if any(weight < 1 for weight in self.slot_weights):
                 raise ConfigError("TDMA slot weights must be at least 1")
-        # Pre-computed slot geometry: wait_cycles sits on the arbitration
-        # fast path of every simulated memory transfer, so the per-core
-        # offsets/lengths and the period must not be re-derived (allocating
-        # a weights tuple and a prefix slice) on each request.  The fields
-        # are frozen, so this is computed exactly once.
+        # Pre-computed slot geometry: the fields are frozen, so the per-core
+        # offsets/lengths and the period are derived exactly once.
         weights = self.slot_weights or (1,) * self.num_cores
         offsets = []
         acc = 0
@@ -88,35 +84,6 @@ class TdmaSchedule:
         """Start of ``core_id``'s slot relative to the period start."""
         self._check_core(core_id)
         return self._offsets[core_id]
-
-    def slot_start(self, core_id: int, cycle: int) -> int:
-        """First cycle >= ``cycle`` at which ``core_id``'s slot begins."""
-        offset = self.slot_offset(core_id)
-        period = self._period
-        phase = (cycle - offset) % period
-        if phase == 0:
-            return cycle
-        return cycle + (period - phase)
-
-    def wait_cycles(self, core_id: int, cycle: int, transfer_cycles: int) -> int:
-        """Cycles core ``core_id`` must wait at ``cycle`` before a transfer.
-
-        A transfer may start anywhere inside the core's own slot as long as
-        it still *finishes* inside the slot; otherwise it waits for the next
-        slot start.  Transfers longer than the slot can never be scheduled
-        and are rejected — the CMP system validates this up front.
-        """
-        self._check_core(core_id)
-        length = self._lengths[core_id]
-        if transfer_cycles > length:
-            raise ConfigError(
-                f"transfer of {transfer_cycles} cycles does not fit into a "
-                f"TDMA slot of {length} cycles")
-        period = self._period
-        phase = (cycle - self._offsets[core_id]) % period
-        if phase + transfer_cycles <= length:
-            return 0  # inside the own slot with enough room left
-        return period - phase
 
     def worst_case_wait(self, core_id: int | None = None,
                         transfer_cycles: int | None = None) -> int:
@@ -153,33 +120,3 @@ class TdmaSchedule:
         if not 0 <= core_id < self.num_cores:
             raise ConfigError(
                 f"core id {core_id} out of range for {self.num_cores} cores")
-
-
-class TdmaArbiter:
-    """Closed-form per-core view of a TDMA schedule (analytic CMP mode).
-
-    Because TDMA grants depend only on the schedule and the requesting
-    cycle, a core can be simulated in isolation with this arbiter and still
-    observe exactly the delays it would see in the fully interleaved
-    co-simulation — the decoupling property the golden tests check.
-    """
-
-    def __init__(self, schedule: TdmaSchedule, core_id: int):
-        schedule._check_core(core_id)
-        self.schedule = schedule
-        self.core_id = core_id
-        self.requests = 0
-        self.total_wait_cycles = 0
-        #: Monotonic request counter observed by the stepping engine.
-        self.events = 0
-
-    def arbitration_delay(self, cycle: int, transfer_cycles: int) -> int:
-        """Extra cycles before a transfer issued at ``cycle`` may start."""
-        wait = self.schedule.wait_cycles(self.core_id, cycle, transfer_cycles)
-        self.requests += 1
-        self.events += 1
-        self.total_wait_cycles += wait
-        return wait
-
-    def worst_case_delay(self) -> int:
-        return self.schedule.worst_case_wait()

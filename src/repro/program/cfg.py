@@ -15,16 +15,22 @@ first use, and is cached on the graph:
 
 Edges keep the order of the blocks and of each block's successors, with
 duplicates removed, and so do the predecessor lists.
+
+:func:`merged_cfg` builds the CFG of a top-level function merged with its
+sub-functions once per program, so the value analysis and the WCET analysis
+of one program share each graph and its dominators and loops.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from ..errors import WcetError
 from .function import Function
+from .program import Program
 
 
 @dataclass(frozen=True)
@@ -271,3 +277,27 @@ class ControlFlowGraph:
             raise WcetError(
                 f"control flow of {self.function.name} is irreducible")
         return list(order)
+
+
+# Merged CFGs by program identity; the weak reference both guards against
+# id() reuse and evicts the entry when the program is garbage collected.
+# The CFGs hold the merged functions, never the program itself.
+_MERGED_CFGS: dict[int, tuple] = {}
+
+
+def merged_cfg(program: Program, function: Function) -> ControlFlowGraph:
+    """CFG of ``function`` merged with its sub-functions
+    (:meth:`~repro.program.Program.merged_function`), built once per
+    program (programs are not mutated after link)."""
+    key = id(program)
+    entry = _MERGED_CFGS.get(key)
+    if entry is None or entry[0]() is not program:
+        ref = weakref.ref(program,
+                          lambda _ref, key=key: _MERGED_CFGS.pop(key, None))
+        entry = _MERGED_CFGS[key] = (ref, {})
+    cfgs = entry[1]
+    cfg = cfgs.get(function.name)
+    if cfg is None:
+        cfg = cfgs[function.name] = ControlFlowGraph.build(
+            program.merged_function(function))
+    return cfg

@@ -222,7 +222,7 @@ class RtosSystem(MulticoreSystem):
         super().__init__([ts.tasks[0].image for ts in coerced],
                          config=config, configs=configs, arbiter=arbiter,
                          schedule=schedule, slot_weights=slot_weights,
-                         priorities=priorities, mode="cosim", engine=engine,
+                         priorities=priorities, engine=engine,
                          scheduler=scheduler, quantum=quantum,
                          hierarchy_options=hierarchy_options, faults=faults)
         self.tasksets = coerced
@@ -282,7 +282,7 @@ class RtosSystem(MulticoreSystem):
         result = RtosResult(
             num_cores=self.num_cores, policy=self.policy,
             arbiter=self.arbiter_kind,
-            scheduler=(scheduler_stats or {}).get("scheduler"),
+            scheduler=scheduler_stats["scheduler"],
             horizon=self.horizon, options=self.options,
             arbiter_stats=arbiter.stats_summary(),
             scheduler_stats=scheduler_stats,

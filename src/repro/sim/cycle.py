@@ -69,7 +69,7 @@ class CycleSimulator(BaseSimulator):
 
     def _memory_event_source(self):
         # Every arbitrated transfer ticks the arbiter's ``events`` counter
-        # (both ArbiterPort and the closed-form TdmaArbiter count), which is
+        # (ArbiterPort and its fault-injecting wrapper both count), which is
         # what run-until-memory-event stepping watches.
         arbiter = self.controller.arbiter
         if arbiter is not None and hasattr(arbiter, "events"):

@@ -306,7 +306,7 @@ class ConformanceHarness:
                 [image] * arbiter.cores, self.config,
                 arbiter=arbiter.kind,
                 schedule=arbiter.schedule(self.config),
-                mode="cosim", engine=self.engine,
+                engine=self.engine,
                 hierarchy_options=hierarchy)
             cmp_result = system.run(analyse=False, strict=self.strict)
             for core in cmp_result.cores:

@@ -40,7 +40,7 @@ from ..errors import ConfigError, WcetError
 from ..isa.opcodes import MemType, Opcode
 from ..memory.tdma import TdmaSchedule
 from ..program.callgraph import CallGraph
-from ..program.cfg import ControlFlowGraph
+from ..program.cfg import merged_cfg
 from ..program.function import Function
 from ..program.linker import Image
 from .block_timing import BlockSummary, summarise_block
@@ -382,8 +382,8 @@ class _ImageLayout:
     """The bus-independent part of the analysis of one linked image.
 
     Built once per image and cached on it (``Image._caches``, dropped on
-    pickling).  It holds what no analysis option changes (merged CFGs,
-    block summaries, call graph, frame and fill words), one
+    pickling).  It holds what no analysis option changes (block
+    summaries, call graph, frame and fill words), one
     :class:`_Hardware` per hardware key (cache analyses and block
     profiles), and the IPET solutions by instance.  What depends on the
     bus (arbitration waits, retry attempts) and the loop bounds are
@@ -401,7 +401,6 @@ class _ImageLayout:
         #: Fill size in words of every linked function (method-cache events).
         self.fill_words = {record.name: -(-record.size_bytes // 4)
                            for record in image.functions}
-        self._cfgs: dict[str, ControlFlowGraph] = {}
         self._summaries: dict[str, tuple[list, list[BlockSummary]]] = {}
         self._hardware: dict[tuple, _Hardware] = {}
         self._ipet: dict[tuple, IpetResult] = {}
@@ -425,14 +424,6 @@ class _ImageLayout:
     @cached_property
     def call_graph(self) -> CallGraph:
         return CallGraph.build(self.program)
-
-    def cfg(self, function: Function) -> ControlFlowGraph:
-        """CFG of ``function`` merged with its sub-functions."""
-        cfg = self._cfgs.get(function.name)
-        if cfg is None:
-            cfg = self._cfgs[function.name] = ControlFlowGraph.build(
-                self.program.merged_function(function))
-        return cfg
 
     def summaries(self, function: Function) -> Iterator[BlockSummary]:
         """Summaries of the blocks of ``function`` and its sub-functions in
@@ -495,7 +486,8 @@ class _ImageLayout:
         result = self._ipet.get(key)
         if result is None:
             result = self._ipet[key] = solve_ipet(
-                self.cfg(function), dict(zip(labels, costs)), loop_bounds)
+                merged_cfg(self.program, function), dict(zip(labels, costs)),
+                loop_bounds)
         return result
 
 
@@ -664,7 +656,8 @@ class WcetAnalyzer:
         """Price the blocks of ``function`` for this analysis's bus and
         solve its IPET instance."""
         layout = self._layout
-        layout.cfg(function)  # built before any block, as it always was
+        # Built before any block, so a bad branch target raises first.
+        merged_cfg(self.program, function)
         wait = self._transfer_wait
         # Under the bounded-retry bus-fault model every arbitrated transfer
         # may fail and be re-arbitrated up to bus_retry_limit times; each

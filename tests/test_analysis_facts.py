@@ -10,6 +10,7 @@ raised.
 
 import dataclasses
 import gc
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from repro.compiler.passes import compile_and_link
 from repro.errors import WcetError
 from repro.isa.opcodes import Opcode
 from repro.program import CallGraph, ControlFlowGraph
+from repro.program import cfg as cfg_module
 from repro.program.builder import ProgramBuilder
 from repro.program.program import DataSpace
 from repro.wcet.analyzer import WcetOptions, analyze_wcet
@@ -41,6 +43,7 @@ from repro.workloads.kernels import build_call_tree, build_large_function
 from repro.workloads.suite import SUITES, build_kernel
 
 SEEDS = (3, 11, 29)
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _seeded_programs():
@@ -185,7 +188,44 @@ def counters(monkeypatch):
     return counts
 
 
+def _synth_programs(seed):
+    """The seeded programs of the benchmark's ``compile_synth`` workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return [kernel.program for kernel in module._generate_synth(seed)]
+
+
 class TestWorkDone:
+    def test_wcet_builds_one_cfg_per_function(self, monkeypatch):
+        """The value analysis and the WCET layout share each merged CFG:
+        one cold analysis of each of the 41 seed-7 ``compile_synth``
+        programs builds one CFG per top-level function (198 when each built
+        its own)."""
+        images = [compile_and_link(program)[0]
+                  for program in _synth_programs(7)]
+        assert len(images) == 41
+        builds = []
+        build = ControlFlowGraph.build.__func__
+
+        def counting(cls, function):
+            builds.append(function.name)
+            return build(cls, function)
+
+        monkeypatch.setattr(ControlFlowGraph, "build", classmethod(counting))
+        top_level = 0
+        for image in images:
+            analyze_wcet(image)
+            facts = program_facts(image.program)
+            for name, func in facts.functions.items():
+                function = image.program.functions[name]
+                assert cfg_module.merged_cfg(image.program,
+                                             function) is func.cfg
+            top_level += len(facts.functions)
+        assert len(builds) == top_level == 99
+
     def test_loop_free_wcet_runs_no_fixpoint(self, counters):
         image, _ = compile_and_link(random_alu_kernel(5, length=48).program)
         result = analyze_wcet(image)
@@ -230,6 +270,7 @@ class TestLifetimeAndErrors:
     ], ids=["call_tree", "alu"])
     def test_cached_facts_keep_no_program_alive(self, make, monkeypatch):
         monkeypatch.setattr(facts_module, "_FACTS_CACHE", {})
+        monkeypatch.setattr(cfg_module, "_MERGED_CFGS", {})
         gc.collect()
         gc.disable()
         try:
@@ -243,6 +284,7 @@ class TestLifetimeAndErrors:
             del program
             assert ref() is None
             assert facts_module._FACTS_CACHE == {}
+            assert cfg_module._MERGED_CFGS == {}
         finally:
             gc.enable()
 

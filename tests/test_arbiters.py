@@ -26,6 +26,11 @@ MEMORY = MemoryConfig(burst_words=4, setup_cycles=6, cycles_per_word=2)
 BURST = MEMORY.burst_cycles()  # 14 cycles
 
 
+def tdma_wait(schedule, core, cycle, transfer):
+    """Wait the simulator's TDMA grant rule imposes on one transfer."""
+    return TdmaBusArbiter(schedule).grant_cycle(core, cycle, transfer) - cycle
+
+
 def all_arbiters(num_cores=4):
     schedule = TdmaSchedule(num_cores=num_cores, slot_cycles=BURST)
     return [
@@ -127,15 +132,15 @@ class TestTdmaBusArbiter:
 
     def test_worst_case_wait_is_period_minus_slot(self):
         """Empirical worst case over a full period matches the closed form:
-        ``period - slot`` for a minimal transfer (the schedule lets transfers
+        ``period - slot`` for a minimal transfer (the arbiter lets transfers
         start mid-slot when they still fit)."""
         schedule = TdmaSchedule(num_cores=4, slot_cycles=BURST)
-        waits = [schedule.wait_cycles(0, cycle, 1)
+        waits = [tdma_wait(schedule, 0, cycle, 1)
                  for cycle in range(schedule.period)]
         assert max(waits) == schedule.period - schedule.slot_length(0)
         assert max(waits) == schedule.worst_case_wait(0, 1)
         # A full-slot transfer can only start at the slot start.
-        full = [schedule.wait_cycles(0, cycle, BURST)
+        full = [tdma_wait(schedule, 0, cycle, BURST)
                 for cycle in range(schedule.period)]
         assert max(full) == schedule.period - 1
         assert max(full) == schedule.worst_case_wait(0, BURST)
@@ -145,9 +150,9 @@ class TestTdmaBusArbiter:
         schedule = TdmaSchedule(num_cores=2, slot_cycles=20)
         # Cycle 5 is inside core 0's slot [0, 20); a 10-cycle transfer ends
         # at 15 <= 20, so it starts immediately.
-        assert schedule.wait_cycles(0, 5, 10) == 0
+        assert tdma_wait(schedule, 0, 5, 10) == 0
         # A 16-cycle transfer would overrun the slot: wait for the next one.
-        assert schedule.wait_cycles(0, 5, 16) == 35
+        assert tdma_wait(schedule, 0, 5, 16) == 35
 
     def test_weighted_slots(self):
         schedule = TdmaSchedule(num_cores=3, slot_cycles=10,
@@ -156,11 +161,11 @@ class TestTdmaBusArbiter:
         assert schedule.slot_length(1) == 20
         assert [schedule.slot_offset(c) for c in range(3)] == [0, 10, 30]
         # Core 1's doubled slot admits a transfer core 0's cannot take.
-        assert schedule.wait_cycles(1, 10, 20) == 0
+        assert tdma_wait(schedule, 1, 10, 20) == 0
         with pytest.raises(ConfigError, match="does not fit"):
-            schedule.wait_cycles(0, 0, 20)
+            tdma_wait(schedule, 0, 0, 20)
         # The weighted worst case still follows period - slot + T - 1.
-        waits = [schedule.wait_cycles(1, cycle, 10)
+        waits = [tdma_wait(schedule, 1, cycle, 10)
                  for cycle in range(schedule.period)]
         assert max(waits) == schedule.worst_case_wait(1, 10) == 40 - 20 + 9
 
@@ -175,7 +180,7 @@ class TestTdmaBusArbiter:
         for core in range(schedule.num_cores):
             slot = schedule.slot_length(core)
             for transfer in (1, BURST // 2, BURST, slot):
-                observed = max(schedule.wait_cycles(core, cycle, transfer)
+                observed = max(tdma_wait(schedule, core, cycle, transfer)
                                for cycle in range(schedule.period))
                 refined = schedule.worst_case_wait(core, transfer)
                 assert refined == observed, (core, transfer)

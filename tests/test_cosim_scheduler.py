@@ -81,7 +81,7 @@ def _run(images_for_cores, scheduler, arbiter_name, cores, strict=True,
          max_bundles=2_000_000, **extra):
     kwargs = _arbiter_kwargs(arbiter_name, cores)
     kwargs.update(extra)
-    system = MulticoreSystem(images_for_cores, CONFIG, mode="cosim",
+    system = MulticoreSystem(images_for_cores, CONFIG,
                              scheduler=scheduler, **kwargs)
     result = system.run(analyse=False, strict=strict,
                         max_bundles=max_bundles)
@@ -184,8 +184,7 @@ def test_schedulers_identical_across_organisations(images, organisation,
 
 
 def test_event_scheduler_is_the_default(images):
-    system = MulticoreSystem([images["vector_sum"]] * 2, CONFIG,
-                             mode="cosim")
+    system = MulticoreSystem([images["vector_sum"]] * 2, CONFIG)
     result = system.run(analyse=False)
     assert result.scheduler == "event"
     assert result.scheduler_stats["scheduler"] == "event"
@@ -194,7 +193,7 @@ def test_event_scheduler_is_the_default(images):
 
 def test_unknown_scheduler_rejected(images):
     with pytest.raises(ConfigError):
-        MulticoreSystem([images["vector_sum"]], CONFIG, mode="cosim",
+        MulticoreSystem([images["vector_sum"]], CONFIG,
                         scheduler="optimistic")
 
 
@@ -202,11 +201,11 @@ def test_reference_engine_falls_back_to_quantum_scheduler(images):
     """scheduler="event" needs the fast engine; the interpreter falls back —
     with identical timing, which is exactly what the fallback relies on."""
     image = images["stream_checksum"]
-    fallback = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+    fallback = MulticoreSystem([image] * 2, CONFIG,
                                scheduler="event", engine="reference")
     result = fallback.run(analyse=False, strict=True)
     assert result.scheduler == "reference"
-    event = MulticoreSystem([image] * 2, CONFIG, mode="cosim").run(
+    event = MulticoreSystem([image] * 2, CONFIG).run(
         analyse=False, strict=True)
     assert result.observed_by_core() == event.observed_by_core()
 
@@ -370,7 +369,7 @@ def test_replay_watchdog_raises_structured_timeout(arbiter_name):
     image = _fresh_image()
     _, result = _run([image] * 2, "event", arbiter_name, 2)
     makespan = result.makespan
-    system = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+    system = MulticoreSystem([image] * 2, CONFIG,
                              **_arbiter_kwargs(arbiter_name, 2))
     for limit in (50, makespan - 1):
         with pytest.raises(SimulationTimeout) as info:

@@ -20,7 +20,7 @@ import pytest
 from repro.compiler import compile_and_link
 from repro.config import DEFAULT_CONFIG
 from repro.cmp.system import MulticoreSystem
-from repro.errors import (ConfigError, FaultInjectionError, ReproError,
+from repro.errors import (FaultInjectionError, ReproError,
                           SimulationTimeout)
 from repro.faults import (BusFault, FaultPlan, MemoryFault, OverrunFault,
                           StormFault, run_fault_campaign)
@@ -89,7 +89,7 @@ class TestEmptyPlanBitIdentity:
         runs = []
         for faults in (None, FaultPlan()):
             system = MulticoreSystem([image] * 2, CONFIG, arbiter=arbiter,
-                                     mode="cosim", scheduler=scheduler,
+                                     scheduler=scheduler,
                                      faults=faults)
             result = system.run(analyse=False)
             runs.append((result.observed_by_core(),
@@ -102,7 +102,7 @@ class TestEmptyPlanBitIdentity:
 
     def test_empty_plan_has_no_fault_log(self):
         image, _ = _image()
-        result = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+        result = MulticoreSystem([image] * 2, CONFIG,
                                  faults=FaultPlan()).run(analyse=False)
         assert result.fault_log is None
 
@@ -110,7 +110,7 @@ class TestEmptyPlanBitIdentity:
 class TestMemoryFaultInjection:
     def _run(self, plan, cores=2, kernel="vector_sum", **run_kwargs):
         image, expected = _image(kernel)
-        system = MulticoreSystem([image] * cores, CONFIG, mode="cosim",
+        system = MulticoreSystem([image] * cores, CONFIG,
                                  faults=plan)
         result = system.run(analyse=False, **run_kwargs)
         return system, result, expected
@@ -172,37 +172,28 @@ class TestMemoryFaultInjection:
                                   memory_flips=3, bus_errors=2, ecc=True)
         hashes = set()
         for _ in range(2):
-            system = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+            system = MulticoreSystem([image] * 2, CONFIG,
                                      faults=plan)
             result = system.run(analyse=False)
             hashes.add(result.fault_log.determinism_hash())
         assert len(hashes) == 1
-
-    def test_analytic_mode_rejects_faults(self):
-        image, _ = _image()
-        plan = FaultPlan(memory_faults=(
-            MemoryFault(cycle=0, core_id=0, addr=0, bit=0),))
-        with pytest.raises(ConfigError):
-            MulticoreSystem([image] * 2, CONFIG, mode="analytic",
-                            faults=plan)
 
     def test_plan_validated_against_system(self):
         image, _ = _image()
         plan = FaultPlan(memory_faults=(
             MemoryFault(cycle=0, core_id=7, addr=0, bit=0),))
         with pytest.raises(FaultInjectionError):
-            MulticoreSystem([image] * 2, CONFIG, mode="cosim", faults=plan)
+            MulticoreSystem([image] * 2, CONFIG, faults=plan)
 
 
 class TestBusFaultInjection:
     def test_bounded_retry_delays_only_the_faulted_core(self):
         image, _ = _image()
-        baseline = MulticoreSystem([image] * 2, CONFIG, arbiter="tdma",
-                                   mode="cosim").run(analyse=False)
+        baseline = MulticoreSystem([image] * 2, CONFIG,
+                                   arbiter="tdma").run(analyse=False)
         plan = FaultPlan(bus_faults=(BusFault(core_id=0, index=2, errors=2),),
                         bus_retry_limit=2)
         result = MulticoreSystem([image] * 2, CONFIG, arbiter="tdma",
-                                 mode="cosim",
                                  faults=plan).run(analyse=False)
         assert result.fault_log.counts() == {"retried": 1}
         assert (result.observed_by_core()[0]
@@ -216,7 +207,7 @@ class TestBusFaultInjection:
         image, _ = _image()
         plan = FaultPlan(bus_faults=(BusFault(core_id=0, index=1, errors=5),),
                         bus_retry_limit=1)
-        system = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+        system = MulticoreSystem([image] * 2, CONFIG,
                                  faults=plan)
         with pytest.raises(FaultInjectionError) as info:
             system.run(analyse=False)
@@ -231,7 +222,7 @@ class TestBusFaultInjection:
             BusFault(core_id=0, index=5, errors=1),
         ), bus_retry_limit=2)
         system = MulticoreSystem([image] * 2, CONFIG, arbiter="tdma",
-                                 mode="cosim", faults=plan)
+                                 faults=plan)
         result = system.run(analyse=False)
         for core_id in range(2):
             options = system.wcet_options_for_core(
@@ -249,7 +240,7 @@ class TestBusFaultSchedulers:
     def _run(self, plan, arbiter, scheduler):
         image, _ = _image()
         system = MulticoreSystem([image] * 2, CONFIG, arbiter=arbiter,
-                                 mode="cosim", scheduler=scheduler,
+                                 scheduler=scheduler,
                                  faults=plan)
         return system, system.run(analyse=False)
 
@@ -293,7 +284,7 @@ class TestWatchdog:
     @pytest.mark.parametrize("scheduler", ["event", "reference"])
     def test_cycle_budget_raises_structured_timeout(self, scheduler):
         image, _ = _image()
-        system = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+        system = MulticoreSystem([image] * 2, CONFIG,
                                  scheduler=scheduler)
         with pytest.raises(SimulationTimeout) as info:
             system.run(analyse=False, max_cycles=50)
@@ -307,7 +298,7 @@ class TestWatchdog:
         # fast path only probes between chunks, so a program shorter than
         # one chunk may legitimately finish first there.)
         image, _ = _image()
-        system = MulticoreSystem([image] * 2, CONFIG, mode="cosim",
+        system = MulticoreSystem([image] * 2, CONFIG,
                                  scheduler="reference")
         with pytest.raises(SimulationTimeout) as info:
             system.run(analyse=False, max_wall_s=0.0)
@@ -315,18 +306,11 @@ class TestWatchdog:
 
     def test_generous_budget_changes_nothing(self):
         image, _ = _image()
-        baseline = MulticoreSystem([image] * 2, CONFIG,
-                                   mode="cosim").run(analyse=False)
-        watched = MulticoreSystem([image] * 2, CONFIG, mode="cosim").run(
+        baseline = MulticoreSystem([image] * 2, CONFIG).run(analyse=False)
+        watched = MulticoreSystem([image] * 2, CONFIG).run(
             analyse=False, max_cycles=10_000_000, max_wall_s=600.0)
         assert (watched.observed_by_core()
                 == baseline.observed_by_core())
-
-    def test_analytic_mode_rejects_watchdog(self):
-        image, _ = _image()
-        system = MulticoreSystem([image] * 2, CONFIG, mode="analytic")
-        with pytest.raises(ConfigError):
-            system.run(max_cycles=100)
 
 
 class TestRtosFaults:

@@ -16,7 +16,7 @@ from repro.memory import (
     MemoryController,
     RoundRobinArbiter,
     Scratchpad,
-    TdmaArbiter,
+    TdmaBusArbiter,
     TdmaSchedule,
 )
 from repro.memory.main_memory import PAGE_BYTES
@@ -332,17 +332,12 @@ class TestStoreBufferOracle:
 
 
 class TestTdma:
-    def test_slot_start_own_slot(self):
-        schedule = TdmaSchedule(num_cores=4, slot_cycles=14)
-        assert schedule.slot_start(0, 0) == 0
-        assert schedule.slot_start(1, 0) == 14
-        assert schedule.slot_start(0, 1) == 56
-
     def test_wait_cycles_bounded_by_period(self):
         schedule = TdmaSchedule(num_cores=4, slot_cycles=14)
+        arbiter = TdmaBusArbiter(schedule)
         for cycle in range(0, 120, 7):
             for core in range(4):
-                wait = schedule.wait_cycles(core, cycle, 14)
+                wait = arbiter.grant_cycle(core, cycle, 14) - cycle
                 assert 0 <= wait <= schedule.worst_case_wait()
 
     def test_worst_case_wait(self):
@@ -353,7 +348,7 @@ class TestTdma:
     def test_transfer_must_fit_slot(self):
         schedule = TdmaSchedule(num_cores=2, slot_cycles=10)
         with pytest.raises(ConfigError):
-            schedule.wait_cycles(0, 0, 11)
+            TdmaBusArbiter(schedule).grant_cycle(0, 0, 11)
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ConfigError):
@@ -363,12 +358,12 @@ class TestTdma:
 
     def test_arbiter_accumulates_stats(self):
         schedule = TdmaSchedule(num_cores=2, slot_cycles=14)
-        arbiter = TdmaArbiter(schedule, core_id=1)
-        wait = arbiter.arbitration_delay(cycle=0, transfer_cycles=14)
+        port = TdmaBusArbiter(schedule).port(1)
+        wait = port.arbitration_delay(cycle=0, transfer_cycles=14)
         assert wait == 14
-        assert arbiter.requests == 1
-        assert arbiter.total_wait_cycles == 14
-        assert arbiter.worst_case_delay() == schedule.worst_case_wait()
+        assert port.requests == 1
+        assert port.total_wait_cycles == 14
+        assert port.worst_case_delay() == schedule.worst_case_wait()
 
     def test_round_robin_worst_case(self):
         arbiter = RoundRobinArbiter(num_cores=4, max_transfer_cycles=14)

@@ -1,19 +1,20 @@
 """Golden tests for the shared-memory multicore co-simulation.
 
 The headline property is the paper's CMP claim made empirical: under TDMA
-arbitration, the fully interleaved co-simulation reports, for *every*
-workload kernel, exactly the per-core cycle counts of simulating each core
-alone — while under round-robin arbitration the same system's timing
-provably depends on what the co-runners do.
+arbitration, for *every* workload kernel, a core's cycles, bus statistics
+and output are the same whatever its co-runners run, and the same as a run
+of the core alone on its port of the TDMA arbiter — while under round-robin
+arbitration the same system's timing provably depends on what the
+co-runners do.
 """
 
 import pytest
 
-from repro import PatmosConfig, compile_and_link
-from repro.cmp import CmpSystem, MulticoreSystem, default_tdma_schedule
+from repro import PatmosConfig, ProgramBuilder, compile_and_link
+from repro.cmp import MulticoreSystem, default_tdma_schedule
 from repro.config import MemoryConfig
 from repro.errors import ConfigError
-from repro.memory import MainMemory, TdmaSchedule
+from repro.memory import MainMemory, TdmaBusArbiter, TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.workloads import build_kernel
 from repro.workloads.suite import KERNEL_BUILDERS
@@ -21,6 +22,7 @@ from repro.workloads.suite import KERNEL_BUILDERS
 CONFIG = PatmosConfig()
 #: A memory-heavy co-runner whose traffic must not disturb TDMA timing.
 CO_RUNNER = "stream_checksum"
+SCHEDULERS = ("event", "reference")
 
 
 def _image(kernel):
@@ -35,49 +37,89 @@ def images():
 
 
 @pytest.fixture(scope="module")
+def idle():
+    """A co-runner that halts at once and so never uses the bus."""
+    builder = ProgramBuilder("idle")
+    builder.function("main").halt()
+    image, _ = compile_and_link(builder.build(), CONFIG)
+    return image
+
+
+@pytest.fixture(scope="module")
 def expected_outputs():
     return {name: build_kernel(name).expected_output
             for name in KERNEL_BUILDERS}
 
 
+def _observed(core_id, cycles, stats, output):
+    """A core's cycles, arbiter statistics and output, for comparison."""
+    return (cycles, tuple(stats[key][core_id] for key in
+                          ("requests", "wait_cycles", "busy_cycles")),
+            output)
+
+
+def _alone(image, schedule, core_id=0):
+    """One core run alone on its port of a fresh TDMA arbiter."""
+    arbiter = TdmaBusArbiter(schedule)
+    sim = CycleSimulator(image, config=CONFIG, strict=True,
+                         arbiter=arbiter.port(core_id),
+                         core_id=core_id).run()
+    return _observed(core_id, sim.cycles, arbiter.stats_summary(),
+                     sim.output)
+
+
+def _cosim(images, schedule, scheduler):
+    """Per-core observations of one TDMA co-simulation of ``images``."""
+    result = MulticoreSystem(images, CONFIG, schedule=schedule,
+                             scheduler=scheduler).run(analyse=False,
+                                                      strict=True)
+    return [_observed(core.core_id, core.observed_cycles,
+                      result.arbiter_stats, core.sim.output)
+            for core in result.cores]
+
+
 class TestTdmaDecoupling:
     @pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
-    def test_cosim_equals_independent_simulation(self, kernel, images,
+    def test_cosim_equals_independent_simulation(self, kernel, images, idle,
                                                  expected_outputs):
-        """The golden decoupling property, for every workload kernel."""
-        pair = [images[kernel], images[CO_RUNNER]]
-        analytic = MulticoreSystem(pair, CONFIG, mode="analytic").run(
-            analyse=False, strict=True)
-        cosim = MulticoreSystem(pair, CONFIG, mode="cosim").run(
-            analyse=False, strict=True)
-        assert cosim.observed_by_core() == analytic.observed_by_core()
-        # Functional behaviour survives the shared-memory banks.
-        assert cosim.cores[0].sim.output == expected_outputs[kernel]
-        assert cosim.cores[1].sim.output == expected_outputs[CO_RUNNER]
+        """The golden decoupling property, for every workload kernel: core
+        0 observes the same timing next to idle and memory-heavy co-runners,
+        on both schedulers, as alone on its port."""
+        for cores in (2, 4):
+            schedule = default_tdma_schedule(cores, CONFIG)
+            alone = _alone(images[kernel], schedule)
+            assert alone[2] == expected_outputs[kernel]
+            for co_runner in (idle, images[CO_RUNNER]):
+                mix = [images[kernel]] + [co_runner] * (cores - 1)
+                for scheduler in SCHEDULERS:
+                    observed = _cosim(mix, schedule, scheduler)
+                    assert observed[0] == alone, (cores, scheduler)
+            # Functional behaviour survives the shared-memory banks.
+            assert observed[1][2] == expected_outputs[CO_RUNNER]
 
     def test_four_core_mix(self, images, expected_outputs):
         mix = ["vector_sum", "checksum", "fir_filter", "saturate"]
         quad = [images[name] for name in mix]
-        analytic = MulticoreSystem(quad, CONFIG, mode="analytic").run(
-            analyse=True, strict=True)
-        cosim = MulticoreSystem(quad, CONFIG, mode="cosim").run(
-            analyse=True, strict=True)
-        assert cosim.observed_by_core() == analytic.observed_by_core()
-        assert cosim.wcet_by_core() == analytic.wcet_by_core()
-        for core, name in zip(cosim.cores, mix):
+        schedule = default_tdma_schedule(len(mix), CONFIG)
+        observed = _cosim(quad, schedule, "event")
+        assert observed == [_alone(image, schedule, core_id)
+                            for core_id, image in enumerate(quad)]
+        result = MulticoreSystem(quad, CONFIG).run(analyse=True, strict=True)
+        for core, name in zip(result.cores, mix):
             assert core.sim.output == expected_outputs[name]
             assert core.wcet_cycles >= core.observed_cycles
 
-    def test_weighted_slots_keep_decoupling(self, images):
-        pair = [images["vector_sum"], images[CO_RUNNER]]
+    def test_weighted_slots_keep_decoupling(self, images, idle):
         schedule = TdmaSchedule(num_cores=2,
                                 slot_cycles=CONFIG.memory.burst_cycles(),
                                 slot_weights=(1, 2))
-        analytic = MulticoreSystem(pair, CONFIG, schedule=schedule,
-                                   mode="analytic").run(analyse=False)
-        cosim = MulticoreSystem(pair, CONFIG, schedule=schedule,
-                                mode="cosim").run(analyse=False)
-        assert cosim.observed_by_core() == analytic.observed_by_core()
+        pair = [images["vector_sum"], images[CO_RUNNER]]
+        expected = [_alone(image, schedule, core_id)
+                    for core_id, image in enumerate(pair)]
+        for scheduler in SCHEDULERS:
+            assert _cosim(pair, schedule, scheduler) == expected
+            assert (_cosim([pair[0], idle], schedule, scheduler)[0]
+                    == expected[0])
 
 
 class TestRoundRobinInterference:
@@ -131,8 +173,8 @@ class TestSystemConstruction:
             MulticoreSystem([images["vector_sum"]] * 2, CONFIG,
                             schedule=schedule)
         with pytest.raises(ConfigError, match="shorter than one burst"):
-            CmpSystem.homogeneous(images["vector_sum"], 2, CONFIG,
-                                  slot_cycles=burst - 1)
+            MulticoreSystem.homogeneous(images["vector_sum"], 2, CONFIG,
+                                        slot_cycles=burst - 1)
 
     def test_under_provisioned_weighted_slot_rejected(self, images):
         burst = CONFIG.memory.burst_cycles()
@@ -169,11 +211,6 @@ class TestSystemConstruction:
             MulticoreSystem(pair, CONFIG, arbiter=RoundRobinArbiter(2),
                             priorities=[0, 1])
 
-    def test_analytic_mode_requires_tdma(self, images):
-        with pytest.raises(ConfigError, match="analytic"):
-            MulticoreSystem([images["vector_sum"]] * 2, CONFIG,
-                            arbiter="round_robin", mode="analytic")
-
     def test_mismatched_memory_config_rejected(self, images):
         other = PatmosConfig(memory=MemoryConfig(burst_words=8))
         with pytest.raises(ConfigError, match="MemoryConfig"):
@@ -188,13 +225,6 @@ class TestSystemConstruction:
             [images["vector_sum"], images["checksum"]],
             configs=[CONFIG, small]).run(analyse=False, strict=True)
         assert len(result.cores) == 2
-
-    def test_cmp_system_defaults_to_analytic(self, images):
-        system = CmpSystem([images["vector_sum"]] * 2, CONFIG)
-        assert system.mode == "analytic"
-        result = system.run(analyse=False)
-        assert result.mode == "analytic"
-        assert result.arbiter == "tdma"
 
 
 class TestSteppingApi:
@@ -223,7 +253,6 @@ class TestSteppingApi:
         transfers and the cycle horizon is respected otherwise."""
         image = images[CO_RUNNER]
         schedule = default_tdma_schedule(2, CONFIG)
-        from repro.memory.arbiter import TdmaBusArbiter
         arbiter = TdmaBusArbiter(schedule)
         sim = CycleSimulator(image, config=CONFIG, arbiter=arbiter.port(0),
                              core_id=0)

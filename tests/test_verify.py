@@ -352,8 +352,7 @@ class TestSoundnessProperty:
         kernel = random_alu_kernel(seed, length=50)
         image, _ = compile_and_link(kernel.program, CONFIG)
         for arbiter in ("tdma", "round_robin", "priority"):
-            system = MulticoreSystem([image] * 2, CONFIG, arbiter=arbiter,
-                                     mode="cosim")
+            system = MulticoreSystem([image] * 2, CONFIG, arbiter=arbiter)
             result = system.run(analyse=True, strict=True)
             for core in result.cores:
                 if core.wcet is None:
@@ -374,14 +373,13 @@ class TestSoundnessProperty:
         for hierarchy in (HierarchyOptions(unified_data_cache=True),
                           HierarchyOptions(conventional_icache=True)):
             system = MulticoreSystem([image] * 2, CONFIG, arbiter="tdma",
-                                     mode="cosim",
                                      hierarchy_options=hierarchy)
             result = system.run(analyse=True, strict=True)
             for core in result.cores:
                 assert core.wcet_cycles >= core.observed_cycles, hierarchy
         # The implied fields are reflected in the options themselves.
         system = MulticoreSystem(
-            [image] * 2, CONFIG, mode="cosim",
+            [image] * 2, CONFIG,
             hierarchy_options=HierarchyOptions(unified_data_cache=True))
         assert system.wcet_options_for_core(0).unified_data_cache
 
@@ -391,8 +389,7 @@ class TestSoundnessProperty:
         schedule = TdmaSchedule(num_cores=3,
                                 slot_cycles=CONFIG.memory.burst_cycles(),
                                 slot_weights=(1, 3, 2))
-        system = MulticoreSystem([image] * 3, CONFIG, schedule=schedule,
-                                 mode="cosim")
+        system = MulticoreSystem([image] * 3, CONFIG, schedule=schedule)
         result = system.run(analyse=True, strict=True)
         for core in result.cores:
             assert core.wcet_cycles >= core.observed_cycles
@@ -436,8 +433,7 @@ class TestRefinedTdmaBound:
         schedule = TdmaSchedule(num_cores=2,
                                 slot_cycles=CONFIG.memory.burst_cycles(),
                                 slot_weights=(1, 2))
-        system = MulticoreSystem([image] * 2, CONFIG, schedule=schedule,
-                                 mode="cosim")
+        system = MulticoreSystem([image] * 2, CONFIG, schedule=schedule)
         result = system.run(analyse=True, strict=True)
         for core in result.cores:
             assert core.wcet.options.tdma_core_id == core.core_id
@@ -494,7 +490,7 @@ class TestOptionsCacheKeyAudit:
                 with pytest.raises(WcetError, match="needs its schedule"):
                     WcetOptions.for_arbiter("tdma", cores, core_id=core_id)
         image, _ = compile_and_link(build_kernel("matmul").program, CONFIG)
-        system = MulticoreSystem([image] * 4, CONFIG, mode="cosim")
+        system = MulticoreSystem([image] * 4, CONFIG)
         options = system.wcet_options_for_core(0)
         assert analyze_wcet(image, CONFIG, options=options).wcet_cycles \
             > analyze_wcet(image, CONFIG).wcet_cycles
@@ -505,11 +501,11 @@ class TestOptionsCacheKeyAudit:
                                     CONFIG)
         schedule = TdmaSchedule(num_cores=cores, slot_cycles=28)
         systems = [
-            MulticoreSystem([image] * cores, CONFIG, mode="cosim"),
-            MulticoreSystem([image] * cores, CONFIG, mode="cosim",
+            MulticoreSystem([image] * cores, CONFIG),
+            MulticoreSystem([image] * cores, CONFIG,
                             slot_weights=tuple(range(1, cores + 1))),
             MulticoreSystem([image] * cores, CONFIG, schedule=schedule),
-            MulticoreSystem([image] * cores, CONFIG, mode="cosim",
+            MulticoreSystem([image] * cores, CONFIG,
                             arbiter=TdmaBusArbiter(schedule)),
         ]
         for system in systems:

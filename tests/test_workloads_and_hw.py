@@ -13,7 +13,7 @@ from repro import (
     disassemble_image,
     disassemble_program,
 )
-from repro.cmp import CmpSystem, default_tdma_schedule, single_core_reference
+from repro.cmp import MulticoreSystem, default_tdma_schedule, single_core_reference
 from repro.errors import AssemblerError
 from repro.hw import (
     CYCLONE_II_LIKE,
@@ -157,7 +157,7 @@ class TestCmp:
 
     def test_all_cores_produce_correct_results(self, config):
         pairs = self._images(3, config)
-        system = CmpSystem([image for image, _ in pairs], config)
+        system = MulticoreSystem([image for image, _ in pairs], config)
         result = system.run(analyse=True)
         assert result.num_cores == 3
         for core, (_, kernel) in zip(result.cores, pairs):
@@ -168,7 +168,7 @@ class TestCmp:
         pairs = self._images(4, config)
         image = pairs[0][0]
         alone = single_core_reference(image, config)
-        system = CmpSystem([img for img, _ in pairs], config)
+        system = MulticoreSystem([img for img, _ in pairs], config)
         shared = system.run(analyse=True)
         core0 = shared.cores[0]
         assert core0.observed_cycles >= alone.observed_cycles
