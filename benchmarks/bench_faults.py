@@ -10,10 +10,12 @@ Two measurements, one machine-readable ``BENCH_faults.json``:
   faults ⇒ same outcomes).
 * **overhead** — the cost of *carrying* the fault machinery when nothing
   is injected: the same co-simulation with no plan vs an empty
-  :class:`~repro.faults.FaultPlan`, best-of-N wall time.  The empty plan
-  must stay bit-identical and (with ``--max-overhead``) within a few
-  percent of the baseline — resilience hooks must not tax the fault-free
-  fast path.
+  :class:`~repro.faults.FaultPlan`.  A sample of a side is the CPU time of
+  K warm co-simulations, K calibrated so that a baseline sample takes at
+  least 100 ms; each of N samples interleaves the two sides run by run, and
+  each side keeps its best.  The empty plan must stay bit-identical and
+  (with ``--max-overhead``) within a few percent of the baseline —
+  resilience hooks must not tax the fault-free fast path.
 
 ::
 
@@ -37,35 +39,80 @@ from repro.faults import FaultPlan, run_fault_campaign  # noqa: E402
 from repro.workloads import build_kernel  # noqa: E402
 
 
-def _best_of(images, config, faults, repeats: int) -> tuple[float, list]:
-    """Minimum wall time (and the last per-core cycles) over ``repeats``."""
-    best = float("inf")
-    cycles = None
-    for _ in range(repeats):
-        system = MulticoreSystem(images, config, arbiter="tdma",
-                                 faults=faults)
-        started = time.perf_counter()
-        result = system.run(analyse=False)
-        best = min(best, time.perf_counter() - started)
-        cycles = result.observed_by_core()
-    return best, cycles
+#: A timed sample runs this long at least, so that a few milliseconds of
+#: host noise cannot decide the overhead gate.
+MIN_SAMPLE_S = 0.1
+
+
+def _cosimulate(images, config, faults) -> list:
+    """Per-core cycles of one warm co-simulation."""
+    system = MulticoreSystem(images, config, arbiter="tdma", faults=faults)
+    return system.run(analyse=False).observed_by_core()
+
+
+def _calibrate(images, config) -> int:
+    """Co-simulations per sample: double until that many baseline runs
+    take at least :data:`MIN_SAMPLE_S` of CPU time."""
+    runs = 1
+    while True:
+        started = time.process_time()
+        for _ in range(runs):
+            _cosimulate(images, config, None)
+        if time.process_time() - started >= MIN_SAMPLE_S:
+            return runs
+        runs *= 2
+
+
+def _sample_pair(images, config, runs: int) -> tuple[float, float, bool]:
+    """CPU seconds of ``runs`` baseline and ``runs`` empty-plan runs.
+
+    The two sides alternate run by run (in ABBA order), so a drift of the
+    host's speed over the sample slows both sides alike.  Also returns
+    whether every pair of runs gave the same per-core cycles.
+    """
+    plans = {"baseline": None, "empty": FaultPlan()}
+    sides = tuple(plans)
+    seconds = dict.fromkeys(plans, 0.0)
+    cycles = {}
+    identical = True
+    for index in range(runs):
+        for side in sides if index % 2 == 0 else sides[::-1]:
+            started = time.process_time()
+            cycles[side] = _cosimulate(images, config, plans[side])
+            seconds[side] += time.process_time() - started
+        identical = identical and cycles["baseline"] == cycles["empty"]
+    return seconds["baseline"], seconds["empty"], identical
 
 
 def measure_overhead(config, smoke: bool) -> dict:
+    """Empty-plan vs plan-free CPU time of warm 4-core co-simulations.
+
+    One sample of a side is ``runs_per_sample`` co-simulations, calibrated
+    once so that a baseline sample takes at least :data:`MIN_SAMPLE_S`.
+    Each sample interleaves the two sides run by run, ``samples`` samples
+    are taken, and each side keeps its best.
+    """
     image, _ = compile_and_link(build_kernel("vector_sum").program, config)
     images = [image] * 4
-    repeats = 3 if smoke else 7
-    baseline_s, baseline_cycles = _best_of(images, config, None, repeats)
-    empty_s, empty_cycles = _best_of(images, config, FaultPlan(), repeats)
+    samples = 9 if smoke else 15
+    runs = _calibrate(images, config)  # also records the warm traces
+    baseline_s = empty_s = float("inf")
+    bit_identical = True
+    for _ in range(samples):
+        baseline, empty, identical = _sample_pair(images, config, runs)
+        baseline_s = min(baseline_s, baseline)
+        empty_s = min(empty_s, empty)
+        bit_identical = bit_identical and identical
     overhead_pct = ((empty_s - baseline_s) / baseline_s) * 100.0
     return {
         "kernel": "vector_sum",
         "cores": len(images),
-        "repeats": repeats,
-        "baseline_wall_s": round(baseline_s, 6),
-        "empty_plan_wall_s": round(empty_s, 6),
+        "runs_per_sample": runs,
+        "samples": samples,
+        "baseline_cpu_s": round(baseline_s, 6),
+        "empty_plan_cpu_s": round(empty_s, 6),
         "overhead_pct": round(overhead_pct, 2),
-        "bit_identical": empty_cycles == baseline_cycles,
+        "bit_identical": bit_identical,
     }
 
 

@@ -12,9 +12,11 @@ machine-readable ``BENCH_wcet.json``::
 
 The report also records ``peak_rss_mb``, the peak resident set of this
 process and of its worker processes, and a ``stages`` section that splits
-the conformance matrix by WCET stage: its wall time, the analyses run and
-the seconds spent in them, the cache analyses computed, and the IPET solves
-against the distinct IPET instances among them.  The stage counts are taken
+the conformance matrix by stage: its wall time, the analyses run and the
+seconds spent in them, the cache analyses computed, the IPET solves against
+the distinct IPET instances among them, and the simulations (co-simulation
+recordings made, plain ``CycleSimulator.run`` calls and the seconds spent
+in both).  The stage counts are taken
 in this process, so they are ``null`` when ``--jobs`` above 1 runs the
 matrix in worker processes.  The process exits non-zero if
 
@@ -45,7 +47,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from harness import profiled  # noqa: E402
 from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
+from repro.cmp.replay import TraceRecorder  # noqa: E402
 from repro.memory import TdmaSchedule  # noqa: E402
+from repro.sim.cycle import CycleSimulator  # noqa: E402
 from repro.verify import run_conformance  # noqa: E402
 from repro.wcet import analyze_wcet, analyzer  # noqa: E402
 from repro.workloads import build_kernel, resolve_kernels  # noqa: E402
@@ -173,6 +177,47 @@ def wcet_stages():
         stages["analysis_s"] = round(stages["analysis_s"], 4)
 
 
+@contextmanager
+def sim_stages():
+    """Count and time the simulations of the work done inside the block.
+
+    Wraps the simulator from outside the program: each co-simulation
+    recording (``TraceRecorder.recording``, called once per recording made)
+    and each plain ``CycleSimulator.run``.  ``sim_s`` is the time spent in
+    the plain runs and in the recorders' ``run_step`` and ``recording``
+    calls.
+    """
+    stages = {"recordings": 0, "plain_sim_runs": 0, "sim_s": 0.0}
+    patches = ((CycleSimulator, "run", "plain_sim_runs"),
+               (TraceRecorder, "run_step", None),
+               (TraceRecorder, "recording", "recordings"))
+    # What each class itself defines (None: the method is inherited).
+    originals = [cls.__dict__.get(name) for cls, name, _ in patches]
+
+    def timed(real, counter):
+        def wrapper(self, *args, **kwargs):
+            if counter is not None:
+                stages[counter] += 1
+            start = time.perf_counter()
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                stages["sim_s"] += time.perf_counter() - start
+        return wrapper
+
+    for cls, name, counter in patches:
+        setattr(cls, name, timed(getattr(cls, name), counter))
+    try:
+        yield stages
+    finally:
+        for (cls, name, _), original in zip(patches, originals):
+            if original is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, original)
+        stages["sim_s"] = round(stages["sim_s"], 4)
+
+
 def peak_rss_mb() -> float:
     """Peak resident set of this process and its reaped children, in MB."""
     scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss unit
@@ -186,11 +231,12 @@ def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
     kernel_set = ("performance",) if smoke else ("all",)
     kernels = resolve_kernels(kernel_set)
 
-    with wcet_stages() as stages:
+    with wcet_stages() as stages, sim_stages() as sims:
         start = time.perf_counter()
         report = run_conformance(kernels=kernel_set, config=config,
                                  jobs=jobs, progress=None)
         matrix_s = time.perf_counter() - start
+    stages = {**stages, **sims}
     if jobs > 1:
         stages = dict.fromkeys(stages)
     stages = {"matrix_s": round(matrix_s, 4), **stages}
@@ -252,7 +298,10 @@ def main(argv=None) -> int:
               else f"{stages['analyses']} analyses in {stages['analysis_s']} "
                    f"s, {stages['cache_analyses']} cache analyses, "
                    f"{stages['ipet_solves']} IPET solves of "
-                   f"{stages['ipet_instances']} distinct instances")
+                   f"{stages['ipet_instances']} distinct instances, "
+                   f"{stages['recordings']} recordings and "
+                   f"{stages['plain_sim_runs']} plain runs in "
+                   f"{stages['sim_s']} s")
     print(f"matrix {stages['matrix_s']} s: {counts}")
     print(f"peak RSS {report['peak_rss_mb']} MB")
     print(f"wrote {args.output}")

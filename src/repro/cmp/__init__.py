@@ -31,7 +31,10 @@ Module map
     :class:`TraceReplay` that re-derives waits, store-buffer stalls and
     ``wmem`` stalls against an arbiter port.  ``recorded_trace`` is the one
     record-or-reuse entry point: co-simulation replays its traces, and
-    single-core exploration cells report the recording's result.
+    ``run_alone`` gives every "this image run alone" (single-core explore
+    and verify cells, verify's loop checks, ``single_core_reference``) the
+    recording's result on the fast engine and a fresh interpreter run on
+    the reference engine.
 """
 
 from .system import (

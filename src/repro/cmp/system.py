@@ -71,7 +71,7 @@ from ..program.linker import Image
 from ..sim.cycle import CycleSimulator
 from ..sim.results import SimResult
 from ..wcet.analyzer import WcetOptions, WcetResult, analyze_wcet
-from .replay import CoreTrace, TraceReplay, recorded_trace
+from .replay import CoreTrace, TraceReplay, recorded_trace, run_alone
 
 
 #: Sentinel cycle for draining post-halt memory flips onto the final image.
@@ -865,8 +865,11 @@ class MulticoreSystem:
 
 def single_core_reference(image: Image, config: PatmosConfig = DEFAULT_CONFIG,
                           strict: bool = False) -> CoreResult:
-    """Run the same image on an unshared (single-core) memory for comparison."""
-    simulator = CycleSimulator(image, config=config, strict=strict)
-    sim_result = simulator.run()
+    """Run the same image on an unshared (single-core) memory for comparison.
+
+    The simulation is the image's recording (:func:`~repro.cmp.replay.
+    run_alone`), shared with every co-simulation of the image: read-only.
+    """
+    sim_result = run_alone(image, config, strict)
     wcet = analyze_wcet(image, config=config)
     return CoreResult(core_id=0, sim=sim_result, wcet=wcet)

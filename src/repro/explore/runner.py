@@ -37,14 +37,13 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional, Union
 
-from ..cmp.replay import recorded_trace
+from ..cmp.replay import run_alone
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
 from ..errors import (ExplorationError, FailedCell, SweepInterrupted)
 from ..hw.pipeline import estimate_pipeline_timing
 from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
 from ..program.linker import Image
-from ..sim.cycle import CycleSimulator
 from ..wcet.analyzer import analyze_wcet
 from ..workloads.suite import build_kernel, resolve_kernels
 from .cache import ResultCache
@@ -154,11 +153,7 @@ def execute_spec(spec: ExperimentSpec) -> SpecResult:
         # image's co-simulation recording (tests/test_cosim_scheduler.py);
         # equivalence to the reference interpreter is guaranteed by the
         # golden suite in tests/test_engine_equivalence.py.
-        if spec.engine == "fast":
-            sim = recorded_trace(image, spec.config, strict=True)[0].result
-        else:
-            sim = CycleSimulator(image, config=spec.config, strict=True,
-                                 engine=spec.engine).run()
+        sim = run_alone(image, spec.config, strict=True, engine=spec.engine)
         _check_output(spec, sim.output, expected_output)
         metrics = sim.metrics()
         interference = {key: metrics[key] for key in (

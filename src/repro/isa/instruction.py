@@ -330,6 +330,10 @@ class Bundle:
     instructions that are not ``slot0_only`` (Section 3.1: branches and main
     memory accesses only in the first pipeline).  A long-immediate ALU
     instruction occupies both slots on its own.
+
+    ``size_bytes`` is the fetch width, 4 or 8 bytes.  The slots are frozen,
+    so it is computed once here; it is a plain attribute, not a field, so
+    equality, hashing and ``repr`` see only the slots.
     """
 
     slots: tuple[Instruction, ...]
@@ -339,6 +343,9 @@ class Bundle:
             instrs = tuple(instrs[0])
         object.__setattr__(self, "slots", tuple(instrs))
         _validate_bundle(self)
+        object.__setattr__(
+            self, "size_bytes",
+            8 if len(self.slots) == 2 or self.slots[0].info.long_imm else 4)
 
     @property
     def first(self) -> Instruction:
@@ -347,13 +354,6 @@ class Bundle:
     @property
     def second(self) -> Optional[Instruction]:
         return self.slots[1] if len(self.slots) > 1 else None
-
-    @property
-    def size_bytes(self) -> int:
-        """Fetch width of the bundle: 4 bytes or 8 bytes."""
-        if len(self.slots) == 2 or self.first.info.long_imm:
-            return 8
-        return 4
 
     @property
     def is_long(self) -> bool:

@@ -1,10 +1,10 @@
 """The differential WCET-vs-simulation conformance harness.
 
 For every scenario of the matrix the harness runs the *genuine* execution —
-the cycle-accurate fast-engine simulation on a single core, or the fully
-interleaved shared-memory co-simulation for multicore arbiters — and the
-static WCET analysis configured for exactly that hardware, then checks the
-paper's soundness property per core::
+the cycle-accurate simulation of a single core, or the fully interleaved
+shared-memory co-simulation for multicore arbiters — and the static WCET
+analysis configured for exactly that hardware, then checks the paper's
+soundness property per core::
 
     observed cycles  <=  wcet_cycles
 
@@ -13,6 +13,13 @@ tightness ratio ``wcet_cycles / cycles``; a ratio below 1.0 is a soundness
 violation and fails the run.  Cores without a bound (any non-top core under
 priority arbitration) are recorded as *unbounded* rather than silently
 skipped, so the report also documents where the paper says no bound exists.
+
+Patmos is statically scheduled and every core runs on a private bank, so a
+kernel run alone does not depend on timing.  On the fast engine a
+single-core scenario and a kernel's loop check therefore read the kernel's
+co-simulation recording (:func:`~repro.cmp.replay.run_alone`), which the
+multicore scenarios of the same hardware replay: each (kernel, hardware) is
+simulated once.  The reference engine runs the interpreter for each.
 
 Simulations are memoised per (kernel, hardware organisation, arbiter), so
 analysis-only variants (``always_miss``, ``naive``) reuse the simulation of
@@ -49,6 +56,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
+from ..cmp.replay import run_alone
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
 from ..config import DEFAULT_CONFIG, PatmosConfig
@@ -56,7 +64,6 @@ from ..errors import (FailedCell, SweepInterrupted, VerificationError,
                       WorkerCrashed)
 from ..explore.tables import format_table
 from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
-from ..sim.cycle import CycleSimulator
 from ..wcet.analyzer import WcetOptions, analyze_wcet
 from ..workloads.suite import build_kernel
 from .loopcheck import LoopCheck, check_loops
@@ -260,7 +267,12 @@ class ConformanceReport:
 
 
 class ConformanceHarness:
-    """Execute conformance scenarios with per-hardware simulation reuse."""
+    """Execute conformance scenarios with per-hardware simulation reuse.
+
+    On the fast engine a kernel run alone is the kernel's recording, shared
+    by its single-core scenario, its loop checks and every co-simulation of
+    the same hardware; on the reference engine each is an interpreter run.
+    """
 
     def __init__(self, config: Optional[PatmosConfig] = None,
                  strict: bool = True, engine: str = "fast"):
@@ -289,16 +301,19 @@ class ConformanceHarness:
     def _simulate(self, kernel: str, variant: CacheModelVariant,
                   arbiter: ArbiterConfig
                   ) -> tuple[list[int], list[Optional[WcetOptions]]]:
-        """Per-core observed cycles and analysis options of one hardware."""
+        """Per-core observed cycles and analysis options of one hardware.
+
+        A single core is the kernel's recording on this hardware (or an
+        interpreter run on the reference engine); more cores co-simulate.
+        """
         key = (kernel, variant.hardware, arbiter)
         if key in self._sims:
             return self._sims[key]
         image = self._image(kernel)
         hierarchy = variant.hierarchy_options()
         if arbiter.cores == 1:
-            result = CycleSimulator(
-                image, config=self.config, strict=self.strict,
-                engine=self.engine, hierarchy_options=hierarchy).run()
+            result = run_alone(image, self.config, self.strict, hierarchy,
+                               engine=self.engine)
             self._check_output(kernel, variant, arbiter, 0, result.output)
             value = ([result.cycles], [WcetOptions()])
         else:
@@ -358,13 +373,15 @@ class ConformanceHarness:
     def run_loop_checks(self, kernel: str) -> list[LoopCheck]:
         """Cross-check every analysed loop of ``kernel`` against one run.
 
-        One default-hardware simulation per kernel supplies the per-block
-        execution counts; the loop facts come from the same value analysis
-        the WCET side used (shared via the facts cache).
+        The kernel's recording on the default hardware supplies the
+        per-block execution counts (read, never changed: it is shared with
+        the default variant's scenarios); on the reference engine an
+        interpreter run does.  The loop facts come from the same value
+        analysis the WCET side used (shared via the facts cache).
         """
         image = self._image(kernel)
-        result = CycleSimulator(image, config=self.config, strict=self.strict,
-                                engine=self.engine).run()
+        result = run_alone(image, self.config, self.strict,
+                           engine=self.engine)
         expected = self._expected[kernel]
         if result.output != expected:
             raise VerificationError(

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.cmp import replay as replay_module
 from repro.cmp.replay import TraceRecorder
 from repro.config import PatmosConfig
 from repro.errors import ExplorationError
@@ -435,7 +436,8 @@ class TestImageMemo:
                 built.append(kwargs.get("engine"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "CycleSimulator", Spy)
+        # Cells run an image alone through run_alone.
+        monkeypatch.setattr(replay_module, "CycleSimulator", Spy)
         fast, reference = (ParameterSpace(["vector_sum"])
                            .axis("engine", ["fast", "reference"])).specs()
         fast_result = execute_spec(fast)

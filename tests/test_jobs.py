@@ -485,6 +485,41 @@ def _journal_counts(journal_path, state):
     return counts
 
 
+def _children(pid: int) -> list[int]:
+    """Live child processes of ``pid`` (Linux ``/proc``)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return False
+    return state.split()[0] not in ("Z", "X")
+
+
+#: Runs a two-worker pool whose cells park, so both workers sit leased.
+_PARKED_POOL = """
+import time
+from repro.jobs import JobCell, run_jobs
+
+def park(payload):
+    time.sleep(600)
+
+run_jobs([JobCell(key=str(i), label=str(i), payload=i) for i in range(2)],
+         park, jobs=2)
+"""
+
+
 class TestCrashRecovery:
     """End-to-end: SIGKILL a sweep mid-run, resume it from the journal."""
 
@@ -502,6 +537,32 @@ class TestCrashRecovery:
     @staticmethod
     def _table_lines(stdout: str) -> list[str]:
         return [line for line in stdout.splitlines() if "vector_sum" in line]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="lists processes through /proc")
+    def test_workers_exit_when_their_supervisor_is_killed(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-c", _PARKED_POOL],
+                                env=self._env(tmp_path), cwd=tmp_path)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            assert len(workers) == 2, "the pool never started two workers"
+            time.sleep(0.5)  # both workers heartbeat on their leases
+            proc.kill()
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, workers)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers)), \
+                "pool workers outlived their SIGKILLed supervisor"
+        finally:
+            proc.kill()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_sigkill_mid_sweep_resume_matches_uninterrupted(self, tmp_path):
         env = self._env(tmp_path)

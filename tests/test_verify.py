@@ -7,6 +7,7 @@ cache-mode and arbiter axes, so a regression in either the analyzer or the
 simulator trips the property rather than a hand-picked example.
 """
 
+import copy
 import dataclasses
 import json
 from dataclasses import fields
@@ -15,6 +16,9 @@ import pytest
 
 from repro import PatmosConfig, compile_and_link
 from repro.cmp import MulticoreSystem
+from repro.cmp import replay as replay_module
+from repro.cmp.replay import (TraceRecorder, run_alone, trace_key,
+                               traces_of)
 from repro.errors import (ExplorationError, SimulationError,
                           VerificationError, WcetError)
 from repro.explore import ExperimentSpec, ParameterSpace
@@ -34,6 +38,7 @@ from repro.verify import (
     run_conformance,
 )
 from repro.verify.cli import main
+from repro.verify.loopcheck import check_loops
 from repro.wcet import WcetOptions, analyze_wcet
 from repro.workloads import build_kernel
 from repro.workloads.synthetic import random_alu_kernel
@@ -321,6 +326,141 @@ class TestParallelMatrix:
         assert len(report.outcomes) == len(others.outcomes) - missing
         assert report.to_dict()["summary"]["failed_cells"] == 1
         assert not report.violations()
+
+
+#: Kernels of the recording-reuse tests; ``bubble_sort`` has nested loops.
+REUSE_KERNELS = ("vector_sum", "stack_chain", "bubble_sort")
+
+
+@pytest.fixture
+def sim_counts(monkeypatch):
+    """Counts plain ``CycleSimulator.run`` calls and the recordings made
+    (by image and trace key), wrapped from outside the program."""
+    counts = {"plain_runs": 0, "recordings": []}
+    run = CycleSimulator.run
+    recording = TraceRecorder.recording
+
+    def counted_run(self, *args, **kwargs):
+        counts["plain_runs"] += 1
+        return run(self, *args, **kwargs)
+
+    def counted_recording(self):
+        counts["recordings"].append((id(self.image), trace_key(
+            self.config, self._hierarchy_options, self.strict)))
+        return recording(self)
+
+    monkeypatch.setattr(CycleSimulator, "run", counted_run)
+    monkeypatch.setattr(TraceRecorder, "recording", counted_recording)
+    return counts
+
+
+def _report_dict(report: ConformanceReport) -> dict:
+    payload = report.to_dict()
+    payload["summary"].pop("elapsed_s")
+    return payload
+
+
+class TestRecordingReuse:
+    """A kernel run alone on the fast engine is its co-simulation recording."""
+
+    def test_fast_matrix_records_once_per_kernel_and_hardware(
+            self, sim_counts):
+        report = run_conformance(kernels=REUSE_KERNELS, rtos_scenarios=())
+        assert report.loop_checks
+        assert sim_counts["plain_runs"] == 0
+        hardwares = {variant.hardware for variant in DEFAULT_VARIANTS}
+        recordings = sim_counts["recordings"]
+        assert len(set(recordings)) == len(recordings)
+        assert len(recordings) == len(REUSE_KERNELS) * len(hardwares)
+
+    def test_report_equals_cold_recordings_and_the_interpreter(
+            self, monkeypatch, sim_counts):
+        warm = _report_dict(run_conformance(kernels=REUSE_KERNELS,
+                                            rtos_scenarios=()))
+        warm_recordings = len(sim_counts["recordings"])
+        reference = _report_dict(run_conformance(
+            kernels=REUSE_KERNELS, rtos_scenarios=(), engine="reference"))
+        assert len(sim_counts["recordings"]) == warm_recordings
+
+        run_scenario = ConformanceHarness.run_scenario
+        run_loop_checks = ConformanceHarness.run_loop_checks
+
+        def cold_scenario(self, scenario):
+            traces_of(self._image(scenario.kernel)).clear()
+            return run_scenario(self, scenario)
+
+        def cold_loop_checks(self, kernel):
+            traces_of(self._image(kernel)).clear()
+            return run_loop_checks(self, kernel)
+
+        monkeypatch.setattr(ConformanceHarness, "run_scenario",
+                            cold_scenario)
+        monkeypatch.setattr(ConformanceHarness, "run_loop_checks",
+                            cold_loop_checks)
+        cold = _report_dict(run_conformance(kernels=REUSE_KERNELS,
+                                            rtos_scenarios=()))
+        # Clearing before every cell made the cold run record again.
+        assert len(sim_counts["recordings"]) > 2 * warm_recordings
+        assert warm == cold
+        assert warm == reference
+
+    def test_single_core_cells_and_loop_checks_equal_plain_runs(self):
+        """Each hardware's single-core cycles and every loop check equal a
+        plain interpreter run of that hardware, built outside the harness."""
+        report = run_conformance(kernels=REUSE_KERNELS,
+                                 arbiters=FAST_ARBITERS[:1],
+                                 rtos_scenarios=())
+        hardware_of = {v.name: v.hardware for v in DEFAULT_VARIANTS}
+        hierarchies = {v.hardware: v.hierarchy_options()
+                       for v in DEFAULT_VARIANTS}
+        loop_checks = []
+        for kernel in REUSE_KERNELS:
+            image, _ = compile_and_link(build_kernel(kernel).program, CONFIG)
+            plain = {hardware: CycleSimulator(
+                image, config=CONFIG, strict=True, engine="reference",
+                hierarchy_options=hierarchy).run()
+                for hardware, hierarchy in hierarchies.items()}
+            for outcome in report.outcomes:
+                if outcome.kernel == kernel:
+                    assert outcome.cycles == \
+                        plain[hardware_of[outcome.variant]].cycles
+            loop_checks += check_loops(kernel, image.program,
+                                       plain["default"].block_counts,
+                                       plain["default"].call_counts)
+        assert ([check.to_dict() for check in report.loop_checks]
+                == [check.to_dict() for check in loop_checks])
+
+    def test_loop_checks_leave_the_shared_recording_unchanged(self):
+        harness = ConformanceHarness(config=CONFIG)
+        image = harness._image("bubble_sort")
+        shared = run_alone(image, CONFIG, strict=True)
+        before = (copy.deepcopy(shared.block_counts),
+                  copy.deepcopy(shared.call_counts))
+        assert harness.run_loop_checks("bubble_sort")
+        assert run_alone(image, CONFIG, strict=True) is shared
+        assert (shared.block_counts, shared.call_counts) == before
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_only_the_reference_engine_runs_the_interpreter(
+            self, monkeypatch, engine):
+        built = []
+
+        class Spy(CycleSimulator):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("engine"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(replay_module, "CycleSimulator", Spy)
+        harness = ConformanceHarness(config=CONFIG, engine=engine)
+        harness.run_scenario(Scenario("vector_sum",
+                                      CacheModelVariant("default"),
+                                      FAST_ARBITERS[0]))
+        harness.run_loop_checks("vector_sum")
+        recorded = traces_of(harness._image("vector_sum"))
+        if engine == "fast":
+            assert built == [] and len(recorded) == 1
+        else:
+            assert built == ["reference", "reference"] and not recorded
 
 
 #: WCET option variants of the property test (the cache-mode axis).
