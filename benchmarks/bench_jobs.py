@@ -31,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.jobs import (  # noqa: E402
     JobCell,
     Journal,
-    RetryPolicy,
     replay_journal,
     run_jobs,
 )
@@ -96,24 +95,20 @@ def measure_recovery(work_dir: Path, cells: int, crash_after: int) -> dict:
     run_jobs(load[:crash_after], synthetic_cell, journal=journal)
     journal.close()
 
-    # Resume: replay decides what is pending; only that re-executes.
+    # Resume: run_jobs delivers the journaled cells and runs the rest.
     replay = replay_journal(journal_path)
-    pending = replay.pending([cell.key for cell in load])
-    resumed = [cell for cell in load if cell.key in set(pending)]
     journal = Journal(journal_path)
-    outcome = run_jobs(resumed, synthetic_cell, journal=journal,
-                       policy=RetryPolicy())
+    outcome = run_jobs(load, synthetic_cell, journal=journal, replay=replay)
     journal.close()
 
     final = replay_journal(journal_path)
     return {
         "cells": cells,
         "done_before_crash": len(replay.done),
-        "re_executed": len(resumed),
-        "replayed": cells - len(resumed),
+        "re_executed": outcome.executed,
+        "replayed": len(outcome.results) - outcome.executed,
         "all_done_after_resume": len(final.done) == cells,
-        "only_pending_re_executed": len(resumed) == cells - crash_after
-        and outcome.executed == len(resumed),
+        "only_pending_re_executed": outcome.executed == cells - crash_after,
     }
 
 

@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..errors import ReproError, SweepInterrupted
-from ..jobs import TIMEOUT_CLASSES, RunDirectory
+from ..jobs import TIMEOUT_CLASSES, RunDirectory, open_for_resume
 from .cache import ResultCache
 from .pareto import DEFAULT_OBJECTIVES, Objective
 from .runner import ExplorationRunner
@@ -160,18 +160,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     run_dir = None
     try:
-        if args.resume is not None and not args.resume.strip():
-            # An empty id (e.g. a failed command substitution in CI) must
-            # not silently degrade into a fresh full sweep.
-            raise ReproError("--resume requires a run id")
-        if args.resume:
-            run_dir = RunDirectory.open(args.resume, root=args.runs_root)
-            meta = run_dir.meta
-            if meta.get("kind") != "explore":
-                raise ReproError(
-                    f"run {args.resume} is a {meta.get('kind')!r} run; "
-                    f"resume it with python -m repro.{meta.get('kind')}")
-            matrix = meta["matrix"]
+        if args.resume is not None:
+            run_dir = open_for_resume(args.resume, "explore", args.runs_root)
+            matrix = run_dir.meta["matrix"]
         else:
             if not args.kernels:
                 print("error: --kernels is required unless --resume is "

@@ -40,9 +40,10 @@ from typing import Iterable, Optional, Union
 from ..cmp.replay import run_alone
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
-from ..errors import (ExplorationError, FailedCell, SweepInterrupted)
+from ..errors import ExplorationError, FailedCell
 from ..hw.pipeline import estimate_pipeline_timing
-from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
+from ..jobs import (JobCell, RetryPolicy, RunDirectory, run_jobs,
+                    sweep_interrupted)
 from ..program.linker import Image
 from ..wcet.analyzer import analyze_wcet
 from ..workloads.suite import build_kernel, resolve_kernels
@@ -426,10 +427,11 @@ class ExplorationRunner:
         """Run every spec, recalling cached design points where possible.
 
         With a ``run_dir`` the sweep is durable: every cell state transition
-        lands in the run's journal, and ``resume=True`` replays it first so
-        cells recorded ``done`` are injected instead of re-executed (their
-        journaled payload is the full result record, so a resumed report is
-        byte-identical — modulo elapsed time — to an uninterrupted one).
+        lands in the run's journal, and ``resume=True`` hands its replay to
+        :func:`~repro.jobs.run_jobs`, which delivers the cells recorded
+        ``done`` instead of re-executing them (their journaled payload is
+        the full result record, so a resumed report is byte-identical —
+        modulo elapsed time — to an uninterrupted one).
         On SIGINT/SIGTERM the sweep drains gracefully and raises
         :class:`~repro.errors.SweepInterrupted` carrying the resume command.
         """
@@ -471,20 +473,11 @@ class ExplorationRunner:
             if self.cache is not None:
                 self.cache.put(result.key, result.to_record())
 
-        replay = run_dir.replay() if (run_dir is not None and resume) \
-            else None
-        cells: list[JobCell] = []
-        for key, spec in pending:
-            if replay is not None and replay.done.get(key) is not None:
-                apply_result(self._labelled(
-                    SpecResult.from_record(replay.done[key],
-                                           from_cache=False), spec))
-            else:
-                # Cells of one image lease to the worker that already
-                # compiled and recorded it (RTOS points share no image).
-                cells.append(JobCell(
-                    key=key, label=spec.label(), payload=spec,
-                    affinity=None if spec.rtos else _image_key(spec)))
+        # Cells of one image lease to the worker that already compiled and
+        # recorded it (RTOS points share no image).
+        cells = [JobCell(key=key, label=spec.label(), payload=spec,
+                         affinity=None if spec.rtos else _image_key(spec))
+                 for key, spec in pending]
 
         # Cache every completed design point as it arrives and persist even
         # when the sweep is interrupted, so a re-run is incremental.  Failed
@@ -494,9 +487,14 @@ class ExplorationRunner:
             outcome = run_jobs(
                 cells, _spec_worker, jobs=self.jobs, policy=self.policy(),
                 journal=run_dir.journal() if run_dir is not None else None,
+                replay=run_dir.replay() if (run_dir is not None and resume)
+                else None,
                 contain=lambda error: error.is_repro,
                 encode=lambda result: result.to_record(),
-                on_result=lambda cell, result: apply_result(result))
+                decode=lambda record: SpecResult.from_record(
+                    record, from_cache=False),
+                on_result=lambda cell, result: apply_result(
+                    self._labelled(result, cell.payload)))
             for cell in outcome.failures:
                 failures.append(cell)
                 failures.extend(
@@ -507,7 +505,7 @@ class ExplorationRunner:
                 self.cache.save()
 
         if outcome.interrupted:
-            raise self._interrupted(run_dir)
+            raise sweep_interrupted("explore", run_dir)
 
         return ExplorationResult(
             results=[result for result in results if result is not None],
@@ -516,18 +514,6 @@ class ExplorationRunner:
             cache_misses=len(pending),
             elapsed_s=time.perf_counter() - started,
         )
-
-    @staticmethod
-    def _interrupted(run_dir: Optional[RunDirectory]) -> SweepInterrupted:
-        if run_dir is None:
-            return SweepInterrupted(
-                "sweep interrupted; completed cells are cached but the run "
-                "was not journaled (no run directory)")
-        resume_argv = f"--resume {run_dir.run_id}"
-        return SweepInterrupted(
-            f"sweep interrupted; journal flushed — resume with: "
-            f"python -m repro.explore {resume_argv}",
-            run_id=run_dir.run_id, resume_argv=resume_argv)
 
     @staticmethod
     def _labelled(result: SpecResult, spec: ExperimentSpec) -> SpecResult:

@@ -30,7 +30,9 @@ Module map
 
     Run ids are content-addressed (``<kind>-<sha256(matrix)[:12]>``), so
     the same sweep always lands in the same directory and ``--resume``
-    needs nothing but the id.
+    needs nothing but the id.  Both CLIs open a run to resume through
+    :func:`~repro.jobs.rundir.open_for_resume` and report a drained sweep
+    with :func:`~repro.jobs.rundir.sweep_interrupted`.
 
 :mod:`repro.jobs.policy`
     The declarative :class:`~repro.jobs.policy.RetryPolicy` both runners
@@ -55,19 +57,22 @@ Module map
 Resume semantics
 ----------------
 
-Replaying the journal partitions cells into *done* (payload recorded — the
-resumed run injects the payload and never re-executes), *failed* (re-queued
-with a fresh retry budget: the point of resuming is that the cause was
-fixed), and *pending* (anything else, including cells lost mid-flight).  A
-resumed report is byte-identical (modulo elapsed time) to one from an
-uninterrupted run.
+Replaying the journal partitions cells into *done* (payload recorded),
+*failed* (re-queued with a fresh retry budget: the point of resuming is
+that the cause was fixed), and *pending* (anything else, including cells
+lost mid-flight).  :func:`~repro.jobs.supervisor.run_jobs` is the one place
+a replay is applied: given the run's :class:`~repro.jobs.journal.Replay`
+and a ``decode`` that inverts its ``encode``, it hands each done cell to
+``on_result`` as ``decode(payload)`` and neither executes nor journals it
+again; every other cell runs.  A resumed report is byte-identical (modulo
+elapsed time) to one from an uninterrupted run.
 """
 
 from ..errors import FailedCell, JobError, SweepInterrupted
 from .journal import JOURNAL_VERSION, Journal, Replay, replay_journal
 from .policy import TIMEOUT_CLASSES, CellTimeout, RetryPolicy
 from .rundir import (RunDirectory, default_runs_root, derive_run_id,
-                     list_runs)
+                     list_runs, open_for_resume, sweep_interrupted)
 from .supervisor import (CellError, JobCell, JobsOutcome,
                          default_crash_failure, run_jobs)
 
@@ -76,5 +81,6 @@ __all__ = [
     "JobError", "Journal", "JobsOutcome", "Replay", "RetryPolicy",
     "RunDirectory", "SweepInterrupted", "TIMEOUT_CLASSES",
     "default_crash_failure", "default_runs_root", "derive_run_id",
-    "list_runs", "replay_journal", "run_jobs",
+    "list_runs", "open_for_resume", "replay_journal", "run_jobs",
+    "sweep_interrupted",
 ]

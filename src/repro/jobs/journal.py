@@ -135,10 +135,6 @@ class Replay:
     #: True when the final line was truncated mid-record and dropped.
     torn_tail: bool = False
 
-    def pending(self, keys) -> list:
-        """The subset of ``keys`` that must (re-)execute."""
-        return [key for key in keys if key not in self.done]
-
 
 def replay_journal(path) -> Replay:
     """Reconstruct the last known state of every cell from a journal file.

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..errors import JobError
+from ..errors import JobError, SweepInterrupted
 from .journal import Journal, Replay, replay_journal
 
 META_NAME = "meta.json"
@@ -128,6 +128,39 @@ class RunDirectory:
             self._journal = None
 
 
+def open_for_resume(run_id: str, kind: str,
+                    root: Optional[Path] = None) -> RunDirectory:
+    """Open run ``run_id`` for ``python -m repro.<kind> --resume``.
+
+    An empty id (a failed command substitution in CI, say) must not turn
+    into a fresh full sweep, and a run of another kind resumes only under
+    its own CLI: both raise :class:`JobError` before anything is written.
+    """
+    if not run_id.strip():
+        raise JobError("--resume requires a run id")
+    run = RunDirectory.open(run_id, root=root)
+    recorded = run.meta.get("kind")
+    if recorded != kind:
+        raise JobError(f"run {run_id} is a {recorded!r} run; resume it "
+                       f"with python -m repro.{recorded}", run_id=run_id)
+    return run
+
+
+def sweep_interrupted(kind: str, run_dir: Optional[RunDirectory]
+                      ) -> SweepInterrupted:
+    """The error a drained ``repro.<kind>`` sweep raises: it names the
+    command that resumes the run, if the run was journaled."""
+    if run_dir is None:
+        return SweepInterrupted(
+            f"{kind} sweep interrupted; the run was not journaled "
+            f"(no run directory)")
+    resume_argv = f"--resume {run_dir.run_id}"
+    return SweepInterrupted(
+        f"{kind} sweep interrupted; journal flushed — resume with: "
+        f"python -m repro.{kind} {resume_argv}",
+        run_id=run_dir.run_id, resume_argv=resume_argv)
+
+
 def list_runs(root: Optional[Path] = None) -> list[dict]:
     """Every run directory under ``root``, newest first."""
     base = Path(root) if root is not None else default_runs_root()
@@ -151,4 +184,5 @@ def list_runs(root: Optional[Path] = None) -> list[dict]:
 
 
 __all__ = ["JOURNAL_NAME", "META_NAME", "RunDirectory", "default_runs_root",
-           "derive_run_id", "list_runs"]
+           "derive_run_id", "list_runs", "open_for_resume",
+           "sweep_interrupted"]

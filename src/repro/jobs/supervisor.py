@@ -48,6 +48,11 @@ so replay re-queues it), the journal is committed, and the outcome returns
 ``jobs == 1`` — or any environment that cannot start worker processes —
 runs the identical cell pipeline serially in-process (no heartbeats; a
 KeyboardInterrupt drains in the same journal-consistent way).
+
+Resuming is part of the same call: given the run's
+:class:`~repro.jobs.journal.Replay`, every cell the journal recorded
+``done`` goes to ``on_result`` as ``decode(payload)`` before any cell
+runs, and is neither executed nor journaled again.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from typing import Any, Callable, Optional
 
 from ..errors import (FailedCell, JobError, ReproError, SimulationTimeout,
                       WorkerCrashed)
-from .journal import Journal
+from .journal import Journal, Replay
 from .policy import RetryPolicy
 
 #: How long one receive poll blocks before the liveness sweep runs again.
@@ -152,7 +157,8 @@ class JobsOutcome:
     #: True after a graceful SIGINT/SIGTERM drain; unfinished cells stay
     #: re-runnable from the journal.
     interrupted: bool = False
-    #: Cells actually executed to completion here (done or failed).
+    #: Cells actually executed to completion here (done or failed); cells
+    #: replayed from the journal are in ``results`` but not counted.
     executed: int = 0
     #: Workers declared lost (crashes, missed heartbeats, timeouts).
     lost_workers: int = 0
@@ -265,6 +271,20 @@ class _Supervisor:
         self.terminal: set[str] = set()
         self.draining = False
 
+    def replay(self, replay: Replay, decode) -> None:
+        """Deliver the cells ``replay`` records done (a ``None`` payload
+        counts as not done); they leave the queue unexecuted."""
+        for cell in self.cells:
+            payload = replay.done.get(cell.key)
+            if payload is not None:
+                value = decode(payload) if decode is not None else payload
+                self.terminal.add(cell.key)
+                self.outcome.results[cell.key] = value
+                if self.on_result is not None:
+                    self.on_result(cell, value)
+        self.pending = [entry for entry in self.pending
+                        if entry[0].key not in self.terminal]
+
     # Journal helpers --------------------------------------------------
 
     def _journal_cell(self, key: str, state: str, attempt: int,
@@ -310,7 +330,7 @@ class _Supervisor:
         try:
             if self.worker_init is not None:
                 self.worker_init(*self.init_args)
-            for cell in self.cells:
+            for cell, _, _ in self.pending:
                 self._journal_cell(cell.key, "running", 1)
                 try:
                     value = self.worker_fn(cell.payload)
@@ -342,7 +362,7 @@ class _Supervisor:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - platform-dependent
                 context = multiprocessing.get_context()
-            width = min(self.jobs, max(len(self.cells), 1))
+            width = min(self.jobs, len(self.pending))
             self.context = context
             self.heartbeats = context.Array("d", width, lock=False)
             self.slots = [_Slot(index) for index in range(width)]
@@ -595,7 +615,9 @@ def run_jobs(cells, worker_fn, *, jobs: int = 1,
              crash_failure: Optional[Callable[[JobCell, int], FailedCell]]
              = None,
              encode: Optional[Callable[[Any], Any]] = None,
-             on_result: Optional[Callable[[JobCell, Any], None]] = None
+             on_result: Optional[Callable[[JobCell, Any], None]] = None,
+             replay: Optional[Replay] = None,
+             decode: Optional[Callable[[Any], Any]] = None
              ) -> JobsOutcome:
     """Execute every cell under the policy; see the module docstring.
 
@@ -603,8 +625,10 @@ def run_jobs(cells, worker_fn, *, jobs: int = 1,
     resolve the *current* binding under fork, which is how the containment
     tests plant crashing workers).  ``contain`` decides which raised errors
     become :class:`FailedCell` records (``None`` propagates everything);
-    ``encode`` maps a result value to its JSON journal payload;
-    ``on_result`` observes completions in completion order.
+    ``encode`` maps a result value to its JSON journal payload and
+    ``decode`` maps such a payload back; ``on_result`` observes the cells
+    ``replay`` records done first, in cell order, then completions in
+    completion order.
     """
     if jobs < 1:
         raise JobError("jobs must be >= 1")
@@ -613,7 +637,9 @@ def run_jobs(cells, worker_fn, *, jobs: int = 1,
         journal=journal, worker_init=worker_init, init_args=init_args,
         contain=contain, crash_failure=crash_failure, encode=encode,
         on_result=on_result)
-    if jobs > 1 and len(supervisor.cells) > 0:
+    if replay is not None:
+        supervisor.replay(replay, decode)
+    if jobs > 1 and supervisor.pending:
         try:
             return supervisor.run_parallel()
         except _PoolUnavailable:  # pragma: no cover - restricted env

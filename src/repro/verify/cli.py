@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError, SweepInterrupted
-from ..jobs import RunDirectory
+from ..jobs import RunDirectory, open_for_resume
 from ..sim.base import ENGINES
 from ..workloads.suite import resolve_kernels
 from .harness import count_cells, run_conformance
@@ -142,18 +142,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # still produces a traceback instead of masquerading as a typo.
     run_dir = None
     try:
-        if args.resume is not None and not args.resume.strip():
-            # An empty id (e.g. a failed command substitution in CI) must
-            # not silently degrade into a fresh full sweep.
-            raise ReproError("--resume requires a run id")
-        if args.resume:
-            run_dir = RunDirectory.open(args.resume, root=args.runs_root)
-            meta = run_dir.meta
-            if meta.get("kind") != "verify":
-                raise ReproError(
-                    f"run {args.resume} is a {meta.get('kind')!r} run; "
-                    f"resume it with python -m repro.{meta.get('kind')}")
-            matrix = meta["matrix"]
+        if args.resume is not None:
+            run_dir = open_for_resume(args.resume, "verify", args.runs_root)
+            matrix = run_dir.meta["matrix"]
             args.kernels = ",".join(matrix["kernels"])
             args.variants = ",".join(matrix["variants"])
             args.arbiters = ",".join(matrix["arbiters"])

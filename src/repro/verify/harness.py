@@ -29,28 +29,31 @@ only each core's observed cycles and analysis options; the simulated system
 compiled image caches its option-independent WCET work, so the analyses of
 one kernel across variants and arbiters price blocks and solve IPET only.
 
-The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` runs the
-scenario cells as journaled job cells on the :func:`repro.jobs.run_jobs`
-supervisor, the engine the explore runner uses too.  Cells are shipped in
-groups that share a simulation key, so per-worker harnesses keep the
-memoisation win, and the report is assembled
-in the deterministic scenario order regardless of completion order — a
-parallel run produces the same report as a sequential one (only the
-measured ``elapsed_s`` differs).
+The matrix is embarrassingly parallel: ``run_conformance(jobs=N)`` runs
+every cell — each scenario group, each kernel's loop checks, each RTOS
+scenario — as a journaled job cell in one :func:`repro.jobs.run_jobs` call,
+the engine the explore runner uses too.  Scenarios are shipped in groups
+that share a simulation key, and every cell of a kernel carries the kernel
+as its lease affinity, so a worker's harness keeps the memoisation win and
+a kernel's loop checks read the recording its own worker made.  The report
+is assembled in the deterministic matrix order regardless of completion
+order — a parallel run produces the same report as a sequential one (only
+the measured ``elapsed_s`` differs).
 
 A worker that *dies* (killed, OOM, segfault) or stops heartbeating does not
-abort the run: the supervisor declares it lost, returns its leased group to
+abort the run: the supervisor declares it lost, returns its leased cell to
 the pending queue after a capped backoff for an idle worker to steal, and
-respawns a replacement.  A group that keeps killing workers exhausts its
+respawns a replacement.  A cell that keeps killing workers exhausts its
 crash budget and is recorded as a structured
-:class:`~repro.errors.FailedCell` in the report while every other group
-still completes.  Errors *raised by* a scenario (functional mismatches)
+:class:`~repro.errors.FailedCell` in the report while every other cell
+still completes.  Errors *raised by* a cell (functional mismatches)
 propagate exactly as in the sequential path — a broken execution must fail
 the verification loudly.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
@@ -60,10 +63,10 @@ from ..cmp.replay import run_alone
 from ..cmp.system import MulticoreSystem
 from ..compiler.passes import compile_and_link
 from ..config import DEFAULT_CONFIG, PatmosConfig
-from ..errors import (FailedCell, SweepInterrupted, VerificationError,
-                      WorkerCrashed)
+from ..errors import FailedCell, VerificationError
 from ..explore.tables import format_table
-from ..jobs import JobCell, RetryPolicy, RunDirectory, run_jobs
+from ..jobs import (JobCell, RetryPolicy, RunDirectory,
+                    default_crash_failure, run_jobs, sweep_interrupted)
 from ..wcet.analyzer import WcetOptions, analyze_wcet
 from ..workloads.suite import build_kernel
 from .loopcheck import LoopCheck, check_loops
@@ -124,9 +127,9 @@ class ScenarioOutcome:
 class ConformanceReport:
     """All outcomes of one conformance run plus aggregate statistics.
 
-    ``failures`` lists scenario groups whose pool worker died past the
-    retry budget (parallel runs only); a report with failures is incomplete
-    and must not pass a verification gate even with zero violations.
+    ``failures`` lists cells whose pool worker died past the retry budget
+    (parallel runs only); a report with failures is incomplete and must not
+    pass a verification gate even with zero violations.
     """
 
     outcomes: list[ScenarioOutcome] = field(default_factory=list)
@@ -260,7 +263,7 @@ class ConformanceReport:
                 f"executions > bound {check.bound} x {check.entries} "
                 f"entries")
         if self.failures:
-            lines.append(f"{len(self.failures)} scenario group(s) FAILED "
+            lines.append(f"{len(self.failures)} cell(s) FAILED "
                          f"(report incomplete):")
             lines.extend(f"  {cell.summary()}" for cell in self.failures)
         return "\n".join(lines)
@@ -436,7 +439,7 @@ class ConformanceHarness:
 
 
 #: Per-worker harness of the parallel matrix (set by the pool initializer;
-#: workers keep their simulation memoisation across scenario groups).
+#: workers keep their simulation memoisation across cells).
 _worker_harness: Optional[ConformanceHarness] = None
 
 
@@ -455,14 +458,26 @@ def _run_scenario_group(group: list[Scenario]
     return [_worker_harness.run_scenario(scenario) for scenario in group]
 
 
-def _group_worker(group: list[Scenario]) -> list[list[ScenarioOutcome]]:
-    """Pool entry point: one indirection through the module global.
+def _run_cell(payload: tuple, harness: Optional[ConformanceHarness] = None):
+    """Run one cell: ``("group", scenarios)``, ``("loops", kernel)`` or
+    ``("rtos", rtos scenario)``.
 
-    Workers call the *current* ``_run_scenario_group`` binding, so a forked
-    child inherits any replacement installed in the parent — which is how
-    the crash-containment tests plant a worker that dies mid-group.
+    Pool workers pass no ``harness`` and use the one :func:`_init_worker`
+    built.  They run groups through the *current* ``_run_scenario_group``
+    binding, which a forked child inherits from its parent: that is how the
+    crash-containment tests plant a worker that dies mid-group.  The serial
+    path passes the calling process's own harness, which such a replacement
+    never reaches.
     """
-    return _run_scenario_group(group)
+    kind, item = payload
+    if kind == "group":
+        if harness is None:
+            return _run_scenario_group(item)
+        return [harness.run_scenario(scenario) for scenario in item]
+    harness = harness or _worker_harness
+    if kind == "loops":
+        return harness.run_loop_checks(item)
+    return harness.run_rtos_scenario(item)
 
 
 def _emit_progress(progress: Callable[[str], None], scenario: Scenario,
@@ -475,8 +490,24 @@ def _emit_progress(progress: Callable[[str], None], scenario: Scenario,
     progress(f"{scenario.label():60s} min bound/obs {ratio:>6s}  {status}")
 
 
-#: Resubmissions of a scenario group whose worker died before the group is
-#: declared poisoned and recorded as a failed cell.
+def _emit_cell_progress(progress: Callable[[str], None], cell: JobCell,
+                        value) -> None:
+    """One progress line per scenario, RTOS scenario or kernel's loops."""
+    kind, item = cell.payload
+    if kind == "group":
+        for scenario, outcomes in zip(item, value):
+            _emit_progress(progress, scenario, outcomes)
+    elif kind == "loops":
+        bad = sum(1 for check in value if check.ok is False)
+        status = "ok" if not bad else f"{bad} VIOLATIONS"
+        progress(f"{item + ' loop bounds':60s} "
+                 f"{len(value):3d} loops checked  {status}")
+    else:
+        _emit_progress(progress, item, value)
+
+
+#: Resubmissions of a cell whose worker died before the cell is declared
+#: poisoned and recorded as a failed cell.
 _MAX_GROUP_RETRIES = 2
 #: Base (and cap) of the exponential pause between crash-recovery rounds.
 _RETRY_BACKOFF_S = 0.05
@@ -491,17 +522,14 @@ def _policy() -> RetryPolicy:
                        backoff_cap_s=_MAX_BACKOFF_S)
 
 
-def _crashed_group(group: list[Scenario], attempts: int) -> FailedCell:
-    """The structured failure record of a group that kept killing workers."""
-    labels = [scenario.label() for scenario in group]
-    extra = f" (+{len(labels) - 1} more)" if len(labels) > 1 else ""
-    exc = WorkerCrashed(
-        f"worker process died {attempts} times executing scenario group "
-        f"{labels[0]}{extra}", cell_key=labels[0], attempts=attempts)
-    cell = FailedCell.from_exception(labels[0], labels[0], exc,
-                                     attempts=attempts)
-    cell.context["scenarios"] = labels
-    return cell
+def _crashed_cell(cell: JobCell, attempts: int) -> FailedCell:
+    """The record of a cell that kept killing workers; a group's record
+    lists the scenarios that went missing."""
+    failed = default_crash_failure(cell, attempts)
+    kind, group = cell.payload
+    if kind == "group":
+        failed.context["scenarios"] = [scenario.label() for scenario in group]
+    return failed
 
 
 def _group_key(kernel: str, hardware: str, arbiter: ArbiterConfig) -> str:
@@ -515,35 +543,31 @@ def _group_key(kernel: str, hardware: str, arbiter: ArbiterConfig) -> str:
     return f"group/{kernel}/{hardware}/{arbiter.name}-{digest}"
 
 
-def _outcome_from_dict(record: dict) -> ScenarioOutcome:
-    """Inverse of :meth:`ScenarioOutcome.to_dict` (derived fields dropped)."""
+def _to_dict(value):
+    """The journal payload of a cell's result: every outcome and loop check
+    as its record, lists kept (a group's result is one list per scenario)."""
+    if isinstance(value, list):
+        return [_to_dict(item) for item in value]
+    return value.to_dict()
+
+
+def _from_dict(payload):
+    """Inverse of :func:`_to_dict`: a loop check's record names its loop
+    header; derived fields are dropped."""
+    if isinstance(payload, list):
+        return [_from_dict(item) for item in payload]
+    if "header" in payload:
+        return LoopCheck(
+            kernel=payload["kernel"], function=payload["function"],
+            header=payload["header"], annotated=payload["annotated"],
+            inferred=payload["inferred"], bound=payload["bound"],
+            entries=payload["entries"], observed=payload["observed"],
+            limit=payload["limit"])
     return ScenarioOutcome(
-        kernel=record["kernel"], variant=record["variant"],
-        arbiter=record["arbiter"], cores=record["cores"],
-        core_id=record["core"], cycles=record["cycles"],
-        wcet_cycles=record["wcet_cycles"])
-
-
-def _loopcheck_from_dict(record: dict) -> LoopCheck:
-    """Inverse of :meth:`LoopCheck.to_dict` (derived fields dropped)."""
-    return LoopCheck(
-        kernel=record["kernel"], function=record["function"],
-        header=record["header"], annotated=record["annotated"],
-        inferred=record["inferred"], bound=record["bound"],
-        entries=record["entries"], observed=record["observed"],
-        limit=record["limit"])
-
-
-def _interrupted(run_dir: Optional[RunDirectory]) -> SweepInterrupted:
-    if run_dir is None:
-        return SweepInterrupted(
-            "verification interrupted; the run was not journaled "
-            "(no run directory)")
-    resume_argv = f"--resume {run_dir.run_id}"
-    return SweepInterrupted(
-        f"verification interrupted; journal flushed — resume with: "
-        f"python -m repro.verify {resume_argv}",
-        run_id=run_dir.run_id, resume_argv=resume_argv)
+        kernel=payload["kernel"], variant=payload["variant"],
+        arbiter=payload["arbiter"], cores=payload["cores"],
+        core_id=payload["core"], cycles=payload["cycles"],
+        wcet_cycles=payload["wcet_cycles"])
 
 
 def count_cells(kernels=("all",),
@@ -572,155 +596,88 @@ def run_conformance(kernels=("all",),
                     ) -> ConformanceReport:
     """Run the full conformance matrix and collect the report.
 
-    Scenario cells execute through the shared :mod:`repro.jobs` engine:
-    scenarios sharing a (kernel, hardware, arbiter) simulation stay in one
-    group so the per-worker memoisation is preserved, and ``jobs > 1``
-    fans the groups out over a heartbeat-supervised worker pool.  The
-    report content is identical to a sequential run (deterministic
-    scenario order), only the progress lines arrive in completion order
-    and ``elapsed_s`` reflects the parallel wall-clock.  A worker that
-    *dies* does not abort the run: its group is re-leased under the
-    harness retry policy and becomes a :class:`~repro.errors.FailedCell`
-    once the budget is exhausted, while errors *raised by* a scenario
-    (functional mismatches) always propagate.
+    Every cell goes through one :func:`repro.jobs.run_jobs` call: first the
+    scenario groups (scenarios sharing a (kernel, hardware, arbiter)
+    simulation, so the per-worker memoisation is preserved), then each
+    kernel's loop checks, then the response-time cells (``rtos_scenarios``;
+    pass ``()`` to skip them).  ``jobs == 1`` runs them in that order in the
+    calling process; ``jobs > 1`` fans them out over a heartbeat-supervised
+    worker pool, leasing each cell by preference to the worker that already
+    compiled its kernel.  The report is assembled in matrix order, so it is
+    identical to a sequential run; only the progress lines arrive in
+    completion order and ``elapsed_s`` reflects the parallel wall-clock.  A
+    worker that *dies* does not abort the run: its cell is re-leased under
+    the harness retry policy and becomes a
+    :class:`~repro.errors.FailedCell` once the budget is exhausted, while
+    errors *raised by* a cell (functional mismatches) always propagate.
 
     With a ``run_dir`` every cell transition is journaled; ``resume=True``
-    replays the journal first and re-executes only cells without a
-    recorded result (the resumed report is byte-identical — modulo
+    hands the journal's replay to ``run_jobs``, so only cells without a
+    recorded result run (the resumed report is byte-identical — modulo
     ``elapsed_s`` — to an uninterrupted run).  SIGINT/SIGTERM drain
     gracefully and raise :class:`~repro.errors.SweepInterrupted` carrying
     the resume command.
 
-    The response-time cells (``rtos_scenarios``; pass ``()`` to skip them)
-    and the per-kernel loop checks run after the kernel matrix on the main
-    process — there are only a handful.  ``progress`` (if given) receives
-    one line per finished scenario; the report itself never raises on
-    soundness violations — callers decide (the CLI and the CI gate exit
-    non-zero when ``violations()`` is non-empty).
+    ``progress`` (if given) receives one line per finished scenario and per
+    kernel's loop checks; the report itself never raises on soundness
+    violations — callers decide (the CLI and the CI gate exit non-zero
+    when ``violations()`` is non-empty).
     """
     if jobs < 1:
         raise VerificationError("jobs must be >= 1")
     scenarios = build_scenarios(kernels, variants, arbiters)
-    report = ConformanceReport()
     started = time.perf_counter()
-    journal = run_dir.journal() if run_dir is not None else None
-    replay = run_dir.replay() if (run_dir is not None and resume) else None
 
     groups: dict[tuple, list[int]] = {}
     for index, scenario in enumerate(scenarios):
         key = (scenario.kernel, scenario.variant.hardware, scenario.arbiter)
         groups.setdefault(key, []).append(index)
-    group_indices = list(groups.values())
-    payloads = [[scenarios[i] for i in indices] for indices in group_indices]
-    keys = [_group_key(*group) for group in groups]
-    outcome_lists: list[Optional[list[ScenarioOutcome]]] = \
-        [None] * len(scenarios)
-
-    def place(g: int, results: list[list[ScenarioOutcome]]) -> None:
-        for index, outcomes in zip(group_indices[g], results):
-            outcome_lists[index] = outcomes
-            if progress is not None:
-                _emit_progress(progress, scenarios[index], outcomes)
-
-    g_of_key = {keys[g]: g for g in range(len(payloads))}
-    to_run: list[int] = []
-    for g in range(len(payloads)):
-        recorded = replay.done.get(keys[g]) if replay is not None else None
-        if recorded is not None:
-            # Journaled groups are *replayed*, not re-executed: the payload
-            # is the full per-scenario outcome list.
-            place(g, [[_outcome_from_dict(record) for record in outcomes]
-                      for outcomes in recorded])
-        else:
-            to_run.append(g)
-
-    def group_label(g: int) -> str:
-        labels = [scenario.label() for scenario in payloads[g]]
+    cells = []
+    for key, indices in groups.items():
+        labels = [scenarios[index].label() for index in indices]
         extra = f" (+{len(labels) - 1} more)" if len(labels) > 1 else ""
-        return labels[0] + extra
+        cells.append(JobCell(
+            key=_group_key(*key), label=labels[0] + extra,
+            payload=("group", [scenarios[index] for index in indices]),
+            affinity=key[0]))
+    for kernel in dict.fromkeys(scenario.kernel for scenario in scenarios):
+        cells.append(JobCell(key=f"loops/{kernel}",
+                             label=f"{kernel} loop bounds",
+                             payload=("loops", kernel), affinity=kernel))
+    for rtos_scenario in rtos_scenarios:
+        cells.append(JobCell(key=f"rtos/{rtos_scenario.name}",
+                             label=rtos_scenario.label(),
+                             payload=("rtos", rtos_scenario)))
 
-    # The sequential path runs every group on one in-process harness (its
-    # simulation memoisation is shared with the loop/rtos cells below);
-    # only ``jobs > 1`` routes groups through the pool entry point, so a
-    # test that replaces ``_run_scenario_group`` only ever affects forked
-    # workers, never the calling process.
-    local_harness = (ConformanceHarness(config=config, strict=strict,
-                                        engine=engine)
-                     if jobs == 1 else None)
-
-    def _serial_group(group: list[Scenario]) -> list[list[ScenarioOutcome]]:
-        return [local_harness.run_scenario(scenario) for scenario in group]
-
+    worker = _run_cell if jobs > 1 else functools.partial(
+        _run_cell, harness=ConformanceHarness(config=config, strict=strict,
+                                              engine=engine))
     outcome = run_jobs(
-        [JobCell(key=keys[g], label=group_label(g), payload=payloads[g])
-         for g in to_run],
-        _serial_group if jobs == 1 else _group_worker,
-        jobs=jobs, policy=_policy(), journal=journal,
+        cells, worker, jobs=jobs, policy=_policy(),
+        journal=run_dir.journal() if run_dir is not None else None,
+        replay=run_dir.replay() if (run_dir is not None and resume)
+        else None,
         worker_init=_init_worker if jobs > 1 else None,
         init_args=(config.to_dict() if config is not None else None,
                    strict, engine),
-        crash_failure=lambda cell, attempts: _crashed_group(cell.payload,
-                                                            attempts),
-        encode=lambda results: [[o.to_dict() for o in outcomes]
-                                for outcomes in results],
-        on_result=lambda cell, results: place(g_of_key[cell.key], results))
-    report.failures.extend(outcome.failures)
+        crash_failure=_crashed_cell, encode=_to_dict, decode=_from_dict,
+        on_result=None if progress is None else functools.partial(
+            _emit_cell_progress, progress))
     if outcome.interrupted:
-        raise _interrupted(run_dir)
+        raise sweep_interrupted("verify", run_dir)
 
-    # The per-loop soundness gate and the response-time cells run on the
-    # main process — there are only a handful, and the sequential path
-    # shares its simulation memoisation with the matrix cells above.
-    harness = local_harness if local_harness is not None \
-        else ConformanceHarness(config=config, strict=strict, engine=engine)
-    seen_kernels: list[str] = []
-    for scenario in scenarios:
-        if scenario.kernel not in seen_kernels:
-            seen_kernels.append(scenario.kernel)
-
-    def run_main_cell(key: str, fn, encode, decode):
-        """One journaled main-process cell (loop check / rtos scenario)."""
-        recorded = replay.done.get(key) if replay is not None else None
-        if recorded is not None:
-            return decode(recorded)
-        if journal is not None:
-            journal.cell(key, "running", 1)
-        try:
-            value = fn()
-        except KeyboardInterrupt:
-            if journal is not None:
-                journal.commit()
-            raise _interrupted(run_dir) from None
-        if journal is not None:
-            journal.cell(key, "done", 1, payload=encode(value))
-        return value
-
-    for kernel in seen_kernels:
-        checks = run_main_cell(
-            f"loops/{kernel}",
-            lambda kernel=kernel: harness.run_loop_checks(kernel),
-            lambda checks: [check.to_dict() for check in checks],
-            lambda records: [_loopcheck_from_dict(r) for r in records])
-        report.loop_checks.extend(checks)
-        if progress is not None:
-            bad = sum(1 for check in checks if check.ok is False)
-            status = "ok" if not bad else f"{bad} VIOLATIONS"
-            progress(f"{kernel + ' loop bounds':60s} "
-                     f"{len(checks):3d} loops checked  {status}")
-    for rtos_scenario in rtos_scenarios:
-        outcomes = run_main_cell(
-            f"rtos/{rtos_scenario.name}",
-            lambda s=rtos_scenario: harness.run_rtos_scenario(s),
-            lambda outcomes: [o.to_dict() for o in outcomes],
-            lambda records: [_outcome_from_dict(r) for r in records])
-        outcome_lists.append(outcomes)
-        if progress is not None:
-            _emit_progress(progress, rtos_scenario, outcomes)
-    if journal is not None:
-        journal.commit()
-    for outcomes in outcome_lists:
-        # ``None`` slots belong to a crash-failed group recorded above.
-        if outcomes is not None:
-            report.outcomes.extend(outcomes)
+    # Assemble in matrix order: scenarios, then RTOS scenarios; a cell
+    # missing from the results failed and is listed in ``failures``.
+    report = ConformanceReport(failures=outcome.failures)
+    by_scenario: list[list[ScenarioOutcome]] = [[] for _ in scenarios]
+    for indices, cell in zip(groups.values(), cells):
+        for index, outcomes in zip(indices,
+                                   outcome.results.get(cell.key, ())):
+            by_scenario[index] = outcomes
+    for outcomes in by_scenario:
+        report.outcomes.extend(outcomes)
+    for cell in cells[len(groups):]:
+        (report.loop_checks if cell.payload[0] == "loops"
+         else report.outcomes).extend(outcome.results.get(cell.key, ()))
     report.elapsed_s = time.perf_counter() - started
     return report

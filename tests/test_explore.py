@@ -801,6 +801,30 @@ class TestCli:
         assert f"unknown engine {engine!r}" in capsys.readouterr().err
         assert run.journal_path.read_bytes() == before
 
+    def test_resume_rejects_empty_and_wrong_kind_ids(self, tmp_path,
+                                                     capsys):
+        """An empty ``--resume`` id must not start a fresh sweep (which would
+        rewrite the journal of this very matrix), and a verify run must not
+        resume here; both fail before any journal is touched."""
+        matrix = {"kernels": ["vector_sum"], "axes": [],
+                  "analyse_wcet": False}
+        explore_run = RunDirectory.create("explore", matrix, cells=1,
+                                          root=tmp_path)
+        verify_run = RunDirectory.create("verify", {"kernels": ["x"]},
+                                         cells=1, root=tmp_path)
+        for run in (explore_run, verify_run):
+            run.close()
+        before = [run.journal_path.read_bytes()
+                  for run in (explore_run, verify_run)]
+        common = ["--runs-root", str(tmp_path), "--no-cache"]
+        assert main(["--resume", "", "--kernels", "vector_sum",
+                     "--no-wcet", *common]) == 1
+        assert "--resume requires a run id" in capsys.readouterr().err
+        assert main(["--resume", verify_run.run_id, *common]) == 1
+        assert "is a 'verify' run" in capsys.readouterr().err
+        assert [run.journal_path.read_bytes()
+                for run in (explore_run, verify_run)] == before
+
     def test_unknown_objective_fails_before_sweeping(self, capsys):
         code = main(["--kernels", "vector_sum", "--no-cache",
                      "--objectives", "bogus"])

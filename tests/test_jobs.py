@@ -114,8 +114,8 @@ class TestJournal:
         assert replay.done == {"a": {"cycles": 42}}
         assert replay.failed == {"c": {"error": "X"}}
         assert not replay.torn_tail
-        # b was mid-flight: it must re-execute.
-        assert replay.pending(["a", "b", "c"]) == ["b", "c"]
+        # b was mid-flight and c failed: neither is done, so both re-run.
+        assert "b" not in replay.done and "c" not in replay.done
 
     def test_torn_tail_truncated_mid_byte_requeues_cell(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -131,7 +131,6 @@ class TestJournal:
         replay = replay_journal(path)
         assert replay.torn_tail
         assert replay.done == {"a": {"cycles": 1}}
-        assert replay.pending(["a", "b"]) == ["b"]
 
     def test_interior_corruption_warns_and_skips(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -145,12 +144,12 @@ class TestJournal:
         with pytest.warns(RuntimeWarning, match="undecodable record"):
             replay = replay_journal(path)
         assert not replay.torn_tail
-        assert replay.pending(["a", "b"]) == ["a"]
+        assert replay.done == {"b": {"cycles": 2}}
 
     def test_missing_journal_is_empty_replay(self, tmp_path):
         replay = replay_journal(tmp_path / "absent.jsonl")
         assert replay.records == 0
-        assert replay.pending(["a"]) == ["a"]
+        assert replay.done == {}
 
     def test_sigkill_loses_nothing_flushed(self, tmp_path):
         """Every append is flushed: a killed writer's records all replay."""
@@ -275,6 +274,33 @@ class TestRunJobsSerial:
         run_jobs(_cells([1, 2, 3]), _square,
                  on_result=lambda cell, value: seen.append(value))
         assert seen == [1, 4, 9]
+
+
+class TestRunJobsResume:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replayed_cells_are_delivered_not_executed(self, tmp_path, jobs):
+        """A cell the replay records done reaches ``on_result`` decoded,
+        without running (its payload -1 would raise) or a new journal
+        record; every other cell runs."""
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            journal.cell("cell/-1", "done", 1, payload={"square": 1})
+            journal.cell("cell/2", "running", 1)  # lost before finishing
+        seen = {}
+        with Journal(path) as journal:
+            outcome = run_jobs(
+                _cells([-1, 2, 3]), _raise_if_negative, jobs=jobs,
+                journal=journal, replay=replay_journal(path),
+                encode=lambda value: {"square": value},
+                decode=lambda payload: payload["square"],
+                on_result=lambda cell, value: seen.update({cell.key: value}))
+        assert outcome.executed == 2
+        assert outcome.results == {"cell/-1": 1, "cell/2": 4, "cell/3": 9}
+        assert seen == outcome.results
+        assert _journal_counts(path, "running") == {"cell/2": 2, "cell/3": 1}
+        assert _journal_counts(path, "done") == {"cell/-1": 1, "cell/2": 1,
+                                                 "cell/3": 1}
+        assert replay_journal(path).done["cell/3"] == {"square": 9}
 
 
 class TestRunJobsParallel:
@@ -618,16 +644,17 @@ class TestCrashRecovery:
             self._table_lines(fresh.stdout)
 
     def test_verify_resume_replays_done_cells(self, tmp_path):
-        from repro.verify import (DEFAULT_ARBITERS, DEFAULT_VARIANTS,
-                                  run_conformance)
+        from repro.verify import (DEFAULT_ARBITERS, DEFAULT_RTOS_SCENARIOS,
+                                  DEFAULT_VARIANTS, run_conformance)
         from repro.verify.harness import count_cells
 
         variants = DEFAULT_VARIANTS[:1]
         arbiters = tuple(a for a in DEFAULT_ARBITERS
                          if a.name in ("single", "tdma2"))
+        rtos = DEFAULT_RTOS_SCENARIOS[:2]
         kwargs = dict(kernels=["vector_sum"], variants=variants,
-                      arbiters=arbiters, rtos_scenarios=())
-        cells = count_cells(["vector_sum"], variants, arbiters, ())
+                      arbiters=arbiters, rtos_scenarios=rtos)
+        cells = count_cells(["vector_sum"], variants, arbiters, rtos)
 
         baseline = run_conformance(**kwargs).to_dict()
         run = RunDirectory.create("verify", {"t": "resume"}, cells=cells,
@@ -635,19 +662,30 @@ class TestCrashRecovery:
         first = run_conformance(**kwargs, run_dir=run).to_dict()
         run.close()
 
-        # Tear the journal back mid-run: drop the trailing records so at
-        # least one cell loses its terminal state, then resume.
+        # Tear the journal back mid-run: drop the trailing records so the
+        # last RTOS cell loses its terminal state, then resume.
         journal_path = run.journal_path
         lines = journal_path.read_bytes().rstrip(b"\n").split(b"\n")
         done_full = _journal_counts(journal_path, "done")
-        journal_path.write_bytes(b"\n".join(lines[:-3]) + b"\n")
+        journal_path.write_bytes(b"\n".join(lines[:-2]) + b"\n")
         done_cut = _journal_counts(journal_path, "done")
-        assert len(done_cut) < len(done_full)
+        runs_cut = _journal_counts(journal_path, "running")
+        assert set(done_full) - set(done_cut) == {f"rtos/{rtos[1].name}"}
+        main_cells = [key for key in done_cut
+                      if key.startswith(("loops/", "rtos/"))]
+        assert main_cells == ["loops/vector_sum", f"rtos/{rtos[0].name}"]
 
         resumed_dir = RunDirectory.open(run.run_id, root=tmp_path)
         resumed = run_conformance(**kwargs, run_dir=resumed_dir,
                                   resume=True).to_dict()
         resumed_dir.close()
+        # Cells done before the cut replay from the journal: no new
+        # "running" record; the torn cell runs again.
+        runs_after = _journal_counts(journal_path, "running")
+        for key in done_cut:
+            assert runs_after[key] == runs_cut[key], \
+                f"done cell {key} was re-executed on resume"
+        assert set(_journal_counts(journal_path, "done")) == set(done_full)
         for report in (baseline, first, resumed):
             report.pop("elapsed_s", None)
             report.get("summary", {}).pop("elapsed_s", None)

@@ -10,6 +10,7 @@ simulator trips the property rather than a hand-picked example.
 import copy
 import dataclasses
 import json
+import os
 from dataclasses import fields
 
 import pytest
@@ -27,6 +28,7 @@ from repro.memory import TdmaBusArbiter, TdmaSchedule
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
     DEFAULT_ARBITERS,
+    DEFAULT_RTOS_SCENARIOS,
     DEFAULT_VARIANTS,
     ArbiterConfig,
     CacheModelVariant,
@@ -249,6 +251,33 @@ class TestCli:
         assert run.journal_path.read_bytes() == before
 
 
+    def test_resume_rejects_empty_and_wrong_kind_ids(self, tmp_path,
+                                                     capsys):
+        """An empty ``--resume`` id must not start a fresh sweep (which would
+        rewrite the journal of this very matrix), and an explore run must
+        not resume here; both fail before any journal is touched."""
+        matrix = {"kernels": ["vector_sum"],
+                  "variants": [DEFAULT_VARIANTS[0].name],
+                  "arbiters": ["single"], "no_rtos": True, "engine": "fast"}
+        verify_run = RunDirectory.create("verify", matrix, cells=2,
+                                         root=tmp_path)
+        explore_run = RunDirectory.create("explore", {"kernels": ["x"]},
+                                          cells=1, root=tmp_path)
+        for run in (verify_run, explore_run):
+            run.close()
+        before = [run.journal_path.read_bytes()
+                  for run in (verify_run, explore_run)]
+        common = ["--runs-root", str(tmp_path), "--quiet"]
+        assert main(["--resume", "", "--kernels", "vector_sum",
+                     "--variants", DEFAULT_VARIANTS[0].name,
+                     "--arbiters", "single", "--no-rtos", *common]) == 2
+        assert "--resume requires a run id" in capsys.readouterr().err
+        assert main(["--resume", explore_run.run_id, *common]) == 2
+        assert "is a 'explore' run" in capsys.readouterr().err
+        assert [run.journal_path.read_bytes()
+                for run in (verify_run, explore_run)] == before
+
+
 class TestParallelMatrix:
     def test_parallel_report_identical_to_sequential(self):
         """--jobs fan-out must not change the report, only its wall-clock.
@@ -258,7 +287,7 @@ class TestParallelMatrix:
         sequential runs) is excluded.
         """
         kwargs = dict(kernels=["vector_sum", "saturate", "stack_chain"],
-                      rtos_scenarios=())
+                      rtos_scenarios=DEFAULT_RTOS_SCENARIOS[:1])
         sequential = run_conformance(**kwargs)
         parallel = run_conformance(jobs=3, **kwargs)
         sequential_dict = sequential.to_dict()
@@ -266,6 +295,37 @@ class TestParallelMatrix:
         sequential_dict["summary"].pop("elapsed_s")
         parallel_dict["summary"].pop("elapsed_s")
         assert parallel_dict == sequential_dict
+
+    def test_calling_process_runs_no_cell(self, monkeypatch, tmp_path):
+        """At ``jobs=2`` every compile, loop check and RTOS cell runs in a
+        pool worker: each call logs its process id to a file, and none is
+        the calling process's."""
+        from repro.verify import harness as harness_module
+
+        log = tmp_path / "calls.log"
+
+        def logged(name, function):
+            def wrapper(*args, **kwargs):
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()} {name}\n")
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness_module, "compile_and_link", logged(
+            "compile_and_link", harness_module.compile_and_link))
+        for name in ("run_loop_checks", "run_rtos_scenario"):
+            monkeypatch.setattr(ConformanceHarness, name,
+                                logged(name, getattr(ConformanceHarness,
+                                                     name)))
+        report = run_conformance(kernels=["vector_sum", "saturate"],
+                                 arbiters=FAST_ARBITERS,
+                                 rtos_scenarios=DEFAULT_RTOS_SCENARIOS[:2],
+                                 jobs=2)
+        assert report.loop_checks and not report.failures
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert {name for _, name in calls} == {
+            "compile_and_link", "run_loop_checks", "run_rtos_scenario"}
+        assert [name for pid, name in calls if int(pid) == os.getpid()] == []
 
     def test_parallel_progress_covers_every_scenario(self):
         lines: list[str] = []
@@ -291,7 +351,6 @@ class TestParallelMatrix:
         other group's outcomes still arrive, and the incomplete report
         must fail the gate even though no *checked* bound was violated.
         """
-        import os
         import signal
 
         from repro.verify import harness as harness_module
@@ -303,7 +362,7 @@ class TestParallelMatrix:
                    and s.arbiter.name == "tdma4w" for s in group):
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(group)
-        # Forked pool workers call through _group_worker and inherit this.
+        # Forked pool workers call through _run_cell and inherit this.
         monkeypatch.setattr(harness_module, "_run_scenario_group",
                             die_on_target)
         monkeypatch.setattr(harness_module, "_RETRY_BACKOFF_S", 0.0)
