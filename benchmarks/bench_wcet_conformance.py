@@ -14,9 +14,10 @@ The report also records ``peak_rss_mb``, the peak resident set of this
 process and of its worker processes, and a ``stages`` section that splits
 the conformance matrix by stage: its wall time, the analyses run and the
 seconds spent in them, the cache analyses computed, the IPET solves against
-the distinct IPET instances among them, and the simulations (co-simulation
+the distinct IPET instances among them, the simulations (co-simulation
 recordings made, plain ``CycleSimulator.run`` calls and the seconds spent
-in both).  The stage counts are taken
+in both), and the kernel builds and compiles with their seconds.  The
+stage counts are taken
 in this process, so they are ``null`` when ``--jobs`` above 1 runs the
 matrix in worker processes.  The process exits non-zero if
 
@@ -48,11 +49,13 @@ from harness import profiled  # noqa: E402
 from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
 from repro.cmp.replay import TraceRecorder  # noqa: E402
+from repro.compiler import passes  # noqa: E402
 from repro.memory import TdmaSchedule  # noqa: E402
 from repro.sim.cycle import CycleSimulator  # noqa: E402
 from repro.verify import run_conformance  # noqa: E402
 from repro.wcet import analyze_wcet, analyzer  # noqa: E402
-from repro.workloads import build_kernel, resolve_kernels  # noqa: E402
+from repro.workloads import (KERNEL_BUILDERS, build_kernel,  # noqa: E402
+                             resolve_kernels)
 
 #: Weighted TDMA geometry on which the refinement win is demonstrated.
 #: Asymmetric slots make the blanket period - 1 charge visibly loose, and
@@ -218,6 +221,40 @@ def sim_stages():
         stages["sim_s"] = round(stages["sim_s"], 4)
 
 
+@contextmanager
+def build_stages():
+    """Count and time the kernel builds and compiles inside the block.
+
+    Wraps, from outside the program, every builder in ``KERNEL_BUILDERS``
+    (what ``build_kernel`` calls) and ``compile_program`` (what
+    ``compile_and_link`` calls; linking is not included).
+    """
+    stages = {"builds": 0, "build_s": 0.0, "compiles": 0, "compile_s": 0.0}
+    builders = dict(KERNEL_BUILDERS)
+    compile_program = passes.compile_program
+
+    def timed(real, counter, seconds):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stages[counter] += 1
+                stages[seconds] += time.perf_counter() - start
+        return wrapper
+
+    for name, builder in builders.items():
+        KERNEL_BUILDERS[name] = timed(builder, "builds", "build_s")
+    passes.compile_program = timed(compile_program, "compiles", "compile_s")
+    try:
+        yield stages
+    finally:
+        KERNEL_BUILDERS.update(builders)
+        passes.compile_program = compile_program
+        stages["build_s"] = round(stages["build_s"], 4)
+        stages["compile_s"] = round(stages["compile_s"], 4)
+
+
 def peak_rss_mb() -> float:
     """Peak resident set of this process and its reaped children, in MB."""
     scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss unit
@@ -231,12 +268,13 @@ def run_benchmark(smoke: bool, jobs: int = 1) -> dict:
     kernel_set = ("performance",) if smoke else ("all",)
     kernels = resolve_kernels(kernel_set)
 
-    with wcet_stages() as stages, sim_stages() as sims:
+    with wcet_stages() as stages, sim_stages() as sims, \
+            build_stages() as builds:
         start = time.perf_counter()
         report = run_conformance(kernels=kernel_set, config=config,
                                  jobs=jobs, progress=None)
         matrix_s = time.perf_counter() - start
-    stages = {**stages, **sims}
+    stages = {**stages, **sims, **builds}
     if jobs > 1:
         stages = dict.fromkeys(stages)
     stages = {"matrix_s": round(matrix_s, 4), **stages}
@@ -301,7 +339,9 @@ def main(argv=None) -> int:
                    f"{stages['ipet_instances']} distinct instances, "
                    f"{stages['recordings']} recordings and "
                    f"{stages['plain_sim_runs']} plain runs in "
-                   f"{stages['sim_s']} s")
+                   f"{stages['sim_s']} s, {stages['builds']} kernel builds "
+                   f"in {stages['build_s']} s, {stages['compiles']} "
+                   f"compiles in {stages['compile_s']} s")
     print(f"matrix {stages['matrix_s']} s: {counts}")
     print(f"peak RSS {report['peak_rss_mb']} MB")
     print(f"wrote {args.output}")

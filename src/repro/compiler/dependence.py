@@ -24,6 +24,17 @@ and critical-path lengths equal those of a graph with an edge for every
 dependent pair, at a cost linear in the block length.  The same pass chains
 the ordered side effects (memory accesses, stack control, waits, output),
 each to the previous one.
+
+The pass is written for a small constant cost per instruction.  A
+register's last real definition is a single index; only the ``wmem`` that
+completes a split load adds further definitions, kept in a separate and
+usually empty table.  Result delays come from a per-pipeline table
+(:func:`~repro.isa.opcodes.result_delay_table`).  No per-instruction sets
+are built: an edge from one earlier access reached through several
+registers is made once, by remembering per edge kind the last instruction
+each access got an edge to.  Edges are created as plain tuples of the
+:class:`Dependence` type, and the predecessor and successor lists are
+filled in one pass at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from typing import NamedTuple
 
 from ..config import PipelineConfig
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Format, Opcode, OpInfo, result_delay_slots
+from ..isa.opcodes import Format, Opcode, OpInfo, result_delay_table
 
 
 class Dependence(NamedTuple):
@@ -59,16 +70,20 @@ class DependenceGraph:
     _succs: list[list[Dependence]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._preds = [[] for _ in self.instructions]
-        self._succs = [[] for _ in self.instructions]
+        self._preds = preds = [[] for _ in self.instructions]
+        self._succs = succs = [[] for _ in self.instructions]
         for edge in self.edges:
-            self._preds[edge.dst].append(edge)
-            self._succs[edge.src].append(edge)
+            preds[edge.dst].append(edge)
+            succs[edge.src].append(edge)
 
     def add_edge(self, edge: Dependence) -> None:
         self.edges.append(edge)
         self._preds[edge.dst].append(edge)
         self._succs[edge.src].append(edge)
+
+    def in_degrees(self) -> list[int]:
+        """The number of incoming edges of each instruction."""
+        return [len(preds) for preds in self._preds]
 
     def predecessors(self, index: int) -> list[Dependence]:
         return self._preds[index]
@@ -109,9 +124,14 @@ def _orders(info: OpInfo) -> bool:
             or info.fmt in (Format.WAIT, Format.OUT, Format.MTS, Format.HALT))
 
 
-#: Opcodes of the ordered side effects, and of the split main-memory loads.
+#: Opcodes of the ordered side effects, and their mnemonics (the builder's
+#: key: a string hashes without a Python-level call, an enum member not).
 _ORDERED = frozenset(op for op in Opcode if _orders(op.info))
-_DECOUPLED_LOADS = frozenset(op for op in Opcode if op.info.is_decoupled_load)
+_ORDERED_MNEMONICS = frozenset(op.value for op in _ORDERED)
+_WMEM = Opcode.WMEM
+#: Builds a :class:`Dependence` without the named tuple's Python-level
+#: ``__new__``: ``_new_tuple(Dependence, (src, dst, distance, kind))``.
+_new_tuple = tuple.__new__
 
 
 def build_dependence_graph(instructions: list[Instruction],
@@ -125,86 +145,130 @@ def build_dependence_graph(instructions: list[Instruction],
     independent work, which is exactly the deterministic latency hiding the
     split-load design enables (Section 3.3 of the paper).
     """
-    graph = DependenceGraph(instructions=list(instructions))
-    edges = graph.edges
-    preds = graph._preds
-    succs = graph._succs
+    instrs = list(instructions)
+    delay_of = result_delay_table(pipeline)
+    edges: list[Dependence] = []
+    edge = edges.append
 
-    def add(src: int, dst: int, distance: int, kind: str) -> None:
-        edge = Dependence(src, dst, distance, kind)
-        edges.append(edge)
-        preds[dst].append(edge)
-        succs[src].append(edge)
-
-    # Per register: the instructions that defined it since its last real
-    # definition (inclusive), and those that read it since then.  Predicates
+    # Per register: its last real definition, the wmems that completed a
+    # split load into it since then (rare, so kept apart and usually
+    # empty), and the instructions that read it since then.  Predicates
     # have tables of their own, apart from the general-purpose and special
     # registers.
-    defs: dict[object, list[int]] = {}
+    defs: dict[object, int] = {}
+    wmem_defs: dict[int, list[int]] = {}
     readers: dict[object, list[int]] = {}
-    pred_defs: dict[int, list[int]] = {}
+    pred_defs: dict[int, int] = {}
     pred_readers: dict[int, list[int]] = {}
+    # Per earlier instruction and edge kind, the last instruction that got
+    # an edge of that kind from it: an instruction that meets one earlier
+    # access through several registers gets a single edge from it.
+    raw_to = [-1] * len(instrs)
+    raw_pred_to = raw_to.copy()
+    waw_to = raw_to.copy()
+    war_to = raw_to.copy()
     delays: list[int] = []
     pending_rd: int | None = None
     previous_ordered: int | None = None
-    for later, instr in enumerate(graph.instructions):
+    for later, instr in enumerate(instrs):
         reads, pred_reads, writes, pred_writes = instr.def_use()
-        opcode = instr.opcode
-        delay = result_delay_slots(opcode.info, pipeline)
+        info = instr.info
+        delay = delay_of[info.mnemonic]
         delays.append(delay)
         # True dependences (read after write): respect the exposed delay.
-        for src in {i for r in reads if r in defs for i in defs[r]}:
-            add(src, later, 1 + delays[src], "raw")
-        for src in {i for p in pred_reads if p in pred_defs
-                    for i in pred_defs[p]}:
-            add(src, later, 1, "raw-pred")
-        if writes or pred_writes:
-            # Output dependences (write after write): the later write must
-            # commit after the earlier one.
-            earlier = {i for r in writes if r in defs for i in defs[r]}
-            earlier.update(i for p in pred_writes if p in pred_defs
-                           for i in pred_defs[p])
-            for src in earlier:
-                add(src, later, max(1, 1 + delays[src] - delay), "waw")
-            # Anti dependences (write after read): same bundle is fine
-            # because all operands are read before any write commits.
-            earlier = {i for r in writes if r in readers for i in readers[r]}
-            earlier.update(i for p in pred_writes if p in pred_readers
-                           for i in pred_readers[p])
-            for src in earlier:
-                add(src, later, 0, "war")
         for r in reads:
-            readers.setdefault(r, []).append(later)
+            src = defs.get(r)
+            if src is not None and raw_to[src] != later:
+                raw_to[src] = later
+                edge(_new_tuple(Dependence, (src, later, 1 + delays[src], "raw")))
+        if wmem_defs:
+            for r in reads:
+                for src in wmem_defs.get(r, ()):
+                    if raw_to[src] != later:
+                        raw_to[src] = later
+                        edge(_new_tuple(Dependence, (
+                            src, later, 1 + delays[src], "raw")))
         for p in pred_reads:
-            pred_readers.setdefault(p, []).append(later)
+            src = pred_defs.get(p)
+            if src is not None and raw_pred_to[src] != later:
+                raw_pred_to[src] = later
+                edge(_new_tuple(Dependence, (src, later, 1, "raw-pred")))
+        # Output dependences (write after write): the later write must
+        # commit after the earlier one.  Anti dependences (write after
+        # read): same bundle is fine because all operands are read before
+        # any write commits.
         for r in writes:
-            defs[r] = [later]
+            src = defs.get(r)
+            if src is not None and waw_to[src] != later:
+                waw_to[src] = later
+                edge(_new_tuple(Dependence, (
+                    src, later, max(1, 1 + delays[src] - delay), "waw")))
+            if wmem_defs and r in wmem_defs:
+                for src in wmem_defs.pop(r):
+                    if waw_to[src] != later:
+                        waw_to[src] = later
+                        edge(_new_tuple(Dependence, (
+                            src, later, max(1, 1 + delays[src] - delay),
+                            "waw")))
+            sources = readers.get(r)
+            if sources:
+                for src in sources:
+                    if war_to[src] != later:
+                        war_to[src] = later
+                        edge(_new_tuple(Dependence, (src, later, 0, "war")))
+        for p in pred_writes:
+            src = pred_defs.get(p)
+            if src is not None and waw_to[src] != later:
+                waw_to[src] = later
+                edge(_new_tuple(Dependence, (
+                    src, later, max(1, 1 + delays[src] - delay), "waw")))
+            sources = pred_readers.get(p)
+            if sources:
+                for src in sources:
+                    if war_to[src] != later:
+                        war_to[src] = later
+                        edge(_new_tuple(Dependence, (src, later, 0, "war")))
+        for r in reads:
+            sources = readers.get(r)
+            if sources is None:
+                readers[r] = [later]
+            else:
+                sources.append(later)
+        for p in pred_reads:
+            sources = pred_readers.get(p)
+            if sources is None:
+                pred_readers[p] = [later]
+            else:
+                sources.append(later)
+        for r in writes:
+            defs[r] = later
             readers[r] = []
         for p in pred_writes:
-            pred_defs[p] = [later]
+            pred_defs[p] = later
             pred_readers[p] = []
         # Ordered side effects keep program order; chaining consecutive ones
         # is enough because the constraint is transitive.
-        if opcode in _ORDERED:
+        if info.mnemonic in _ORDERED_MNEMONICS:
             if previous_ordered is not None:
                 distance = 1
                 # A split main-memory load and its wmem must stay ordered;
                 # aiming for `split_load_distance` bundles lets independent
                 # work hide the memory latency (Section 3.3).
-                if opcode is Opcode.WMEM and graph.instructions[
-                        previous_ordered].opcode in _DECOUPLED_LOADS:
+                if instr.opcode is _WMEM and instrs[
+                        previous_ordered].info.is_decoupled_load:
                     distance = max(1, split_load_distance)
-                add(previous_ordered, later, distance, "order")
+                edge(_new_tuple(Dependence, (
+                    previous_ordered, later, distance, "order")))
             previous_ordered = later
             # A decoupled main-memory load (itself ordered, like the wmem)
             # only commits its destination register when the matching wmem
             # executes, so the wmem also acts as a source definition of that
             # register (it displaces no earlier access).
-            if opcode in _DECOUPLED_LOADS:
+            if info.is_decoupled_load:
                 pending_rd = instr.rd
-            elif opcode is Opcode.WMEM:
+            elif instr.opcode is _WMEM:
                 if pending_rd is not None:
-                    defs.setdefault(pending_rd, []).append(later)
+                    wmem_defs.setdefault(pending_rd, []).append(later)
                 pending_rd = None
 
-    return graph
+    return DependenceGraph(instrs, edges)

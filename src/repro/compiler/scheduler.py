@@ -26,7 +26,10 @@ long-immediate instruction) is pushed back for the next cycle.  When nothing
 is ready, NOPs fill the cycles until the next delay expires.  A cycle pops
 only as far as it must to fill its bundle instead of sorting the whole ready
 pool, so a block costs ``O((n + e) log n)`` for ``n`` instructions and ``e``
-edges, plus ``O(log n)`` for each pushed-back instruction.
+edges, plus ``O(log n)`` for each pushed-back instruction.  Around that
+core, a block is scanned once for its terminator
+(:meth:`~repro.program.basic_block.BasicBlock.split_terminator`) and its
+slot lists once for the statistics.
 
 The scheduler is deliberately local (per basic block); global code motion is
 out of scope for this reproduction, as in the paper's early LLVM port
@@ -41,11 +44,13 @@ from dataclasses import dataclass
 from ..config import PatmosConfig
 from ..errors import CompilerError
 from ..isa.instruction import Bundle, Instruction, NOP
-from ..isa.opcodes import control_delay_slots, result_delay_slots
+from ..isa.opcodes import Opcode, control_delay_slots, result_delay_table
 from ..program.basic_block import BasicBlock
 from ..program.function import Function
 from ..program.program import Program
 from .dependence import DependenceGraph, build_dependence_graph
+
+_NOP = Opcode.NOP
 
 
 @dataclass
@@ -84,8 +89,7 @@ class BlockScheduler:
     def schedule_block(self, block: BasicBlock, stats: ScheduleStats | None = None
                        ) -> list[Bundle]:
         """Schedule the block's instructions and return its bundles."""
-        terminator = block.terminator()
-        body = block.body_instructions()
+        body, terminator = block.split_terminator()
         slots: list[list[Instruction]] = []
         if body or terminator is not None:
             graph = build_dependence_graph(
@@ -98,12 +102,19 @@ class BlockScheduler:
 
         bundles = [Bundle(*slot) for slot in slots]
         if stats is not None:
+            instructions = nops = dual = 0
+            for slot in slots:
+                instructions += len(slot)
+                if len(slot) == 2:
+                    dual += 1
+                for instr in slot:
+                    if instr.opcode is _NOP:
+                        nops += 1
             stats.blocks += 1
-            stats.bundles += len(bundles)
-            useful = sum(1 for b in bundles for i in b if not i.is_nop)
-            stats.instructions += useful
-            stats.nops_inserted += sum(1 for b in bundles for i in b if i.is_nop)
-            stats.dual_issue_bundles += sum(1 for b in bundles if len(b) == 2)
+            stats.bundles += len(slots)
+            stats.instructions += instructions - nops
+            stats.nops_inserted += nops
+            stats.dual_issue_bundles += dual
         return bundles
 
     # -- body scheduling ----------------------------------------------------------------
@@ -118,9 +129,10 @@ class BlockScheduler:
         """
         instrs = graph.instructions
         priorities = graph.critical_path_lengths(count)
+        waiting = graph.in_degrees()
         # A node beyond the body keeps one extra wait, so it never releases.
-        waiting = [len(graph.predecessors(index)) + (index >= count)
-                   for index in range(len(instrs))]
+        for index in range(count, len(instrs)):
+            waiting[index] += 1
         earliest = [0] * len(instrs)
         issue_slot = [0] * count
         ready = [(-priorities[index], index) for index in range(count)
@@ -188,10 +200,12 @@ class BlockScheduler:
         # producer with a non-zero delay needs that many bundles after it
         # within the block (the scheduler is block-local and has no liveness
         # information, so it pads conservatively).
+        delay_of = result_delay_table(self.config.pipeline)
         needed = 0
         for index, issue in enumerate(issue_slot):
-            delay = result_delay_slots(instrs[index].info, self.config.pipeline)
-            needed = max(needed, issue + 1 + delay)
+            end = issue + 1 + delay_of[instrs[index].info.mnemonic]
+            if end > needed:
+                needed = end
         while len(slots) < needed:
             slots.append([NOP])
         return slots, issue_slot

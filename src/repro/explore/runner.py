@@ -8,8 +8,9 @@ the achievable clock — and returns a flat, JSON-serializable
 so :class:`ExplorationRunner` can ship it to a ``multiprocessing`` pool.
 
 Each process keeps the images it compiled in a small memo keyed on content
-(kernel, kernel parameters, processor config, compile options), so every
-core count and arbiter of one kernel x hardware point shares one
+(kernel, kernel parameters, processor config, compile options;
+:func:`~repro.workloads.images.compiled_kernel`), so every core count and
+arbiter of one kernel x hardware point shares one
 :class:`~repro.program.linker.Image` — its pre-decoded program, its WCET
 layout and its co-simulation recording
 (:func:`~repro.cmp.replay.recorded_trace`).  The same key is each cell's
@@ -32,21 +33,19 @@ poisoned; every other cell still completes and is cached.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Union
 
 from ..cmp.replay import run_alone
 from ..cmp.system import MulticoreSystem
-from ..compiler.passes import compile_and_link
 from ..errors import ExplorationError, FailedCell
 from ..hw.pipeline import estimate_pipeline_timing
 from ..jobs import (JobCell, RetryPolicy, RunDirectory, run_jobs,
                     sweep_interrupted)
-from ..program.linker import Image
 from ..wcet.analyzer import analyze_wcet
-from ..workloads.suite import build_kernel, resolve_kernels
+from ..workloads.images import compiled_kernel, image_key
+from ..workloads.suite import resolve_kernels
 from .cache import ResultCache
 from .pareto import DEFAULT_OBJECTIVES, pareto_frontier, pareto_table
 from .space import ExperimentSpec, ParameterSpace
@@ -98,54 +97,46 @@ class SpecResult:
         """JSON-serializable record (the cache's value format).
 
         ``from_cache`` is provenance of this in-memory object, not a property
-        of the design point, so it is deliberately excluded.
+        of the design point, so it is deliberately excluded.  The record is
+        what :func:`dataclasses.asdict` gives, field by field with fresh
+        nested dicts and lists, without its generic deep copy.
         """
-        record = asdict(self)
-        del record["from_cache"]
-        return record
+        return {name: _copied(getattr(self, name)) for name in _RECORD_FIELDS}
 
     @classmethod
     def from_record(cls, record: dict, from_cache: bool = True) -> "SpecResult":
         return cls(**record, from_cache=from_cache)
 
 
-#: Most images one process keeps in :data:`_images`; the least recently
-#: used is dropped first.
-_IMAGE_MEMO_SIZE = 16
+#: The fields of a :class:`SpecResult` record, in field order.
+_RECORD_FIELDS = tuple(f.name for f in fields(SpecResult)
+                       if f.name != "from_cache")
 
-#: Per-process image memo of :func:`_compiled`: :func:`_image_key` ->
-#: (image, expected output), least recently used first.
-_images: dict[tuple, tuple[Image, list[int]]] = {}
+
+def _copied(value):
+    """A copy of a JSON-like value: fresh dicts and lists, shared leaves."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
 
 
 def _image_key(spec: ExperimentSpec) -> tuple:
-    """The content key of ``spec``'s image: (kernel, kernel params as JSON,
-    config, compile options).  It keys the memo and is the cell affinity
-    the runner leases by, so a worker's cells of one image share it."""
-    return (spec.kernel, json.dumps(sorted(spec.kernel_params),
-                                    sort_keys=True),
-            spec.config, spec.options)
-
-
-def _compiled(spec: ExperimentSpec) -> tuple[Image, list[int]]:
-    """The linked image of ``spec`` and its kernel's expected output."""
-    key = _image_key(spec)
-    entry = _images.pop(key, None)
-    if entry is None:
-        kernel = build_kernel(spec.kernel, **dict(spec.kernel_params))
-        image, _ = compile_and_link(kernel.program, spec.config, spec.options)
-        entry = (image, kernel.expected_output)
-        if len(_images) >= _IMAGE_MEMO_SIZE:
-            del _images[next(iter(_images))]
-    _images[key] = entry
-    return entry
+    """The content key of ``spec``'s image in the per-process memo
+    (:func:`~repro.workloads.images.image_key`).  It is also the cell
+    affinity the runner leases by, so a worker's cells of one image share
+    it."""
+    return image_key(spec.kernel, spec.kernel_params, spec.config,
+                     spec.options)
 
 
 def execute_spec(spec: ExperimentSpec) -> SpecResult:
     """Run one design point end to end (compile, simulate, analyse)."""
     if spec.rtos:
         return _execute_rtos_spec(spec)
-    image, expected_output = _compiled(spec)
+    image, expected_output = compiled_kernel(
+        spec.kernel, spec.kernel_params, spec.config, spec.options)
     wcet_options = spec.wcet_options()
 
     if spec.cores == 1:

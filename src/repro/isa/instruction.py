@@ -8,12 +8,19 @@ immediate ALU operations occupy both slots of a bundle.
 Branch and call targets may be *symbolic* (a label or function name) until the
 linker resolves them to numeric offsets; the simulator and encoder require
 resolved targets.
+
+Both are validated at construction, table-driven.  One table per opcode says
+which operands are required and which are forbidden; a valid instruction
+passes it in one membership test per operand, a valid bundle in one
+expression.  Anything else runs the checks one by one, in a fixed order, so
+an invalid instruction or bundle raises the same :class:`IsaError` text
+whatever path found it, and no error message is formatted unless raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from ..errors import IsaError
 from .opcodes import Format, MemType, Opcode, OpInfo
@@ -53,7 +60,13 @@ class Instruction:
     """A single Patmos instruction.
 
     Operand fields that do not apply to the opcode's format must be ``None``;
-    the constructor validates the combination against :class:`OpInfo`.
+    the constructor validates the combination against the opcode's operand
+    rules (see :func:`_validate`).
+
+    ``info`` is the opcode's :class:`OpInfo`.  It is set once at
+    construction as a plain attribute, not a field, so equality, hashing,
+    ``repr`` and the pickled state see only the fields; unpickling and
+    copying set it again from the opcode.
     """
 
     opcode: Opcode
@@ -73,13 +86,19 @@ class Instruction:
     notes: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "info", self.opcode.info)
         _validate(self)
 
-    # -- convenience accessors -------------------------------------------------
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["info"]
+        return state
 
-    @property
-    def info(self) -> OpInfo:
-        return self.opcode.info
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "info", self.opcode.info)
+
+    # -- convenience accessors -------------------------------------------------
 
     @property
     def is_nop(self) -> bool:
@@ -109,13 +128,12 @@ class Instruction:
         written.  This is the one statement of the def/use rules: the
         per-kind sets below and the dependence builder all read it.
         """
-        opcode = self.opcode
-        info = opcode.info
-        reads, writes = _IMPLICIT_SPECIALS[opcode]
+        info = self.info
+        reads, writes = _IMPLICIT_SPECIALS[info.mnemonic]
         rs1, rs2, rd = self.rs1, self.rs2, self.rd
         if rs1 is not None:
             reads = (rs1, *reads) if rs2 is None else (rs1, rs2, *reads)
-        if opcode is Opcode.LIH:
+        if self.opcode is Opcode.LIH:
             # lih merges into the existing low half of rd.
             reads = (rd,)
         if rd and info.writes_gpr:
@@ -127,7 +145,8 @@ class Instruction:
             else:
                 reads = (special,)
         guard = self.guard
-        pred_reads = () if guard.is_always else (guard.pred,)
+        # Inline ``guard.is_always``: a property call per instruction.
+        pred_reads = (guard.pred,) if guard.pred or guard.negate else ()
         if self.ps1 is not None:
             pred_reads += ((self.ps1,) if self.ps2 is None
                            else (self.ps1, self.ps2))
@@ -182,7 +201,8 @@ def _implicit_specials(info: OpInfo
     return (), ()
 
 
-_IMPLICIT_SPECIALS = {op: _implicit_specials(op.info) for op in Opcode}
+#: By mnemonic: a string key hashes without a Python-level call.
+_IMPLICIT_SPECIALS = {op.value: _implicit_specials(op.info) for op in Opcode}
 
 
 def _gprs(registers: tuple) -> frozenset[int]:
@@ -193,75 +213,135 @@ def _specials(registers: tuple) -> frozenset[SpecialReg]:
     return frozenset(r for r in registers if isinstance(r, SpecialReg))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise IsaError(message)
+class _Operands(NamedTuple):
+    """Which operands one opcode requires (``True``) or forbids (``False``).
+
+    ``target`` is ``"required"`` (branches and calls), ``"symbolic"`` (long
+    immediates and ``lil``/``lih``: a label the linker resolves into the
+    immediate field, which then stands in for it) or ``"forbidden"``.
+    ``accepts`` restates the rules as sets for the fast check: the accepted
+    values of ``rd``, ``rs1``, ``rs2``, ``pd``, ``ps1``, ``ps2`` and
+    ``special``, then the accepted ``(imm is None, type(target))`` pairs.
+    """
+
+    rd: bool
+    rs1: bool
+    rs2: bool
+    pd: bool
+    ps1: bool
+    ps2: bool
+    imm: bool
+    special: bool
+    target: str
+    accepts: tuple
 
 
-def _check_gpr(value: Optional[int], name: str, mnemonic: str, required: bool) -> None:
-    if required:
-        _require(value is not None, f"{mnemonic}: operand {name} is required")
-        _require(0 <= value < 32, f"{mnemonic}: register index out of range for {name}")
+_GPRS = frozenset(range(32))
+_PREDS = frozenset(range(8))
+_ABSENT = frozenset((None,))
+#: The register operands in check order: (field, index limit, kind, the
+#: valid indices as one shared set).
+_REGISTER_OPERANDS = (("rd", 32, "register", _GPRS),
+                      ("rs1", 32, "register", _GPRS),
+                      ("rs2", 32, "register", _GPRS),
+                      ("pd", 8, "predicate", _PREDS),
+                      ("ps1", 8, "predicate", _PREDS),
+                      ("ps2", 8, "predicate", _PREDS))
+_SPECIAL_REGS = frozenset(SpecialReg)
+
+
+def _operands(opcode: Opcode) -> _Operands:
+    fmt = opcode.info.fmt
+    needs = {
+        "rd": fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.LI,
+                      Format.LOAD, Format.MFS),
+        "rs1": fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.MUL,
+                       Format.CMP_R, Format.CMP_I, Format.LOAD, Format.STORE,
+                       Format.CALLR, Format.MTS, Format.OUT),
+        "rs2": fmt in (Format.ALU_R, Format.MUL, Format.CMP_R, Format.STORE),
+        "pd": fmt in (Format.CMP_R, Format.CMP_I, Format.PRED),
+        "ps1": fmt is Format.PRED,
+        "ps2": fmt is Format.PRED and opcode is not Opcode.PNOT,
+        "imm": fmt in (Format.ALU_I, Format.ALU_L, Format.LI, Format.CMP_I,
+                       Format.LOAD, Format.STORE, Format.STACK),
+        "special": fmt in (Format.MTS, Format.MFS),
+    }
+    if fmt in (Format.BRANCH, Format.CALL):
+        target, imm_target = "required", {(True, int), (True, str)}
+    elif fmt in (Format.ALU_L, Format.LI):
+        target = "symbolic"
+        imm_target = {(False, type(None)), (False, str), (True, str)}
     else:
-        _require(value is None, f"{mnemonic}: operand {name} is not allowed")
+        target = "forbidden"
+        imm_target = {(not needs["imm"], type(None))}
+    accepts = (
+        *(indices if needs[name] else _ABSENT
+          for name, _, _, indices in _REGISTER_OPERANDS),
+        _SPECIAL_REGS if needs["special"] else _ABSENT,
+        frozenset(imm_target),
+    )
+    return _Operands(**needs, target=target, accepts=accepts)
 
 
-def _check_pred(value: Optional[int], name: str, mnemonic: str, required: bool) -> None:
-    if required:
-        _require(value is not None, f"{mnemonic}: operand {name} is required")
-        _require(0 <= value < 8, f"{mnemonic}: predicate index out of range for {name}")
-    else:
-        _require(value is None, f"{mnemonic}: operand {name} is not allowed")
+#: The operand rules of every opcode, by mnemonic.
+_OPERANDS: dict[str, _Operands] = {op.value: _operands(op) for op in Opcode}
 
 
 def _validate(instr: Instruction) -> None:
-    info = instr.info
-    fmt = info.fmt
-    m = info.mnemonic
+    """Check the instruction's operands against its opcode's rules.
 
-    needs_rd = fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.LI,
-                       Format.LOAD, Format.MFS)
-    needs_rs1 = fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.MUL,
-                        Format.CMP_R, Format.CMP_I, Format.LOAD, Format.STORE,
-                        Format.CALLR, Format.MTS, Format.OUT)
-    needs_rs2 = fmt in (Format.ALU_R, Format.MUL, Format.CMP_R, Format.STORE)
-    needs_pd = fmt in (Format.CMP_R, Format.CMP_I, Format.PRED)
-    needs_ps1 = fmt is Format.PRED
-    needs_ps2 = fmt is Format.PRED and instr.opcode is not Opcode.PNOT
-    needs_imm = fmt in (Format.ALU_I, Format.ALU_L, Format.LI, Format.CMP_I,
-                        Format.LOAD, Format.STORE, Format.STACK)
-    needs_special = fmt in (Format.MTS, Format.MFS)
-    allows_target = fmt in (Format.BRANCH, Format.CALL) or (
-        fmt in (Format.ALU_L, Format.LI) and isinstance(instr.target, str)
-    )
+    A valid instruction passes one membership test per operand.  Anything
+    else takes :func:`_check_operands`, which makes the checks one by one
+    and raises :class:`IsaError` at the first that fails.
+    """
+    rules = _OPERANDS[instr.info.mnemonic]
+    rd, rs1, rs2, pd, ps1, ps2, special, imm_target = rules.accepts
+    try:
+        if (instr.rd in rd and instr.rs1 in rs1 and instr.rs2 in rs2
+                and instr.pd in pd and instr.ps1 in ps1 and instr.ps2 in ps2
+                and instr.special in special
+                and (instr.imm is None, type(instr.target)) in imm_target):
+            return
+    except TypeError:  # an unhashable operand: let the checks judge it
+        pass
+    _check_operands(instr, rules)
 
-    _check_gpr(instr.rd, "rd", m, needs_rd)
-    _check_gpr(instr.rs1, "rs1", m, needs_rs1)
-    _check_gpr(instr.rs2, "rs2", m, needs_rs2)
-    _check_pred(instr.pd, "pd", m, needs_pd)
-    _check_pred(instr.ps1, "ps1", m, needs_ps1)
-    _check_pred(instr.ps2, "ps2", m, needs_ps2)
 
-    if needs_imm:
+def _check_operands(instr: Instruction, rules: _Operands) -> None:
+    """The operand checks one by one, in a fixed order; raise at the first
+    that fails.  Whatever passes them all is valid, even where the fast
+    check's sets did not accept it (a float register index, say)."""
+    m = instr.info.mnemonic
+    for name, limit, kind, _ in _REGISTER_OPERANDS:
+        value = getattr(instr, name)
+        if not getattr(rules, name):
+            if value is not None:
+                raise IsaError(f"{m}: operand {name} is not allowed")
+        elif value is None:
+            raise IsaError(f"{m}: operand {name} is required")
+        elif not 0 <= value < limit:
+            raise IsaError(f"{m}: {kind} index out of range for {name}")
+
+    if rules.imm:
         # Long immediates and li may carry a symbolic target that the linker
         # later resolves into the immediate field.
-        _require(
-            instr.imm is not None or instr.target is not None,
-            f"{m}: immediate operand is required",
-        )
-    else:
-        _require(instr.imm is None, f"{m}: immediate operand is not allowed")
+        if instr.imm is None and instr.target is None:
+            raise IsaError(f"{m}: immediate operand is required")
+    elif instr.imm is not None:
+        raise IsaError(f"{m}: immediate operand is not allowed")
 
-    if needs_special:
-        _require(isinstance(instr.special, SpecialReg),
-                 f"{m}: special register operand is required")
-    else:
-        _require(instr.special is None, f"{m}: special register not allowed")
+    if rules.special:
+        if not isinstance(instr.special, SpecialReg):
+            raise IsaError(f"{m}: special register operand is required")
+    elif instr.special is not None:
+        raise IsaError(f"{m}: special register not allowed")
 
-    if fmt in (Format.BRANCH, Format.CALL):
-        _require(instr.target is not None, f"{m}: branch/call target is required")
-    elif not allows_target:
-        _require(instr.target is None, f"{m}: target operand is not allowed")
+    if rules.target == "required":
+        if instr.target is None:
+            raise IsaError(f"{m}: branch/call target is required")
+    elif instr.target is not None and not (
+            rules.target == "symbolic" and isinstance(instr.target, str)):
+        raise IsaError(f"{m}: target operand is not allowed")
 
 
 def render_instruction(instr: Instruction) -> str:
@@ -373,18 +453,29 @@ class Bundle:
 
 
 def _validate_bundle(bundle: Bundle) -> None:
+    """Accept a valid bundle with one expression; otherwise make the checks
+    one by one and raise :class:`IsaError` at the first that fails."""
     slots = bundle.slots
-    _require(1 <= len(slots) <= 2, "a bundle holds one or two instructions")
-    for instr in slots:
-        _require(isinstance(instr, Instruction), "bundle slots must be instructions")
-    if len(slots) == 2:
+    if len(slots) == 1:
+        if isinstance(slots[0], Instruction):
+            return
+    elif len(slots) == 2:
         first, second = slots
-        _require(not first.info.long_imm,
-                 "a long-immediate instruction occupies the whole bundle")
-        _require(not second.info.long_imm,
-                 "long-immediate instructions must be in the first slot")
-        _require(not second.info.slot0_only,
-                 f"{second.info.mnemonic} may only be issued in the first slot")
+        if (isinstance(first, Instruction) and isinstance(second, Instruction)
+                and not first.info.long_imm and not second.info.long_imm
+                and not second.info.slot0_only):
+            return
+    if not 1 <= len(slots) <= 2:
+        raise IsaError("a bundle holds one or two instructions")
+    for instr in slots:
+        if not isinstance(instr, Instruction):
+            raise IsaError("bundle slots must be instructions")
+    first, second = slots
+    if first.info.long_imm:
+        raise IsaError("a long-immediate instruction occupies the whole bundle")
+    if second.info.long_imm:
+        raise IsaError("long-immediate instructions must be in the first slot")
+    raise IsaError(f"{second.info.mnemonic} may only be issued in the first slot")
 
 
 def bundle_nop() -> Bundle:

@@ -22,13 +22,21 @@ The instruction set follows Section 3.1 of the paper:
 Every opcode has an :class:`OpInfo` record describing its format, operand
 usage, timing class and issue-slot restriction.  The table is the single
 source of truth used by the builder, assembler, encoder, simulators, compiler
-passes and the WCET analysis.
+passes and the WCET analysis.  Those read it once or more per instruction,
+so it is laid out for attribute-speed reads: each :class:`Opcode` member
+carries its record as the plain attribute ``info``, each record carries its
+derived predicates (``is_load``, ``writes_gpr``, ...) as plain attributes
+computed once, and :func:`result_delay_table` gives the result delay of
+every opcode under one pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from ..errors import IsaError
 
@@ -84,7 +92,20 @@ class ControlKind(Enum):
 
 @dataclass(frozen=True)
 class OpInfo:
-    """Static metadata for one opcode."""
+    """Static metadata for one opcode.
+
+    Besides the fields, every record carries the derived predicates as plain
+    attributes, computed once at construction:
+
+    * ``is_load``, ``is_store``, ``is_mem_access`` (either of the two) and
+      ``is_stack_control`` (``sres``/``sens``/``sfree``), from the format;
+    * ``is_control_flow``: the opcode has a control-transfer kind;
+    * ``writes_gpr`` / ``writes_pred``: the format names a general-purpose
+      (``rd``) or predicate (``pd``) destination;
+    * ``uses_method_cache``: the instruction may trigger a method-cache fill
+      (calls, returns and ``brcf``);
+    * ``is_decoupled_load``: a split main-memory load, completed by ``wmem``.
+    """
 
     mnemonic: str
     fmt: Format
@@ -105,52 +126,29 @@ class OpInfo:
     #: True for long-immediate ALU operations, which occupy both slots.
     long_imm: bool = False
 
-    @property
-    def is_load(self) -> bool:
-        return self.fmt is Format.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.fmt is Format.STORE
-
-    @property
-    def is_mem_access(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_control_flow(self) -> bool:
-        return self.control is not None
-
-    @property
-    def is_stack_control(self) -> bool:
-        return self.fmt is Format.STACK
-
-    @property
-    def writes_gpr(self) -> bool:
-        return self.fmt in (
-            Format.ALU_R,
-            Format.ALU_I,
-            Format.ALU_L,
-            Format.LI,
-            Format.LOAD,
-            Format.MFS,
-        )
-
-    @property
-    def writes_pred(self) -> bool:
-        return self.fmt in (Format.CMP_R, Format.CMP_I, Format.PRED)
-
-    @property
-    def uses_method_cache(self) -> bool:
-        """True if the instruction may trigger a method-cache fill."""
-        return self.control in (ControlKind.CALL, ControlKind.RETURN) or (
-            self.control is ControlKind.BRANCH and self.mnemonic == "brcf"
-        )
-
-    @property
-    def is_decoupled_load(self) -> bool:
-        """True for split main-memory loads (completed by ``wmem``)."""
-        return self.is_load and self.mem_type is MemType.MAIN
+    def __post_init__(self) -> None:
+        # The derived predicates are read on every instruction by every
+        # layer, so they are computed once here, as plain attributes (not
+        # fields: equality, hashing and ``repr`` see only the fields above).
+        fmt = self.fmt
+        control = self.control
+        flags = {
+            "is_load": fmt is Format.LOAD,
+            "is_store": fmt is Format.STORE,
+            "is_mem_access": fmt in (Format.LOAD, Format.STORE),
+            "is_control_flow": control is not None,
+            "is_stack_control": fmt is Format.STACK,
+            "writes_gpr": fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L,
+                                  Format.LI, Format.LOAD, Format.MFS),
+            "writes_pred": fmt in (Format.CMP_R, Format.CMP_I, Format.PRED),
+            "uses_method_cache": (
+                control in (ControlKind.CALL, ControlKind.RETURN)
+                or (control is ControlKind.BRANCH and self.mnemonic == "brcf")),
+            "is_decoupled_load": (fmt is Format.LOAD
+                                  and self.mem_type is MemType.MAIN),
+        }
+        for name, value in flags.items():
+            object.__setattr__(self, name, value)
 
 
 class Opcode(Enum):
@@ -274,15 +272,12 @@ class Opcode(Enum):
     HALT = "halt"
     OUT = "out"
 
+    #: The opcode's :class:`OpInfo`, stamped onto every member once
+    #: :data:`OPCODE_TABLE` is built, so reading it is one attribute load.
+    info: OpInfo
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-    @property
-    def info(self) -> OpInfo:
-        # ``_info`` is stamped onto every member once OPCODE_TABLE is built,
-        # turning the hot ``instr.info`` path into one attribute load instead
-        # of a dict probe.
-        return self._info
 
 
 def _build_table() -> dict[Opcode, OpInfo]:
@@ -373,7 +368,7 @@ def _build_table() -> dict[Opcode, OpInfo]:
 OPCODE_TABLE: dict[Opcode, OpInfo] = _build_table()
 
 for _op, _info in OPCODE_TABLE.items():
-    _op._info = _info
+    _op.info = _info
 del _op, _info
 
 #: Mapping from assembly mnemonic to opcode.
@@ -400,6 +395,15 @@ def result_delay_slots(info: OpInfo, pipeline) -> int:
     if info.delay_kind == "mul":
         return pipeline.mul_delay_slots
     return 0
+
+
+@lru_cache(maxsize=16)
+def result_delay_table(pipeline) -> Mapping[str, int]:
+    """:func:`result_delay_slots` of every opcode under ``pipeline``, by
+    mnemonic; built once per pipeline (and shared, so read-only), for the
+    per-instruction loops of the compiler."""
+    return MappingProxyType({info.mnemonic: result_delay_slots(info, pipeline)
+                             for info in OPCODE_TABLE.values()})
 
 
 def control_delay_slots(info: OpInfo, pipeline) -> int:

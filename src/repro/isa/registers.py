@@ -37,12 +37,17 @@ class SpecialReg(Enum):
 
 
 _SPECIAL_BY_NAME = {reg.value: reg for reg in SpecialReg}
+#: Canonical register names (``"r5"``, ``"p3"``), looked up before parsing.
+_GPR_BY_NAME = {f"r{index}": index for index in range(NUM_GPRS)}
+_PRED_BY_NAME = {f"p{index}": index for index in range(NUM_PREDS)}
 
 
 def parse_gpr(name: str | int) -> int:
     """Parse a general-purpose register name (``"r5"`` or ``5``) to its index."""
     if isinstance(name, int):
         index = name
+    elif type(name) is str and name in _GPR_BY_NAME:
+        return _GPR_BY_NAME[name]
     else:
         text = name.strip().lower()
         if not text.startswith("r"):
@@ -60,6 +65,8 @@ def parse_pred(name: str | int) -> int:
     """Parse a predicate register name (``"p3"`` or ``3``) to its index."""
     if isinstance(name, int):
         index = name
+    elif type(name) is str and name in _PRED_BY_NAME:
+        return _PRED_BY_NAME[name]
     else:
         text = name.strip().lower()
         if not text.startswith("p"):

@@ -47,15 +47,17 @@ class BasicBlock:
 
     def body_instructions(self) -> list[Instruction]:
         """Return the instructions excluding the terminator."""
-        term = self.terminator()
-        if term is None:
-            return list(self.instrs)
-        out = list(self.instrs)
-        for index in range(len(out) - 1, -1, -1):
-            if out[index] is term:
-                del out[index]
-                break
-        return out
+        return self.split_terminator()[0]
+
+    def split_terminator(self) -> tuple[list[Instruction], Optional[Instruction]]:
+        """Return the body and the terminator (or ``None``), in one scan."""
+        instrs = self.instrs
+        for index in range(len(instrs) - 1, -1, -1):
+            if instrs[index].info.is_control_flow:
+                body = list(instrs)
+                del body[index]
+                return body, instrs[index]
+        return list(instrs), None
 
     def successors(self, fallthrough: Optional[str]) -> list[str]:
         """Labels of possible successor blocks.

@@ -26,7 +26,8 @@ from ..errors import RtosError
 from ..program.linker import Image
 from ..wcet.analyzer import analyze_wcet
 from ..workloads.kernel import Kernel
-from ..workloads.suite import SUITES, build_kernel
+from ..workloads.images import compiled_kernel
+from ..workloads.suite import SUITES
 
 #: Task activation models: strictly periodic releases (``offset + k*period``)
 #: or sporadic releases at least ``period`` cycles apart (up to ``jitter``
@@ -234,7 +235,9 @@ def synthesize_tasksets(num_cores: int, tasks_per_core: int,
     ``sporadic_fraction`` of the tasks become sporadic with a quarter
     period of release jitter (extra spacing — never denser than the
     period, so the analysis may use the period as the inter-arrival
-    bound).  Deterministic for a given argument tuple.
+    bound).  Deterministic for a given argument tuple.  Each body is
+    compiled once per process (:func:`~repro.workloads.images.compiled_kernel`),
+    so task sets over the same bodies and config share their images.
     """
     if num_cores < 1 or tasks_per_core < 1:
         raise RtosError("need at least one core and one task per core")
@@ -246,12 +249,11 @@ def synthesize_tasksets(num_cores: int, tasks_per_core: int,
         raise RtosError(
             f"unknown priority assignment {priority_assignment!r}; "
             f"use one of {PRIORITY_ASSIGNMENTS}")
-    kernels = [build_kernel(name) for name in bodies]
     compiled = []
-    for kernel in kernels:
-        image, _ = compile_and_link(kernel.program, config)
+    for body in bodies:
+        image, expected_output = compiled_kernel(body, config=config)
         wcet = analyze_wcet(image, config=config).wcet_cycles
-        compiled.append((kernel, image, wcet))
+        compiled.append((body, image, expected_output, wcet))
     rng = random.Random(
         f"tasksets:{seed}:{num_cores}:{tasks_per_core}:"
         f"{round(utilisation * 1000)}:{round(period_spread * 100)}")
@@ -260,18 +262,18 @@ def synthesize_tasksets(num_cores: int, tasks_per_core: int,
         tasks = []
         share = utilisation / tasks_per_core
         for index in range(tasks_per_core):
-            kernel, image, wcet = compiled[
+            body, image, expected_output, wcet = compiled[
                 rng.randrange(len(compiled))]
             base_period = max(wcet + 1, round(wcet / share))
             period = round(base_period * rng.uniform(1.0, period_spread))
             sporadic = rng.random() < sporadic_fraction
             tasks.append(Task(
-                name=f"c{core_id}_t{index}_{kernel.name}",
+                name=f"c{core_id}_t{index}_{body}",
                 image=image, period=period, priority=index,
                 kind="sporadic" if sporadic else "periodic",
                 offset=rng.randrange(0, max(1, period // 4)),
                 jitter=period // 4 if sporadic else 0,
-                expected_output=tuple(kernel.expected_output)))
+                expected_output=tuple(expected_output)))
         taskset = TaskSet(tuple(tasks))
         if priority_assignment == "rate_monotonic":
             taskset = taskset.rate_monotonic()

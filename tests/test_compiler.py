@@ -30,7 +30,7 @@ from repro.compiler.simplify import merge_straightline_blocks
 from repro.compiler.stack_alloc import allocate_function, frame_size_words
 from repro.config import MethodCacheConfig
 from repro.errors import CompilerError
-from repro.isa import Opcode
+from repro.isa import Instruction, Opcode
 from repro.isa.opcodes import result_delay_slots
 from repro.program.basic_block import BasicBlock
 from repro.workloads import (
@@ -347,6 +347,35 @@ class TestDependenceOracle:
         assert digest.hexdigest() == _RANDOM_SCHEDULES_DIGEST
 
 
+#: SHA-256 over the sorted edges of every random block's dependence graph,
+#: seed by seed, for split-load distances 1 and 14.
+_RANDOM_EDGES_DIGEST = (
+    "5a60b85d870d9452cb6f47351e6b4bcb4ecf4a423ac21a83d28f145970efac18")
+
+
+class TestDependenceEdges:
+    def test_random_block_edge_multisets_are_pinned(self):
+        pipeline = PatmosConfig().pipeline
+        digest = hashlib.sha256()
+        for seed in _ORACLE_SEEDS:
+            block = _random_block_with_terminator(seed)
+            for distance in (1, 14):
+                graph = build_dependence_graph(
+                    block, pipeline, split_load_distance=distance)
+                for edge in sorted(graph.edges):
+                    digest.update(repr(tuple(edge)).encode() + b"\n")
+                digest.update(b"--\n")
+        assert digest.hexdigest() == _RANDOM_EDGES_DIGEST
+
+    def test_edges_are_dependences(self):
+        block = _random_block_with_terminator(3)
+        graph = build_dependence_graph(block, PatmosConfig().pipeline)
+        assert graph.edges and all(type(edge) is Dependence
+                                   for edge in graph.edges)
+        assert graph.in_degrees() == [len(graph.predecessors(index))
+                                      for index in range(len(block))]
+
+
 class TestScheduler:
     def _schedule(self, instrs, config, **kwargs):
         block = BasicBlock(label="b", instrs=list(instrs))
@@ -437,6 +466,34 @@ class TestScheduler:
         assert stats.blocks > 0
         assert stats.bundles >= stats.blocks
         assert 0.0 < stats.slot_utilisation <= 1.0
+
+    @pytest.mark.parametrize("dual_issue", [True, False])
+    def test_schedule_stats_count_the_bundles(self, config, dual_issue):
+        from repro.compiler import ScheduleStats
+        scheduler = BlockScheduler(config, dual_issue=dual_issue)
+        stats = ScheduleStats()
+        bundles = []
+        for seed in range(40):
+            block = BasicBlock(label="b",
+                               instrs=_random_block_with_terminator(seed))
+            bundles += scheduler.schedule_block(block, stats=stats)
+        slots = [instr for bundle in bundles for instr in bundle]
+        nops = sum(1 for instr in slots if instr.is_nop)
+        assert (stats.blocks, stats.bundles, stats.instructions,
+                stats.nops_inserted, stats.dual_issue_bundles) == (
+            40, len(bundles), len(slots) - nops, nops,
+            sum(1 for bundle in bundles if len(bundle) == 2))
+
+    def test_split_terminator(self):
+        body = [_instr("addi", "r1", "r0", 1), _instr("addi", "r2", "r0", 2)]
+        branch = Instruction(Opcode.BR, target="b")
+        block = BasicBlock(label="b", instrs=[body[0], branch, body[1]])
+        assert block.split_terminator() == ([body[0], body[1]], branch)
+        assert block.terminator() is branch
+        assert block.body_instructions() == [body[0], body[1]]
+        plain = BasicBlock(label="p", instrs=body)
+        assert plain.split_terminator() == (body, None)
+        assert plain.split_terminator()[0] is not plain.instrs
 
 
 class TestIfConversion:

@@ -1,5 +1,6 @@
 """Tests for the design-space exploration subsystem (repro.explore)."""
 
+import dataclasses
 import json
 import os
 
@@ -25,6 +26,7 @@ from repro.explore import runner as runner_module
 from repro.explore.cli import coerce_value, main, parse_axis
 from repro.jobs import RunDirectory
 from repro.sim.cycle import CycleSimulator
+from repro.workloads import images as images_module
 
 
 class TestAxisResolution:
@@ -144,6 +146,38 @@ class TestSpecKey:
         with pytest.raises(ExplorationError):
             (ParameterSpace(["vector_sum"])
              .axis("engine", ["turbo"])).specs()
+
+
+class TestRecords:
+    @pytest.fixture(scope="class")
+    def results(self):
+        single, dual = (ParameterSpace(["vector_sum"])
+                        .axis("cores", [1, 2])).specs()
+        rtos, = (ParameterSpace(["control_update"])
+                 .axis("cores", [2])
+                 .axis("taskset_utilisation", [0.4])).specs()
+        return [execute_spec(spec) for spec in (single, dual, rtos)]
+
+    def test_record_equals_asdict_without_provenance(self, results):
+        for result in results:
+            expected = dataclasses.asdict(result)
+            del expected["from_cache"]
+            record = result.to_record()
+            assert record == expected
+            assert list(record) == list(expected)
+            assert json.dumps(record) == json.dumps(expected)
+        assert results[0].rtos is None and results[2].rtos is not None
+
+    def test_record_holds_fresh_containers(self, results):
+        for result in results:
+            record = result.to_record()
+            for name, value in record.items():
+                if isinstance(value, dict):
+                    assert value is not getattr(result, name)
+            for name, counters in record["cache_stats"].items():
+                assert counters is not result.cache_stats[name]
+            record["stalls"].clear()
+            assert result.stalls and result.to_record() != record
 
 
 class TestRunner:
@@ -337,9 +371,9 @@ class TestImageMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        runner_module._images.clear()
+        images_module._images.clear()
         yield
-        runner_module._images.clear()
+        images_module._images.clear()
 
     @staticmethod
     def _space():
@@ -352,7 +386,7 @@ class TestImageMemo:
     def _counted(monkeypatch):
         """Count compiles and trace recordings."""
         counts = {"compiled": 0, "recorded": 0}
-        compile_and_link = runner_module.compile_and_link
+        compile_and_link = images_module.compile_and_link
         recording = TraceRecorder.recording
 
         def counting_compile(*args, **kwargs):
@@ -363,7 +397,7 @@ class TestImageMemo:
             counts["recorded"] += 1
             return recording(self)
 
-        monkeypatch.setattr(runner_module, "compile_and_link",
+        monkeypatch.setattr(images_module, "compile_and_link",
                             counting_compile)
         monkeypatch.setattr(TraceRecorder, "recording", counting_recording)
         return counts
@@ -377,7 +411,7 @@ class TestImageMemo:
         execute = runner_module.execute_spec
 
         def without_memo(spec):
-            runner_module._images.clear()
+            images_module._images.clear()
             return execute(spec)
 
         monkeypatch.setattr(runner_module, "execute_spec", without_memo)
@@ -388,7 +422,7 @@ class TestImageMemo:
 
     def test_parallel_sweep_matches_serial(self):
         serial = ExplorationRunner(jobs=1).run(self._space())
-        runner_module._images.clear()  # workers compile and record afresh
+        images_module._images.clear()  # workers compile and record afresh
         parallel = ExplorationRunner(jobs=2).run(self._space())
         assert parallel.ok and parallel.to_records() == serial.to_records()
 
@@ -396,14 +430,14 @@ class TestImageMemo:
         """Cells lease to the worker holding their image: every image is
         compiled once, plus at most one steal at the tail of the sweep."""
         log = tmp_path / "compiles"
-        compile_and_link = runner_module.compile_and_link
+        compile_and_link = images_module.compile_and_link
 
         def logging_compile(*args, **kwargs):
             with open(log, "a") as handle:  # one line per worker compile
                 handle.write(f"{os.getpid()}\n")
             return compile_and_link(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "compile_and_link",
+        monkeypatch.setattr(images_module, "compile_and_link",
                             logging_compile)
         # Cores outermost: consecutive cells alternate between images.
         space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
@@ -415,12 +449,12 @@ class TestImageMemo:
 
     def test_memo_is_bounded(self, monkeypatch):
         counts = self._counted(monkeypatch)
-        sizes = [1024 * (i + 1) for i in range(runner_module._IMAGE_MEMO_SIZE
-                                                + 1)]
+        sizes = [1024 * (i + 1)
+                 for i in range(images_module._IMAGE_MEMO_SIZE + 1)]
         space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
                  .axis("method_cache_size", sizes))
         ExplorationRunner().run(space)
-        assert len(runner_module._images) == runner_module._IMAGE_MEMO_SIZE
+        assert len(images_module._images) == images_module._IMAGE_MEMO_SIZE
         # The least recently used image was dropped; the others are kept.
         ExplorationRunner().run(ParameterSpace(
             ["vector_sum"], analyse_wcet=False)
@@ -452,9 +486,9 @@ class TestImageMemo:
         single, dual = (ParameterSpace(["vector_sum"], analyse_wcet=False)
                         .axis("cores", [1, 2])).specs()
         expected = [execute_spec(single).to_record()]
-        runner_module._images.clear()
+        images_module._images.clear()
         expected.append(execute_spec(dual).to_record())
-        runner_module._images.clear()
+        images_module._images.clear()
         first = execute_spec(single)
         for counters in first.cache_stats.values():
             for name in counters:

@@ -1,5 +1,11 @@
 """Tests for registers, opcodes, instructions and bundles."""
 
+import copy
+import dataclasses
+import pickle
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import PipelineConfig
@@ -23,6 +29,7 @@ from repro.isa import (
     parse_special,
     result_delay_slots,
 )
+from repro.isa import instruction as instruction_module
 
 
 class TestRegisters:
@@ -295,3 +302,172 @@ class TestBundle:
     def test_too_many_slots_rejected(self):
         with pytest.raises(IsaError):
             Bundle(NOP, NOP, NOP)
+
+
+#: Each derived OpInfo flag and its defining formula.
+_FLAG_FORMULAS = {
+    "is_load": lambda info: info.fmt is Format.LOAD,
+    "is_store": lambda info: info.fmt is Format.STORE,
+    "is_mem_access": lambda info: info.fmt in (Format.LOAD, Format.STORE),
+    "is_control_flow": lambda info: info.control is not None,
+    "is_stack_control": lambda info: info.fmt is Format.STACK,
+    "writes_gpr": lambda info: info.fmt in (
+        Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.LI, Format.LOAD,
+        Format.MFS),
+    "writes_pred": lambda info: info.fmt in (
+        Format.CMP_R, Format.CMP_I, Format.PRED),
+    "uses_method_cache": lambda info: (
+        info.control in (ControlKind.CALL, ControlKind.RETURN)
+        or (info.control is ControlKind.BRANCH and info.mnemonic == "brcf")),
+    "is_decoupled_load": lambda info: (info.fmt is Format.LOAD
+                                       and info.mem_type is MemType.MAIN),
+}
+
+
+class TestOpInfoFlags:
+    @pytest.mark.parametrize("flag", sorted(_FLAG_FORMULAS))
+    def test_flag_equals_its_formula_for_every_opcode(self, flag):
+        formula = _FLAG_FORMULAS[flag]
+        for opcode in Opcode:
+            assert getattr(opcode.info, flag) is formula(opcode.info), opcode
+
+    def test_flags_are_not_fields(self):
+        info = Opcode.LWM.info
+        assert set(_FLAG_FORMULAS).isdisjoint(
+            f.name for f in dataclasses.fields(info))
+        assert "is_load" not in repr(info)
+        assert info == dataclasses.replace(info)
+
+    def test_opcode_info_is_a_plain_attribute(self):
+        for opcode in Opcode:
+            assert vars(opcode)["info"] is OPCODE_TABLE[opcode]
+
+
+def _add(**changes):
+    operands = {"rd": 1, "rs1": 2, "rs2": 3}
+    operands.update(changes)
+    return Instruction(Opcode.ADD, **operands)
+
+
+#: (constructor, exact IsaError text): every message template of the
+#: operand, immediate, special-register and target checks, and the order in
+#: which the checks run.
+_ISA_ERRORS = (
+    (lambda: Instruction(Opcode.ADD, rd=1, rs1=2),
+     "add: operand rs2 is required"),
+    (lambda: Instruction(Opcode.ADD), "add: operand rd is required"),
+    (lambda: _add(rd=32), "add: register index out of range for rd"),
+    (lambda: _add(rs1=-1), "add: register index out of range for rs1"),
+    (lambda: Instruction(Opcode.ADDI, rd=1, rs1=2, rs2=3, imm=4),
+     "addi: operand rs2 is not allowed"),
+    (lambda: _add(pd=1), "add: operand pd is not allowed"),
+    (lambda: Instruction(Opcode.CMPEQ, pd=8, rs1=1, rs2=2),
+     "cmpeq: predicate index out of range for pd"),
+    (lambda: Instruction(Opcode.PAND, pd=1, ps1=2),
+     "pand: operand ps2 is required"),
+    (lambda: Instruction(Opcode.PAND, pd=1, ps1=9, ps2=1),
+     "pand: predicate index out of range for ps1"),
+    (lambda: Instruction(Opcode.PNOT, pd=1, ps1=2, ps2=3),
+     "pnot: operand ps2 is not allowed"),
+    (lambda: Instruction(Opcode.ADDI, rd=1, rs1=2),
+     "addi: immediate operand is required"),
+    (lambda: Instruction(Opcode.NOP, imm=1),
+     "nop: immediate operand is not allowed"),
+    (lambda: Instruction(Opcode.NOP, rd=1, imm=1),
+     "nop: operand rd is not allowed"),
+    (lambda: Instruction(Opcode.MTS, rs1=1),
+     "mts: special register operand is required"),
+    (lambda: Instruction(Opcode.MFS, rd=1, special="st"),
+     "mfs: special register operand is required"),
+    (lambda: _add(special=SpecialReg.ST), "add: special register not allowed"),
+    (lambda: Instruction(Opcode.BR), "br: branch/call target is required"),
+    (lambda: Instruction(Opcode.CALL, imm=4),
+     "call: immediate operand is not allowed"),
+    (lambda: _add(target="loop"), "add: target operand is not allowed"),
+    (lambda: Instruction(Opcode.ADDL, rd=1, rs1=2, target=5),
+     "addl: target operand is not allowed"),
+    (lambda: Instruction(Opcode.LIL, rd=1), "lil: immediate operand is required"),
+)
+
+#: (constructor, exact IsaError text) of every bundle check.
+_BUNDLE_ERRORS = (
+    (lambda: Bundle(), "a bundle holds one or two instructions"),
+    (lambda: Bundle(NOP, NOP, NOP), "a bundle holds one or two instructions"),
+    (lambda: Bundle(NOP, "nop"), "bundle slots must be instructions"),
+    (lambda: Bundle(["nop"]), "bundle slots must be instructions"),
+    (lambda: Bundle(Instruction(Opcode.ADDL, rd=1, rs1=0, imm=1), NOP),
+     "a long-immediate instruction occupies the whole bundle"),
+    (lambda: Bundle(NOP, Instruction(Opcode.ADDL, rd=1, rs1=0, imm=1)),
+     "long-immediate instructions must be in the first slot"),
+    (lambda: Bundle(NOP, Instruction(Opcode.LWC, rd=4, rs1=5, imm=0)),
+     "lwc may only be issued in the first slot"),
+)
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize("build,message", _ISA_ERRORS + _BUNDLE_ERRORS,
+                             ids=[m for _, m in _ISA_ERRORS + _BUNDLE_ERRORS])
+    def test_exact_message(self, build, message):
+        with pytest.raises(IsaError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_symbolic_immediates_are_accepted(self):
+        assert Instruction(Opcode.ADDL, rd=1, rs1=2, target="data").imm is None
+        assert Instruction(Opcode.LIH, rd=1, imm=3, target="data").imm == 3
+        assert Instruction(Opcode.BR, target=-8).target == -8
+
+    def test_fast_check_accepts_only_what_the_checks_accept(self):
+        """Construction agrees with the one-by-one checks on every operand
+        combination drawn from a small domain of valid and invalid values."""
+        rng = random.Random(26)
+        values = (None, None, None, 0, 1, 7, 8, 31, 32, -1, True, 1.0,
+                  SpecialReg.ST, "label")
+        names = ("rd", "rs1", "rs2", "imm", "pd", "ps1", "ps2", "special",
+                 "target")
+        opcodes = list(Opcode)
+        for _ in range(4000):
+            opcode = rng.choice(opcodes)
+            operands = {name: rng.choice(values) for name in names}
+            try:
+                instruction_module._check_operands(
+                    SimpleNamespace(info=opcode.info, **operands),
+                    instruction_module._OPERANDS[opcode.value])
+                expected = None
+            except (IsaError, TypeError) as exc:
+                expected = (type(exc), str(exc))
+            try:
+                Instruction(opcode, **operands)
+                actual = None
+            except (IsaError, TypeError) as exc:
+                actual = (type(exc), str(exc))
+            assert actual == expected, (opcode, operands)
+
+
+class TestInstructionInfo:
+    def _instructions(self):
+        return (Instruction(Opcode.LWM, rd=1, rs1=2, imm=4, notes=("n",)),
+                Instruction(Opcode.BR, guard=Guard(3, True), target="loop"),
+                NOP)
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda i: dataclasses.replace(i),
+        lambda i: dataclasses.replace(i, guard=Guard(1)),
+        copy.copy,
+        copy.deepcopy,
+        lambda i: pickle.loads(pickle.dumps(i)),
+    ], ids=["replace", "replace-guard", "copy", "deepcopy", "pickle"])
+    def test_info_survives_copies(self, copy_of):
+        for instr in self._instructions():
+            twin = copy_of(instr)
+            assert twin.info is twin.opcode.info
+            assert twin.opcode is instr.opcode
+
+    def test_info_is_not_state(self):
+        instr = self._instructions()[0]
+        assert "info" not in instr.__getstate__()
+        assert "info=" not in repr(instr)
+        assert "info" not in {f.name for f in dataclasses.fields(instr)}
+        twin = pickle.loads(pickle.dumps(instr))
+        assert twin == instr and hash(twin) == hash(instr)
+        assert twin.notes == instr.notes

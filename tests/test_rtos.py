@@ -29,6 +29,7 @@ from repro.rtos import (
     tdma_slot_response_times,
 )
 from repro.workloads import build_kernel
+from repro.workloads import images as images_module
 from repro.workloads.suite import SUITES
 
 CONFIG = PatmosConfig()
@@ -109,6 +110,29 @@ class TestTaskModel:
                 for ts in a for t in ts] == \
                [(t.name, t.period, t.offset, t.kind, t.priority)
                 for ts in b for t in ts]
+
+    def test_synthesize_compiles_each_body_once(self, monkeypatch):
+        images_module._images.clear()
+        compiles = []
+        compile_and_link = images_module.compile_and_link
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args[0])
+            return compile_and_link(*args, **kwargs)
+
+        monkeypatch.setattr(images_module, "compile_and_link",
+                            counting_compile)
+        first = synthesize_tasksets(2, 3, seed=5)
+        assert len(compiles) == len(SUITES["rtos"])
+        second = synthesize_tasksets(1, 2, seed=6)
+        assert len(compiles) == len(SUITES["rtos"])
+        images = {}
+        for taskset in first + second:
+            for task in taskset:
+                body = task.name.split("_", 2)[2]  # c<core>_t<index>_<body>
+                assert images.setdefault(body, task.image) is task.image
+                assert task.expected_output == tuple(
+                    build_kernel(body).expected_output)
 
     def test_synthesize_rejects_bad_parameters(self):
         with pytest.raises(RtosError):
