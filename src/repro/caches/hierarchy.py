@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import PatmosConfig, SetAssocCacheConfig
-from ..errors import CacheError
 from ..isa.opcodes import MemType
-from .method_cache import MethodCache, MethodCacheResult
+from .method_cache import MethodCache
 from .set_assoc import CacheAccessResult, IdealCache, SetAssociativeCache
 from .stack_cache import StackCache
 
@@ -77,12 +76,6 @@ class CacheHierarchy:
                 config.data_cache, config.memory, name="object")
 
     # -- instruction side ---------------------------------------------------------
-
-    def instruction_access(self, name: str, size_bytes: int) -> MethodCacheResult:
-        """Method-cache access at a call/return/brcf."""
-        if self.method_cache is None:
-            raise CacheError("core is configured with a conventional I-cache")
-        return self.method_cache.access(name, size_bytes)
 
     def fetch_access(self, addr: int) -> CacheAccessResult:
         """Per-fetch access for the conventional instruction-cache baseline."""

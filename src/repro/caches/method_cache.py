@@ -20,7 +20,7 @@ from ..config import MemoryConfig, MethodCacheConfig
 from .stats import CacheStats
 
 
-@dataclass
+@dataclass(eq=False)
 class _Entry:
     name: str
     size_bytes: int
@@ -48,6 +48,9 @@ class MethodCache:
         self.stats = CacheStats()
         #: Resident functions in replacement order (front = next victim).
         self._entries: list[_Entry] = []
+        #: The same entries by name, kept in step with ``_entries``.
+        self._index: dict[str, _Entry] = {}
+        self._lru = config.replacement == "lru"
         self._access_counter = 0
 
     # -- queries -------------------------------------------------------------------
@@ -63,7 +66,7 @@ class MethodCache:
         return self.blocks_for(size_bytes) <= self.config.num_blocks
 
     def contains(self, name: str) -> bool:
-        return any(entry.name == name for entry in self._entries)
+        return name in self._index
 
     def resident_functions(self) -> list[str]:
         return [entry.name for entry in self._entries]
@@ -78,23 +81,35 @@ class MethodCache:
 
     # -- access --------------------------------------------------------------------
 
+    def hit(self, name: str) -> bool:
+        """Access function ``name`` if it is resident; ``False`` otherwise.
+
+        The allocation-free hit path of :meth:`access`: a hit updates the
+        replacement order and the statistics exactly as :meth:`access`
+        would; a miss changes nothing (call :meth:`access` to fill).
+        """
+        entry = self._index.get(name)
+        if entry is None:
+            return False
+        self._access_counter += 1
+        if self._lru:
+            entry.last_use = self._access_counter
+            self._entries.remove(entry)
+            self._entries.append(entry)
+        stats = self.stats
+        stats.accesses += 1
+        stats.hits += 1
+        return True
+
     def access(self, name: str, size_bytes: int) -> MethodCacheResult:
         """Access (call/return/brcf into) function ``name`` of ``size_bytes``.
 
         Returns whether the access hit and how long the pipeline stalls.
         """
-        self._access_counter += 1
-        if self.contains(name):
-            if self.config.replacement == "lru":
-                for entry in self._entries:
-                    if entry.name == name:
-                        entry.last_use = self._access_counter
-                        self._entries.remove(entry)
-                        self._entries.append(entry)
-                        break
-            self.stats.record(hit=True)
+        if self.hit(name):
             return MethodCacheResult(hit=True, stall_cycles=0)
 
+        self._access_counter += 1
         fill_words = -(-size_bytes // 4)
         stall = self.fill_cycles(size_bytes)
         if not self.fits(size_bytes):
@@ -108,11 +123,13 @@ class MethodCache:
         evicted: list[str] = []
         while self.config.num_blocks - self.used_blocks() < needed:
             victim = self._entries.pop(0)
+            del self._index[victim.name]
             evicted.append(victim.name)
             self.stats.evictions += 1
-        self._entries.append(_Entry(
-            name=name, size_bytes=size_bytes, blocks=needed,
-            last_use=self._access_counter))
+        entry = _Entry(name=name, size_bytes=size_bytes, blocks=needed,
+                       last_use=self._access_counter)
+        self._entries.append(entry)
+        self._index[name] = entry
         self.stats.record(hit=False, fill_words=fill_words, stall_cycles=stall)
         return MethodCacheResult(hit=False, stall_cycles=stall,
                                  fill_words=fill_words, evicted=tuple(evicted))
@@ -120,6 +137,7 @@ class MethodCache:
     def flush(self) -> None:
         """Invalidate all cached functions."""
         self._entries.clear()
+        self._index.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MethodCache(blocks={self.config.num_blocks}, "

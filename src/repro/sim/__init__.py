@@ -16,9 +16,13 @@ Module map
     :class:`FunctionalSimulator` — the base engine used as-is ("ideal
     memory" baseline, one cycle per issued bundle).
 ``engine``
-    The pre-decoded *fast engine*: a decode pass compiles every bundle of an
-    image into a dense PC-indexed micro-op table once, and a dispatch-table
-    interpreter executes it without per-step decoding.  Both simulator
+    The pre-decoded *fast engine*: a table-driven decode pass (one plan per
+    mnemonic and pipeline) compiles every bundle of an image into a dense
+    PC-indexed micro-op table once, and a dispatch-table interpreter
+    executes it without per-step decoding.  The ``strict`` decode adds the
+    schedule checks: fused into one check-and-execute micro-op for ALU
+    instructions, a check micro-op ahead of any other that reads a
+    register or has a guard.  Both simulator
     classes run on it by default (``engine="fast"``); pass
     ``engine="reference"`` to force the interpreter.  :data:`ENGINES` lists
     both; every layer that takes an engine accepts exactly these.  The two

@@ -105,11 +105,10 @@ class CycleSimulator(BaseSimulator):
         self.controller.stats.words_transferred += words
 
     def _method_cache_stall(self, record: FunctionRecord) -> int:
-        if not self.hierarchy.uses_method_cache:
+        method_cache = self.hierarchy.method_cache
+        if method_cache is None or method_cache.hit(record.name):
             return 0
-        result = self.hierarchy.instruction_access(record.name, record.size_bytes)
-        if result.hit:
-            return 0
+        result = method_cache.access(record.name, record.size_bytes)
         self._count_bus_words(result.fill_words)
         return result.stall_cycles + self._arbitration(result.fill_words,
                                                        "method_cache")

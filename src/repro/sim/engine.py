@@ -13,7 +13,13 @@ interpretation à la the interpreter literature cited in PAPERS.md):
   :class:`~repro.isa.opcodes.OpInfo` attributes (width, signedness, memory
   type), delay-slot counts, resolved control-flow targets (including the
   :class:`~repro.program.linker.FunctionRecord` of call/brcf targets), basic
-  block keys and call-count keys are all resolved at decode time.
+  block keys and call-count keys are all resolved at decode time.  The
+  decode is table-driven: everything that depends only on the opcode and
+  the pipeline (micro-op kind, evaluation function, delay slots, the
+  operands a strict check reads) sits in a per-mnemonic *plan* built once
+  per pipeline, and the function record of every table slot comes from one
+  walk over the image's functions, so decoding an instruction costs a dict
+  lookup and a few attribute reads.
 * :class:`EngineContext` executes the table with a flat dispatch loop: no
   ``Format`` if-chain, no per-step dict probes, and the linear
   ``_pending_writes`` scan is replaced by a small ring of write slots indexed
@@ -26,10 +32,13 @@ interpretation à la the interpreter literature cited in PAPERS.md):
   any bundle that may register a shared-bus transfer — the next-event
   lookahead protocol of the event-driven co-simulation.
 * ``strict`` and ``trace`` handling are hoisted out of the hot loop into
-  *decode-time variants*: strict staleness checks become dedicated check
-  micro-ops that exist only in the strict decode of the program, and the
-  rendered trace text is pre-computed (and only present) in the trace decode,
-  so the common path pays nothing for either feature.
+  *decode-time variants*, so the common path pays nothing for either
+  feature.  Strict staleness checks exist only in the strict decode: an ALU
+  instruction with a live destination becomes one *fused* check-and-execute
+  micro-op (guard predicate, guard, sources, then the operation, in the
+  reference's order), and every other guarded or register-reading
+  instruction gets a check micro-op in front of its own.  The rendered trace text is pre-computed (and only
+  present) in the trace decode.
 
 The engine drives an ordinary :class:`~repro.sim.base.BaseSimulator` (or
 :class:`~repro.sim.cycle.CycleSimulator`) instance: it imports the
@@ -44,7 +53,8 @@ aggregate ``instructions``/``nops`` counters exclude that partial bundle
 entirely, whereas the reference counts its already-executed slots — the
 engine counts instructions per bundle, not per slot.)
 
-Register indices are validated once at decode time; the hot loop then indexes
+Register indices are validated once at decode time (a membership test, or
+:func:`_validate_index`'s error); the hot loop then indexes
 ``ArchState.regs``/``preds`` through the unchecked paths (see
 :class:`~repro.sim.state.ArchState`).
 """
@@ -52,6 +62,9 @@ Register indices are validated once at decode time; the hot loop then indexes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from ..config import NUM_GPRS, NUM_PREDS
 from ..errors import (
@@ -61,7 +74,7 @@ from ..errors import (
     StackCacheError,
 )
 from ..isa.instruction import Instruction
-from ..isa.opcodes import ControlKind, Format, MemType, Opcode, OpInfo, \
+from ..isa.opcodes import ControlKind, Format, MemType, Opcode, \
     control_delay_slots, result_delay_slots
 from ..isa.registers import SpecialReg
 from ..program.linker import Image
@@ -188,6 +201,8 @@ K_OUT = 29         # (k, g, neg, rs1)
 K_UNRESOLVED = 30  # (k, g, neg, target) — raises like the reference
 K_CHECK1 = 31      # (k, -1, _, guard, gneg, gpr) strict, single-GPR read
 K_CHECK2 = 32      # (k, -1, _, guard, gneg, gpr, gpr) strict, two-GPR read
+K_ALU_RI_S = 33    # (k, -1, _, guard, gneg, fn, rs1, immu, rd) strict, fused
+K_ALU_RR_S = 34    # (k, -1, _, guard, gneg, fn, rs1, rs2, rd) strict, fused
 
 
 # Record tuple layout of one decoded bundle.
@@ -234,12 +249,155 @@ def _validate_index(value, limit: int, what: str) -> int:
     return value
 
 
+#: Valid register indices: the fast path of decode-time validation.  An
+#: operand outside them takes :func:`_validate_index`, which raises.
+_GPR_INDICES = frozenset(range(NUM_GPRS))
+_PRED_INDICES = frozenset(range(NUM_PREDS))
+
+
+def _gpr(value, what: str = "register") -> int:
+    return value if value in _GPR_INDICES else \
+        _validate_index(value, NUM_GPRS, what)
+
+
+def _pred(value, what: str = "predicate") -> int:
+    return value if value in _PRED_INDICES else \
+        _validate_index(value, NUM_PREDS, what)
+
+
 def _ring_size(pipeline) -> int:
     needed = max(pipeline.load_delay_slots, pipeline.mul_delay_slots) + 2
     size = 2
     while size < needed:
         size *= 2
     return size
+
+
+# Decode forms: the first element of a per-mnemonic decode plan.
+(_D_NOP, _D_ALU_R, _D_ALU_I, _D_LIL, _D_LIH, _D_MUL, _D_CMP_R, _D_CMP_I,
+ _D_PRED, _D_LOAD, _D_STORE, _D_WAIT, _D_STACK, _D_BRANCH, _D_CALLR, _D_RET,
+ _D_MTS, _D_MFS, _D_HALT, _D_OUT) = range(20)
+
+_STACK_OP_IDS = {Opcode.SRES: 0, Opcode.SENS: 1, Opcode.SFREE: 2}
+
+
+def _plan(opcode: Opcode, pipeline) -> tuple:
+    """The decode plan of one opcode under ``pipeline``.
+
+    ``(form, gpr_reads, pred_reads, special_reads, *payload)``: the three read
+    tuples name the operand fields (and special registers) the reference
+    interpreter reads through its checked accessors, which is what a strict
+    check micro-op tests; ``special_reads`` is ``None`` where the
+    instruction's own ``special`` operand is read (``mfs``).  The payload is
+    everything the micro-op needs that depends only on the opcode and the
+    pipeline: evaluation function, delay slots, micro-op kind, memory type,
+    width and signedness.
+    """
+    info = opcode.info
+    fmt = info.fmt
+    if fmt is Format.NOP:
+        return (_D_NOP, (), (), ())
+    if fmt is Format.ALU_R:
+        return (_D_ALU_R, ("rs1", "rs2"), (), (), _ALU_FN[opcode])
+    if fmt in (Format.ALU_I, Format.ALU_L):
+        return (_D_ALU_I, ("rs1",), (), (), _ALU_FN[opcode])
+    if fmt is Format.LI:
+        if opcode is Opcode.LIL:
+            return (_D_LIL, (), (), ())
+        return (_D_LIH, ("rd",), (), ())
+    if fmt is Format.MUL:
+        return (_D_MUL, ("rs1", "rs2"), (), (), _MUL_FN[opcode],
+                result_delay_slots(info, pipeline))
+    if fmt is Format.CMP_R:
+        return (_D_CMP_R, ("rs1", "rs2"), (), (), _CMP_FN[opcode])
+    if fmt is Format.CMP_I:
+        return (_D_CMP_I, ("rs1",), (), (), _CMP_FN[opcode])
+    if fmt is Format.PRED:
+        reads = ("ps1",) if opcode is Opcode.PNOT else ("ps1", "ps2")
+        return (_D_PRED, (), reads, (), _PRED_FN[opcode])
+    if fmt in (Format.LOAD, Format.STORE):
+        mem_type = info.mem_type
+        stack = mem_type is MemType.STACK
+        word = info.width == 4
+        if fmt is Format.LOAD:
+            gprs = ("rs1",)
+            if mem_type is MemType.MAIN:
+                kind = K_LOAD_M
+            elif mem_type is MemType.LOCAL:
+                kind = K_LOAD_LW if word else K_LOAD_L
+            else:
+                kind = K_LOAD_W if word else K_LOAD
+        else:
+            gprs = ("rs1", "rs2")
+            if mem_type is MemType.MAIN:
+                kind = K_STORE_M
+            elif mem_type is MemType.LOCAL:
+                kind = K_STORE_LW if word else K_STORE_L
+            else:
+                kind = K_STORE_W if word else K_STORE
+        return (_D_LOAD if fmt is Format.LOAD else _D_STORE, gprs, (),
+                (SpecialReg.ST,) if stack else (), kind, mem_type, info.width,
+                info.signed, result_delay_slots(info, pipeline), stack)
+    if fmt is Format.WAIT:
+        return (_D_WAIT, (), (), ())
+    if fmt is Format.STACK:
+        return (_D_STACK, (), (), (), opcode, _STACK_OP_IDS[opcode])
+    if fmt in (Format.BRANCH, Format.CALL):
+        if info.control is ControlKind.CALL:
+            kind = K_CALL
+        elif opcode is Opcode.BRCF:
+            kind = K_BRCF
+        else:
+            kind = K_BRANCH
+        return (_D_BRANCH, (), (), (), kind,
+                control_delay_slots(info, pipeline))
+    if fmt is Format.CALLR:
+        return (_D_CALLR, ("rs1",), (), (), control_delay_slots(info, pipeline))
+    if fmt is Format.RET:
+        return (_D_RET, (), (), (SpecialReg.SRB, SpecialReg.SRO),
+                control_delay_slots(info, pipeline))
+    if fmt is Format.MTS:
+        return (_D_MTS, ("rs1",), (), ())
+    if fmt is Format.MFS:
+        return (_D_MFS, (), (), None)
+    if fmt is Format.HALT:
+        return (_D_HALT, (), (), ())
+    if fmt is Format.OUT:
+        return (_D_OUT, ("rs1",), (), ())
+    raise SimulationError(  # pragma: no cover - every format is planned
+        f"cannot pre-decode {opcode}")
+
+
+@lru_cache(maxsize=16)
+def _decode_plans(pipeline) -> Mapping[str, tuple]:
+    """:func:`_plan` of every opcode, keyed by mnemonic: a string key hashes
+    without the Python-level ``Enum.__hash__``.  Built once per pipeline and
+    shared, so read-only."""
+    return MappingProxyType({opcode.info.mnemonic: _plan(opcode, pipeline)
+                             for opcode in Opcode})
+
+
+def _function_slots(image: Image, base: int, length: int) -> list:
+    """The :class:`~repro.program.linker.FunctionRecord` of every table slot.
+
+    One walk over the image's functions in entry order, under
+    :meth:`~repro.program.linker.Image.function_containing`'s rule: an
+    address belongs to the last function (in that order) whose entry is at
+    or below it, if it lies inside that function's code; otherwise to none
+    (``None``, where ``function_containing`` raises).
+    """
+    slots: list = [None] * length
+    records = image._func_sorted
+    next_entries = [record.entry_addr for record in records[1:]] + [None]
+    for record, next_entry in zip(records, next_entries):
+        start = record.entry_addr
+        end = start + record.size_bytes
+        if next_entry is not None and next_entry < end:
+            end = next_entry  # the next record owns the rest
+        first = max(0, -(-(start - base) // 4))
+        stop = min(length, -(-(end - base) // 4))
+        slots[first:stop] = [record] * max(0, stop - first)
+    return slots
 
 
 def _decode(image: Image, pipeline, strict: bool,
@@ -252,33 +410,32 @@ def _decode(image: Image, pipeline, strict: bool,
     base = min(bundles)
     length = ((max(bundles) - base) >> 2) + 1
     table: list = [None] * length
+    plans = _decode_plans(pipeline)
+    functions = _function_slots(image, base, length)
+    block_keys = {block.addr: (block.function, block.label)
+                  for block in image.blocks}
 
     for addr, bundle in bundles.items():
         uops: list[tuple] = []
         n_nops = 0
-        for instr in bundle.instructions():
-            if instr.is_nop:
+        slots = bundle.slots
+        for instr in slots:
+            plan = plans[instr.info.mnemonic]
+            if plan[0] == _D_NOP:
                 n_nops += 1
-                continue
-            uops.extend(_decode_instruction(instr, image, base, length,
-                                            pipeline, strict))
-        block = image.block_at(addr)
-        block_key = (block.function, block.label) if block is not None else None
-        try:
-            func = image.function_containing(addr)
-        except LinkError:  # pragma: no cover - images place code in functions
-            func = None
+            else:
+                _decode_instruction(instr, plan, image, base, strict, uops)
         fall_addr = addr + bundle.size_bytes
         table[(addr - base) >> 2] = (
             tuple(uops),
-            block_key,
+            block_keys.get(addr),
             addr,
             fall_addr,
             (fall_addr - base) >> 2,
             bundle,
-            func,
+            functions[(addr - base) >> 2],
             str(bundle) if trace else None,
-            len(bundle.instructions()),
+            len(slots),
             n_nops,
         )
     return DecodedProgram(table=table, base=base,
@@ -286,192 +443,149 @@ def _decode(image: Image, pipeline, strict: bool,
                           trace=trace)
 
 
-def _read_sets(instr: Instruction, info: OpInfo
-               ) -> tuple[tuple, tuple, tuple]:
-    """Registers the reference interpreter reads through checked accessors."""
-    fmt = info.fmt
-    gprs: list[int] = []
-    preds: list[int] = []
-    specials: list[SpecialReg] = []
-    if fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L, Format.MUL,
-               Format.CMP_R, Format.CMP_I):
-        gprs.append(instr.rs1)
-        if fmt in (Format.ALU_R, Format.MUL, Format.CMP_R):
-            gprs.append(instr.rs2)
-    elif fmt is Format.LI:
-        if instr.opcode is Opcode.LIH:
-            gprs.append(instr.rd)
-    elif fmt is Format.PRED:
-        preds.append(instr.ps1)
-        if instr.ps2 is not None:
-            preds.append(instr.ps2)
-    elif fmt in (Format.LOAD, Format.STORE):
-        gprs.append(instr.rs1)
-        if info.mem_type is MemType.STACK:
-            specials.append(SpecialReg.ST)
-        if fmt is Format.STORE:
-            gprs.append(instr.rs2)
-    elif fmt in (Format.CALLR, Format.MTS, Format.OUT):
-        gprs.append(instr.rs1)
-    elif fmt is Format.MFS:
-        specials.append(instr.special)
-    elif fmt is Format.RET:
-        specials.extend((SpecialReg.SRB, SpecialReg.SRO))
-    return tuple(gprs), tuple(preds), tuple(specials)
+def _check_uop(instr: Instruction, plan: tuple, g: int, neg: bool):
+    """The strict check micro-op of one instruction, or ``None``."""
+    gprs = tuple([_gpr(getattr(instr, name)) for name in plan[1]])
+    preds = tuple([_pred(getattr(instr, name)) for name in plan[2]])
+    specials = (instr.special,) if plan[3] is None else plan[3]
+    if not preds and not specials:
+        if len(gprs) == 1:
+            return (K_CHECK1, -1, False, g, neg, gprs[0])
+        if len(gprs) == 2:
+            return (K_CHECK2, -1, False, g, neg, gprs[0], gprs[1])
+    if g >= 0 or gprs or preds or specials:
+        return (K_CHECK, -1, False, g, neg, gprs, preds, specials)
+    return None
 
 
-def _decode_instruction(instr: Instruction, image: Image, base: int,
-                        length: int, pipeline, strict: bool) -> list[tuple]:
-    info = instr.info
-    fmt = info.fmt
+def _decode_instruction(instr: Instruction, plan: tuple, image: Image,
+                        base: int, strict: bool, uops: list) -> None:
+    """Append the micro-ops of one (non-``nop``) instruction to ``uops``."""
+    form = plan[0]
     guard = instr.guard
-    g = -1 if guard.is_always else _validate_index(guard.pred, NUM_PREDS,
-                                                   "guard predicate")
     neg = guard.negate
+    g = guard.pred
+    if g == 0 and not neg:
+        g = -1
+    elif g not in _PRED_INDICES:
+        g = _validate_index(g, NUM_PREDS, "guard predicate")
 
-    uops: list[tuple] = []
-    if strict:
-        gprs, preds, specials = _read_sets(instr, info)
-        if not preds and not specials and len(gprs) == 1:
-            uops.append((K_CHECK1, -1, False, g, neg, gprs[0]))
-        elif not preds and not specials and len(gprs) == 2:
-            uops.append((K_CHECK2, -1, False, g, neg, gprs[0], gprs[1]))
-        elif g >= 0 or gprs or preds or specials:
-            uops.append((K_CHECK, -1, False, g, neg, gprs, preds, specials))
-
-    def gpr(value, what="register"):
-        return _validate_index(value, NUM_GPRS, what)
-
-    def pred(value, what="predicate"):
-        return _validate_index(value, NUM_PREDS, what)
-
-    if fmt in (Format.ALU_R, Format.ALU_I, Format.ALU_L):
-        if instr.rd == 0:
-            return uops  # write to hard-wired r0: architecturally dead
-        fn = _ALU_FN[instr.opcode]
-        if fmt is Format.ALU_R:
-            uops.append((K_ALU_RR, g, neg, fn, gpr(instr.rs1), gpr(instr.rs2),
-                         gpr(instr.rd)))
+    if form == _D_ALU_I or form == _D_ALU_R:
+        if instr.rd == 0:  # write to hard-wired r0: architecturally dead
+            if strict:
+                uops.append(_check_uop(instr, plan, g, neg))
+            return
+        rs1 = _gpr(instr.rs1)
+        second = _gpr(instr.rs2) if form == _D_ALU_R else instr.imm & _M
+        rd = _gpr(instr.rd)
+        if strict:
+            # One fused micro-op checks in the check micro-op's order, then
+            # executes: it carries its guard itself (slot 1 is -1).
+            uops.append((K_ALU_RR_S if form == _D_ALU_R else K_ALU_RI_S, -1,
+                         False, g, neg, plan[4], rs1, second, rd))
         else:
-            uops.append((K_ALU_RI, g, neg, fn, gpr(instr.rs1),
-                         instr.imm & _M, gpr(instr.rd)))
-    elif fmt is Format.LI:
+            uops.append((K_ALU_RR if form == _D_ALU_R else K_ALU_RI, g, neg,
+                         plan[4], rs1, second, rd))
+        return
+
+    if strict:
+        check = _check_uop(instr, plan, g, neg)
+        if check is not None:
+            uops.append(check)
+
+    if form == _D_CMP_R or form == _D_CMP_I:
+        if instr.pd == 0:
+            return  # write to hard-wired p0: architecturally dead
+        rs1 = _gpr(instr.rs1)
+        second = _gpr(instr.rs2) if form == _D_CMP_R else instr.imm & _M
+        uops.append((K_CMP_RR if form == _D_CMP_R else K_CMP_RI, g, neg,
+                     plan[4], rs1, second, _pred(instr.pd)))
+    elif form == _D_LOAD or form == _D_STORE:
+        kind, mem_type, width, signed, delay, stack = plan[4:]
+        rs1 = _gpr(instr.rs1)
+        if form == _D_LOAD:
+            rd = _gpr(instr.rd)
+            if kind == K_LOAD_M:
+                uops.append((kind, g, neg, rs1, instr.imm, rd, width, signed))
+            elif kind == K_LOAD_LW:
+                uops.append((kind, g, neg, rs1, instr.imm, rd, delay,
+                             mem_type))
+            elif kind == K_LOAD_L:
+                uops.append((kind, g, neg, rs1, instr.imm, rd, delay,
+                             mem_type, width, signed))
+            elif kind == K_LOAD_W:
+                uops.append((kind, g, neg, rs1, instr.imm, rd, delay,
+                             mem_type, strict and stack, stack))
+            else:
+                uops.append((kind, g, neg, rs1, instr.imm, rd, delay,
+                             mem_type, strict and stack, stack, width,
+                             signed))
+        else:
+            rs2 = _gpr(instr.rs2)
+            if kind == K_STORE_M:
+                uops.append((kind, g, neg, rs1, instr.imm, rs2, width))
+            elif kind == K_STORE_LW:
+                uops.append((kind, g, neg, rs1, instr.imm, rs2, mem_type))
+            elif kind == K_STORE_L:
+                uops.append((kind, g, neg, rs1, instr.imm, rs2, mem_type,
+                             width))
+            elif kind == K_STORE_W:
+                uops.append((kind, g, neg, rs1, instr.imm, rs2, mem_type,
+                             strict and stack, stack))
+            else:
+                uops.append((kind, g, neg, rs1, instr.imm, rs2, mem_type,
+                             strict and stack, stack, width))
+    elif form == _D_LIL or form == _D_LIH:
         if instr.rd == 0:
-            return uops
-        if instr.opcode is Opcode.LIL:
-            uops.append((K_LI, g, neg, instr.imm & _M, gpr(instr.rd)))
+            return
+        if form == _D_LIL:
+            uops.append((K_LI, g, neg, instr.imm & _M, _gpr(instr.rd)))
         else:
             uops.append((K_LIH, g, neg, (instr.imm & 0xFFFF) << 16,
-                         gpr(instr.rd)))
-    elif fmt is Format.MUL:
-        uops.append((K_MUL, g, neg, _MUL_FN[instr.opcode], gpr(instr.rs1),
-                     gpr(instr.rs2), result_delay_slots(info, pipeline)))
-    elif fmt in (Format.CMP_R, Format.CMP_I):
-        if instr.pd == 0:
-            return uops  # write to hard-wired p0: architecturally dead
-        fn = _CMP_FN[instr.opcode]
-        if fmt is Format.CMP_R:
-            uops.append((K_CMP_RR, g, neg, fn, gpr(instr.rs1), gpr(instr.rs2),
-                         pred(instr.pd)))
-        else:
-            uops.append((K_CMP_RI, g, neg, fn, gpr(instr.rs1), instr.imm & _M,
-                         pred(instr.pd)))
-    elif fmt is Format.PRED:
-        if instr.pd == 0:
-            return uops
-        ps2 = -1 if instr.ps2 is None else pred(instr.ps2)
-        uops.append((K_PRED, g, neg, _PRED_FN[instr.opcode], pred(instr.ps1),
-                     ps2, pred(instr.pd)))
-    elif fmt is Format.LOAD:
-        mem_type = info.mem_type
-        rs1 = gpr(instr.rs1)
-        rd = gpr(instr.rd)
-        delay = result_delay_slots(info, pipeline)
-        if mem_type is MemType.MAIN:
-            uops.append((K_LOAD_M, g, neg, rs1, instr.imm, rd, info.width,
-                         info.signed))
-        elif mem_type is MemType.LOCAL:
-            if info.width == 4:
-                uops.append((K_LOAD_LW, g, neg, rs1, instr.imm, rd, delay,
-                             mem_type))
-            else:
-                uops.append((K_LOAD_L, g, neg, rs1, instr.imm, rd, delay,
-                             mem_type, info.width, info.signed))
-        else:
-            schk = strict and mem_type is MemType.STACK
-            srel = mem_type is MemType.STACK
-            if info.width == 4:
-                uops.append((K_LOAD_W, g, neg, rs1, instr.imm, rd, delay,
-                             mem_type, schk, srel))
-            else:
-                uops.append((K_LOAD, g, neg, rs1, instr.imm, rd, delay,
-                             mem_type, schk, srel, info.width, info.signed))
-    elif fmt is Format.STORE:
-        mem_type = info.mem_type
-        rs1 = gpr(instr.rs1)
-        rs2 = gpr(instr.rs2)
-        if mem_type is MemType.MAIN:
-            uops.append((K_STORE_M, g, neg, rs1, instr.imm, rs2, info.width))
-        elif mem_type is MemType.LOCAL:
-            if info.width == 4:
-                uops.append((K_STORE_LW, g, neg, rs1, instr.imm, rs2,
-                             mem_type))
-            else:
-                uops.append((K_STORE_L, g, neg, rs1, instr.imm, rs2, mem_type,
-                             info.width))
-        else:
-            schk = strict and mem_type is MemType.STACK
-            srel = mem_type is MemType.STACK
-            if info.width == 4:
-                uops.append((K_STORE_W, g, neg, rs1, instr.imm, rs2, mem_type,
-                             schk, srel))
-            else:
-                uops.append((K_STORE, g, neg, rs1, instr.imm, rs2, mem_type,
-                             schk, srel, info.width))
-    elif fmt is Format.WAIT:
-        uops.append((K_WMEM, g, neg))
-    elif fmt is Format.STACK:
-        op_id = {Opcode.SRES: 0, Opcode.SENS: 1, Opcode.SFREE: 2}[instr.opcode]
-        uops.append((K_STACK, g, neg, instr.opcode, op_id, instr.imm))
-    elif fmt in (Format.BRANCH, Format.CALL):
-        delay = control_delay_slots(info, pipeline)
+                         _gpr(instr.rd)))
+    elif form == _D_BRANCH:
+        kind, delay = plan[4], plan[5]
         target = instr.target
         if not isinstance(target, int):
             uops.append((K_UNRESOLVED, g, neg, target))
-        else:
-            t_idx = (target - base) >> 2 if target >= base else -1
-            if info.control is ControlKind.CALL:
-                try:
-                    record = image.function_at(target)
-                except LinkError:
-                    record = None  # resolved (and raised) at execution time
-                uops.append((K_CALL, g, neg, t_idx, target, delay, record))
-            elif instr.opcode is Opcode.BRCF:
-                try:
-                    record = image.function_containing(target)
-                except LinkError:
-                    record = None
-                uops.append((K_BRCF, g, neg, t_idx, target, delay, record))
-            else:
-                uops.append((K_BRANCH, g, neg, t_idx, target, delay))
-    elif fmt is Format.CALLR:
-        uops.append((K_CALLR, g, neg, gpr(instr.rs1),
-                     control_delay_slots(info, pipeline)))
-    elif fmt is Format.RET:
-        uops.append((K_RET, g, neg, control_delay_slots(info, pipeline)))
-    elif fmt is Format.MTS:
-        uops.append((K_MTS, g, neg, instr.special, gpr(instr.rs1)))
-    elif fmt is Format.MFS:
+            return
+        t_idx = (target - base) >> 2 if target >= base else -1
+        if kind == K_BRANCH:
+            uops.append((kind, g, neg, t_idx, target, delay))
+            return
+        try:
+            record = image.function_at(target) if kind == K_CALL \
+                else image.function_containing(target)
+        except LinkError:
+            record = None  # resolved (and raised) at execution time
+        uops.append((kind, g, neg, t_idx, target, delay, record))
+    elif form == _D_PRED:
+        if instr.pd == 0:
+            return
+        ps2 = -1 if instr.ps2 is None else _pred(instr.ps2)
+        uops.append((K_PRED, g, neg, plan[4], _pred(instr.ps1), ps2,
+                     _pred(instr.pd)))
+    elif form == _D_MUL:
+        uops.append((K_MUL, g, neg, plan[4], _gpr(instr.rs1),
+                     _gpr(instr.rs2), plan[5]))
+    elif form == _D_WAIT:
+        uops.append((K_WMEM, g, neg))
+    elif form == _D_STACK:
+        uops.append((K_STACK, g, neg, plan[4], plan[5], instr.imm))
+    elif form == _D_CALLR:
+        uops.append((K_CALLR, g, neg, _gpr(instr.rs1), plan[4]))
+    elif form == _D_RET:
+        uops.append((K_RET, g, neg, plan[4]))
+    elif form == _D_MTS:
+        uops.append((K_MTS, g, neg, instr.special, _gpr(instr.rs1)))
+    elif form == _D_MFS:
         if instr.rd == 0:
-            return uops
-        uops.append((K_MFS, g, neg, instr.special, gpr(instr.rd)))
-    elif fmt is Format.HALT:
+            return
+        uops.append((K_MFS, g, neg, instr.special, _gpr(instr.rd)))
+    elif form == _D_HALT:
         uops.append((K_HALT, g, neg))
-    elif fmt is Format.OUT:
-        uops.append((K_OUT, g, neg, gpr(instr.rs1)))
-    else:  # pragma: no cover - every format is handled above
-        raise SimulationError(f"cannot pre-decode {instr}")
-    return uops
+    else:  # form == _D_OUT
+        uops.append((K_OUT, g, neg, _gpr(instr.rs1)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +635,10 @@ def _uop_may_arbitrate(u: tuple, uses_method_cache: bool, unified: bool,
     split main-memory loads always arbitrate, stores only reach the arbiter
     when the store buffer has zero entries (background drains are not
     modelled on the bus), stack control arbitrates on spill/fill traffic and
-    call/return/brcf on method-cache fills.  Being conservative here is
-    always sound — a pause before a bundle that then hits in its cache costs
+    call/return/brcf on method-cache fills.  Everything else — ALU, compare,
+    predicate and special-register operations, the strict check micro-ops
+    and the fused strict ALU ops — never arbitrates.  Being conservative
+    here is always sound — a pause before a bundle that then hits in its cache costs
     a scheduling round trip, never correctness.
     """
     k = u[0]
@@ -919,17 +1035,16 @@ class EngineContext:
                 # Commit results whose exposed delay elapsed (due == issued).
                 slot = ring[issued & ring_mask]
                 if slot:
-                    for write in slot:
-                        kind = write[0]
+                    for kind, index, value in slot:
                         if kind == 0:
-                            regs[write[1]] = write[2]
-                            pg[write[1]] -= 1
+                            regs[index] = value
+                            pg[index] -= 1
                         elif kind == 1:
-                            preds[write[1]] = write[2]
-                            pp[write[1]] -= 1
+                            preds[index] = value
+                            pp[index] -= 1
                         else:
-                            specials[write[1]] = write[2]
-                            ps[write[1]] -= 1
+                            specials[index] = value
+                            ps[index] -= 1
                     del slot[:]
 
                 rec = table[idx] if 0 <= idx < tlen else None
@@ -950,12 +1065,44 @@ class EngineContext:
 
                 for u in uops:
                     k = u[0]
+                    if k == 33:  # strict ALU reg-imm: check, then execute
+                        gg = u[3]
+                        if gg >= 0:
+                            if pp[gg]:
+                                _raise_stale(1, gg, issued, ring, ring_mask)
+                            if preds[gg] == u[4]:
+                                continue
+                        rs = u[6]
+                        if pg[rs]:
+                            _raise_stale(0, rs, issued, ring, ring_mask)
+                        value = u[5](regs[rs], u[7])
+                        rd = u[8]
+                        ring[(issued + 1) & ring_mask].append((0, rd, value))
+                        pg[rd] += 1
+                        continue
                     g = u[1]
                     if g >= 0 and preds[g] == u[2]:
                         continue  # guard false
                     if k == 2:  # ALU reg-imm
                         value = u[3](regs[u[4]], u[5])
                         rd = u[6]
+                        ring[(issued + 1) & ring_mask].append((0, rd, value))
+                        pg[rd] += 1
+                    elif k == 34:  # strict ALU reg-reg: check, then execute
+                        gg = u[3]
+                        if gg >= 0:
+                            if pp[gg]:
+                                _raise_stale(1, gg, issued, ring, ring_mask)
+                            if preds[gg] == u[4]:
+                                continue
+                        rs = u[6]
+                        if pg[rs]:
+                            _raise_stale(0, rs, issued, ring, ring_mask)
+                        rt = u[7]
+                        if pg[rt]:
+                            _raise_stale(0, rt, issued, ring, ring_mask)
+                        value = u[5](regs[rs], regs[rt])
+                        rd = u[8]
                         ring[(issued + 1) & ring_mask].append((0, rd, value))
                         pg[rd] += 1
                     elif k == 31:  # strict check: one GPR read

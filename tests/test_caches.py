@@ -1,5 +1,7 @@
 """Tests for the method cache, set-associative caches and the stack cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from repro.caches import (
     SetAssociativeCache,
     StackCache,
 )
+from repro.caches.stats import CacheStats
 from repro.config import (
     MemoryConfig,
     MethodCacheConfig,
@@ -88,6 +91,83 @@ class TestMethodCache:
         cache.access("f", 100)
         cache.flush()
         assert not cache.contains("f")
+
+
+class _ListMethodCache:
+    """Oracle: the method cache as a plain list scanned on every access."""
+
+    def __init__(self, config: MethodCacheConfig, memory: MemoryConfig):
+        self.config = config
+        self.memory = memory
+        self.stats = CacheStats()
+        self.entries: list[list] = []  # [name, blocks], front = next victim
+
+    def access(self, name: str, size_bytes: int) -> tuple:
+        names = [entry[0] for entry in self.entries]
+        if name in names:
+            if self.config.replacement == "lru":
+                self.entries.append(self.entries.pop(names.index(name)))
+            self.stats.record(hit=True)
+            return (True, 0, 0, (), False)
+        words = -(-size_bytes // 4)
+        stall = self.memory.transfer_cycles(words)
+        blocks = max(1, -(-size_bytes // self.config.block_bytes))
+        self.stats.record(hit=False, fill_words=words, stall_cycles=stall)
+        if blocks > self.config.num_blocks:
+            return (False, stall, words, (), True)
+        evicted = []
+        while self.config.num_blocks - sum(e[1] for e in self.entries) \
+                < blocks:
+            evicted.append(self.entries.pop(0)[0])
+            self.stats.evictions += 1
+        self.entries.append([name, blocks])
+        return (False, stall, words, tuple(evicted), False)
+
+
+class TestMethodCacheIndex:
+    """The name index against the list-scanning oracle, access by access."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("replacement", ("fifo", "lru"))
+    def test_matches_list_scanning_oracle(self, replacement, seed):
+        rng = random.Random(seed)
+        config = MethodCacheConfig(size_bytes=1024, num_blocks=8,
+                                   replacement=replacement)
+        cache = MethodCache(config, MEM)
+        oracle = _ListMethodCache(config, MEM)
+        # Sizes from one block up to several (multi-victim evictions) and
+        # beyond the whole cache (oversized functions stream through).
+        sizes = {f"f{i}": rng.choice((4, 100, 128, 129, 300, 520, 1024, 1500))
+                 for i in range(14)}
+        names = sorted(sizes)
+        evicting = oversized = 0
+        for step in range(600):
+            name = rng.choice(names)
+            if rng.random() < 0.5:
+                # The simulator's path: the allocation-free hit first.
+                if cache.hit(name):
+                    got = (True, 0, 0, (), False)
+                else:
+                    result = cache.access(name, sizes[name])
+                    assert not result.hit
+                    got = (result.hit, result.stall_cycles, result.fill_words,
+                           result.evicted, result.oversized)
+            else:
+                result = cache.access(name, sizes[name])
+                got = (result.hit, result.stall_cycles, result.fill_words,
+                       result.evicted, result.oversized)
+            assert got == oracle.access(name, sizes[name]), step
+            evicting += len(got[3]) > 1
+            oversized += got[4]
+            resident = [entry[0] for entry in oracle.entries]
+            assert cache.resident_functions() == resident
+            assert cache.used_blocks() == sum(e[1] for e in oracle.entries)
+            assert all(cache.contains(n) == (n in resident) for n in names)
+            assert vars(cache.stats) == vars(oracle.stats)
+            if rng.random() < 0.01:
+                cache.flush()
+                oracle.entries.clear()
+        assert evicting and oversized  # the sequence covered both cases
 
 
 class TestSetAssociativeCache:

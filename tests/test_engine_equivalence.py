@@ -22,17 +22,23 @@ from repro import (
     compile_and_link,
 )
 from repro.errors import (
+    LinkError,
     MemoryAccessError,
     ScheduleViolation,
     SimulationError,
 )
-from repro.isa import Bundle, Instruction, Opcode
+from repro.isa import Bundle, Guard, Instruction, Opcode
 from repro.memory.main_memory import MainMemory
 from repro.memory.scratchpad import Scratchpad
 from repro.program import link
 from repro.program.basic_block import BasicBlock
 from repro.program.function import Function
+from repro.program.linker import FunctionRecord
 from repro.program.program import Program
+from repro.sim.engine import K_ALU_RI_S, K_ALU_RR_S, K_CHECK1, R_BLOCK, \
+    R_BUNDLE, R_FUNC, R_UOPS, _function_slots, _uop_may_arbitrate, \
+    decode_image
+from repro.workloads.kernels import build_large_function
 from repro.workloads.suite import KERNEL_BUILDERS, build_kernel
 
 MODES = tuple((strict, trace) for strict in (False, True)
@@ -135,10 +141,77 @@ class TestErrorPathEquivalence:
         with pytest.raises(SimulationError):
             FunctionalSimulator(image, engine="turbo")
 
+    # The strict decode turns an ALU instruction with rd != 0 into one fused
+    # check-and-execute micro-op; each case below must raise at the same
+    # bundle, with the same post-mortem state, as the reference.
+    STRICT_VIOLATIONS = {
+        "stale_rs1_into_addi": ([
+            [Instruction(Opcode.LWC, rd=1, rs1=0, imm=0)],
+            [Instruction(Opcode.ADDI, rd=2, rs1=1, imm=1)],
+            [Instruction(Opcode.HALT)],
+        ], K_ALU_RI_S),
+        "stale_rs2_into_add": ([
+            [Instruction(Opcode.LIL, rd=3, imm=7)],
+            [Instruction(Opcode.LWC, rd=1, rs1=0, imm=0)],
+            [Instruction(Opcode.ADD, rd=2, rs1=3, rs2=1)],
+            [Instruction(Opcode.HALT)],
+        ], K_ALU_RR_S),
+        "guard_pending_from_compare": ([
+            [Instruction(Opcode.CMPIEQ, pd=1, rs1=0, imm=0),
+             Instruction(Opcode.ADDI, guard=Guard(1), rd=2, rs1=0, imm=1)],
+            [Instruction(Opcode.HALT)],
+        ], K_ALU_RI_S),
+        "slot2_reads_slot1_result": ([
+            [Instruction(Opcode.ADDI, rd=1, rs1=0, imm=5),
+             Instruction(Opcode.ADDI, rd=2, rs1=1, imm=1)],
+            [Instruction(Opcode.HALT)],
+        ], K_ALU_RI_S),
+        "r0_destination_checks_alone": ([
+            [Instruction(Opcode.LWC, rd=1, rs1=0, imm=0)],
+            [Instruction(Opcode.ADDI, rd=0, rs1=1, imm=1)],
+            [Instruction(Opcode.HALT)],
+        ], K_CHECK1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STRICT_VIOLATIONS))
+    def test_fused_strict_violation_matches_reference(self, case):
+        bundles, kind = self.STRICT_VIOLATIONS[case]
+        image = _raw_image(bundles)
+        program = decode_image(image, PatmosConfig().pipeline, True, False)
+        violating = bundles[-2][-1]
+        record = [r for r in program.table if r is not None][-2]
+        assert record[R_BUNDLE].slots[-1] == violating
+        assert record[R_UOPS][-1][0] == kind
+        if kind == K_CHECK1:  # r0 is dead: nothing executes after the check
+            assert [u[0] for u in record[R_UOPS]] == [K_CHECK1]
+        # Neither a fused op nor a check can reach the shared bus.
+        assert not any(_uop_may_arbitrate(u, True, True, False, True)
+                       for u in record[R_UOPS])
+        states = []
+        for engine in ("reference",) + ENGINES:
+            sim = FunctionalSimulator(image, strict=True, engine=engine)
+            with pytest.raises(ScheduleViolation):
+                sim.run()
+            states.append((sim.issued, sim.cycles, list(sim.state.regs),
+                           list(sim.state.preds), sim._pending_writes))
+        assert all(state == states[0] for state in states)
+        assert states[0][0] == len(bundles) - 2  # the violating bundle
+
+    @pytest.mark.parametrize("strict", (False, True))
+    @pytest.mark.parametrize("field,value", (("rs1", 40), ("rs2", -1),
+                                             ("rd", 32)))
+    def test_out_of_range_register_rejected_at_decode(self, strict, field,
+                                                      value):
+        instr = Instruction(Opcode.ADD, rd=2, rs1=1, rs2=3)
+        object.__setattr__(instr, field, value)
+        image = _raw_image([[instr], [Instruction(Opcode.HALT)]])
+        with pytest.raises(SimulationError,
+                           match="index out of range at decode"):
+            FunctionalSimulator(image, strict=strict, engine="fast").run()
+
 
 class TestDecodeReuse:
     def test_decode_is_cached_per_image(self):
-        from repro.sim.engine import decode_image
         image = _raw_image([[Instruction(Opcode.HALT)]])
         pipeline = PatmosConfig().pipeline
         first = decode_image(image, pipeline, False, False)
@@ -146,6 +219,71 @@ class TestDecodeReuse:
         assert first is again
         strict = decode_image(image, pipeline, True, False)
         assert strict is not first
+
+    @staticmethod
+    def _assert_records_match_lookups(image):
+        """Every table slot's function and block key against the image's
+        own lookups (``function_containing`` / ``block_at``)."""
+        for strict in (False, True):
+            program = decode_image(image, PatmosConfig().pipeline, strict,
+                                   False)
+            for index, record in enumerate(program.table):
+                addr = program.base + 4 * index
+                if record is None:
+                    assert addr not in image.bundles
+                    continue
+                try:
+                    expected = image.function_containing(addr)
+                except LinkError:
+                    expected = None
+                assert record[R_FUNC] is expected, hex(addr)
+                block = image.block_at(addr)
+                assert record[R_BLOCK] == (
+                    None if block is None else (block.function, block.label))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_BUILDERS))
+    def test_function_and_block_of_every_record(self, compiled_kernels,
+                                                name):
+        _, compiled = compiled_kernels
+        self._assert_records_match_lookups(compiled[name][0])
+
+    def test_function_of_every_record_with_split_subfunctions(self):
+        config = PatmosConfig()
+        kernel = build_large_function(blocks=48, instructions_per_block=24,
+                                      iterations=1)
+        image, _ = compile_and_link(kernel.program, config, CompileOptions())
+        assert any(record.is_subfunction for record in image.functions)
+        self._assert_records_match_lookups(image)
+
+    def test_function_walk_follows_the_bisect_rule(self):
+        # Records that share an entry, overrun the next entry, are empty,
+        # start off the bundle grid or leave gaps: every address must still
+        # map as function_containing maps it (the later record of a shared
+        # entry wins, a record ends at the next entry, a gap has no
+        # function).
+        config = PatmosConfig()
+        image, _ = compile_and_link(build_kernel("call_tree").program, config,
+                                    CompileOptions())
+        main, work = sorted(image.functions, key=lambda f: f.entry_addr)[:2]
+        image.functions = [
+            FunctionRecord(f.name, f.entry_addr, 4 if f is main else
+                           f.size_bytes + 64)
+            for f in image.functions] + [
+            FunctionRecord("shadow", main.entry_addr, 12),
+            FunctionRecord("empty", main.entry_addr + 8, 0),
+            FunctionRecord("unaligned", work.entry_addr + 6, 8)]
+        image._index()
+        image._caches.clear()
+        self._assert_records_match_lookups(image)
+        # Every word address, not only those where a bundle starts.
+        base = min(image.bundles)
+        length = (max(image.bundles) - base) // 4 + 1
+        for index, record in enumerate(_function_slots(image, base, length)):
+            try:
+                expected = image.function_containing(base + 4 * index)
+            except LinkError:
+                expected = None
+            assert record is expected, hex(base + 4 * index)
 
     def test_repeated_runs_share_state_correctly(self):
         config = PatmosConfig()
@@ -181,7 +319,6 @@ class TestSatelliteFastPaths:
         config = PatmosConfig()
         kernel = build_kernel("call_tree")
         image, _ = compile_and_link(kernel.program, config, CompileOptions())
-        from repro.errors import LinkError
         for record in image.functions:
             assert image.function_containing(record.entry_addr) is record
             last = record.entry_addr + record.size_bytes - 4
