@@ -9,7 +9,7 @@ activity (slices / releases / recorded traces per run), verifies the TDMA
 decoupling property (co-simulated per-core cycles identical to each core
 simulated alone on its port of a ``TdmaBusArbiter``) *and* the scheduler
 equivalence (event and reference timing bit-identical), and emits a machine-readable ``BENCH_cmp.json``
-(schema v3)::
+(schema v4)::
 
     python benchmarks/bench_cmp_throughput.py [--smoke] [--output PATH]
                                               [--min-speedup X] [--profile]
@@ -19,6 +19,19 @@ from images without cached traces, so every run records its traces before
 replaying them (what the first co-simulation of a fresh image costs);
 *warm* runs reuse the traces the previous run cached (what every further
 arbiter or core count of the same image costs).
+
+The ``method_cache_sweep`` stage times a seeded ``repro.explore`` sweep
+(jobs=1, no WCET) of scaled kernels over method-cache sizes, one and two
+cores, from cold images.  It reports the recordings made, the traces
+reused from another method cache and the candidates rejected because that
+method cache fills differently, ``record_s``, the time spent on trace
+cache misses (recording, or checking a candidate), and ``replay_s``, the
+time the event scheduler spent replaying traces, all read from
+:data:`repro.cmp.replay.trace_counts`; ``wall_s`` also covers compiling
+and the runner.  On a source without those counters the stage reports
+``wall_s`` only.  A committed report may also carry a ``baseline``: the
+same script's report on an earlier commit's source, for comparison; the
+script never writes it.
 
 ``--smoke`` runs every configuration once (fast enough for CI); the
 decoupling and scheduler-equivalence gates still apply, so a CI step
@@ -33,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -42,16 +57,35 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from harness import profiled  # noqa: E402
 from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
+from repro.cmp import replay  # noqa: E402
 from repro.cmp.replay import traces_of  # noqa: E402
+from repro.explore import ExplorationRunner, ParameterSpace  # noqa: E402
 from repro.memory import TdmaBusArbiter  # noqa: E402
 from repro.sim.cycle import CycleSimulator  # noqa: E402
 from repro.workloads import build_kernel  # noqa: E402
+from repro.workloads import images as images_module  # noqa: E402
 
 CORE_COUNTS = (1, 2, 4, 8)
 ARBITERS = ("tdma", "round_robin")
 #: Mixed per-core programs (repeated to the core count) so the cores'
 #: clocks diverge the way a real workload mix does.
 MIX = ("vector_sum", "stream_checksum", "fir_filter", "saturate")
+
+
+#: The method-cache sweep stage: scaled kernels (seeded data), the sizes
+#: (call_tree's method cache evicts below 1024 B, large_function's at
+#: every size) and the repetitions of a full run.
+SWEEP_KERNELS = {
+    "matmul": {"n": 8},
+    "bubble_sort": {"n": 24},
+    "fir_filter": {"taps": 8, "n": 128},
+    "stream_checksum": {"n": 256},
+    "call_tree": {"iterations": 64},
+    "large_function": {},
+}
+SWEEP_SIZES = (256, 512, 1024, 2048, 4096)
+SWEEP_SEED = 7
+SWEEP_REPEATS = 5
 
 
 def _images(config):
@@ -98,12 +132,69 @@ def _measure(images, config, arbiter: str, scheduler: str,
     return row, result
 
 
+def _sweep_space() -> ParameterSpace:
+    rng = random.Random(SWEEP_SEED)
+    params = {}
+    for kernel, sizes in SWEEP_KERNELS.items():
+        params[kernel] = dict(sizes)
+        if kernel not in ("call_tree", "large_function"):  # no data
+            params[kernel]["seed"] = rng.randrange(1, 2 ** 31)
+    return (ParameterSpace(list(SWEEP_KERNELS), kernel_params=params,
+                           analyse_wcet=False)
+            .axis("cores", [1, 2])
+            .axis("method_cache_size", list(SWEEP_SIZES)))
+
+
+def _sweep_once(space: ParameterSpace) -> dict:
+    """One cold sweep: its cells, wall time and trace-cache activity."""
+    counts = getattr(replay, "trace_counts", None)
+    before = dict(counts or {})
+    images_module._images.clear()  # cold: every image compiles, no trace
+    try:
+        started = time.perf_counter()
+        outcome = ExplorationRunner(jobs=1, cache=None).run(space)
+        wall_s = time.perf_counter() - started
+    finally:
+        images_module._images.clear()
+    if not outcome.ok:
+        raise RuntimeError(f"method-cache sweep failed: {outcome.failures}")
+    run = {"cells": len(outcome.results), "wall_s": wall_s}
+    if counts is not None:
+        run.update({name: counts[name] - before[name]
+                    for name in ("recorded", "reused", "rejected")},
+                   record_s=counts["miss_s"] - before["miss_s"],
+                   replay_s=counts["replay_s"] - before["replay_s"])
+    return run
+
+
+def run_sweep_stage(smoke: bool) -> dict:
+    """The method-cache sweep stage: counts of one run, median times."""
+    space = _sweep_space()
+    runs = [_sweep_once(space) for _ in range(1 if smoke else SWEEP_REPEATS)]
+    stage = {"seed": SWEEP_SEED, "kernels": SWEEP_KERNELS,
+             "method_cache_sizes": list(SWEEP_SIZES), "cores": [1, 2],
+             "repeats": len(runs)}
+    for name in ("cells", "recorded", "reused", "rejected"):
+        if name in runs[0]:
+            stage[name] = runs[0][name]
+    for name in ("wall_s", "record_s", "replay_s"):
+        if name in runs[0]:
+            stage[name] = round(statistics.median(run[name]
+                                                  for run in runs), 6)
+    print("method-cache sweep: " + ", ".join(
+        f"{name} {stage[name]}" for name in
+        ("cells", "recorded", "reused", "rejected", "record_s", "replay_s",
+         "wall_s")
+        if name in stage))
+    return stage
+
+
 def run_benchmark(smoke: bool) -> dict:
     config = PatmosConfig()
     base_images = _images(config)
     min_seconds = 0.0 if smoke else 0.3
     report: dict = {
-        "schema": "bench_cmp_throughput/v3",
+        "schema": "bench_cmp_throughput/v4",
         "mode": "smoke" if smoke else "full",
         "mix": list(MIX),
         "cores": {},
@@ -165,6 +256,7 @@ def run_benchmark(smoke: bool) -> dict:
         "checked": len(CORE_COUNTS) + len(CORE_COUNTS) * len(ARBITERS),
         "divergences": divergences,
     }
+    report["method_cache_sweep"] = run_sweep_stage(smoke)
     return report
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 from ..config import PatmosConfig, SetAssocCacheConfig
 from ..isa.opcodes import MemType
 from .method_cache import MethodCache
-from .set_assoc import CacheAccessResult, IdealCache, SetAssociativeCache
+from .set_assoc import IdealCache, SetAssociativeCache
 from .stack_cache import StackCache
 
 
@@ -77,14 +77,9 @@ class CacheHierarchy:
 
     # -- instruction side ---------------------------------------------------------
 
-    def fetch_access(self, addr: int) -> CacheAccessResult:
-        """Per-fetch access for the conventional instruction-cache baseline."""
-        if self.icache is None:
-            return CacheAccessResult(hit=True, stall_cycles=0)
-        return self.icache.read(addr)
-
     def fetch_stall(self, addr: int) -> int:
-        """Allocation-free per-fetch stall (hot path of :meth:`fetch_access`)."""
+        """Stall cycles of one instruction fetch: a conventional
+        instruction-cache access, or 0 with the method cache."""
         if self.icache is None:
             return 0
         return self.icache.read_stall(addr)

@@ -14,7 +14,7 @@ stalls the pipeline for the burst-transfer time of the whole function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import MemoryConfig, MethodCacheConfig
 from .stats import CacheStats
@@ -143,22 +143,3 @@ class MethodCache:
         return (f"MethodCache(blocks={self.config.num_blocks}, "
                 f"resident={self.resident_functions()})")
 
-
-@dataclass
-class AlwaysMissMethodCache:
-    """Degenerate method cache that misses on every access (analysis baseline)."""
-
-    memory_config: MemoryConfig
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def access(self, name: str, size_bytes: int) -> MethodCacheResult:
-        words = -(-size_bytes // 4)
-        stall = self.memory_config.transfer_cycles(words)
-        self.stats.record(hit=False, fill_words=words, stall_cycles=stall)
-        return MethodCacheResult(hit=False, stall_cycles=stall, fill_words=words)
-
-    def contains(self, name: str) -> bool:
-        return False
-
-    def flush(self) -> None:
-        return None

@@ -29,20 +29,39 @@ The scheduler in :mod:`repro.cmp.system` decides the global order in which
 the replays reach the shared arbiter.  Replaying a trace interprets no
 bundles, so the cost of a co-simulation scales with the number of bus
 events, not with the number of bundles the cores issue.
+
+Each (image, config, hierarchy, strict) is recorded once, and a recording
+can also serve other method-cache configurations.  The method cache loads
+whole functions, and only at call, return and ``brcf`` (Section 3.3), so
+the only thing its configuration changes in a recording is the stall of
+those accesses.  A recording also logs every method-cache access: the
+function and the stall it cost.  Images of equal content linked for
+configs that differ only in the method cache may share one trace cache
+(:func:`share_traces`; the image memo of :mod:`repro.workloads.images`
+does so).  When such a cache has no trace for a key, :func:`recorded_trace`
+takes one recorded under another method-cache configuration, replays its
+log through a fresh :class:`~repro.caches.method_cache.MethodCache` of the
+requested configuration and reuses the trace if every access stalls as
+logged and the final statistics are equal: then every point, the result
+and the bank contents are those a new recording would give (a trace-driven
+cache evaluation in the manner of Mattson et al., 1970).  Otherwise it
+records as usual.
 """
 
 from __future__ import annotations
 
+import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..caches.hierarchy import HierarchyOptions
+from ..caches.method_cache import MethodCache
 from ..config import PatmosConfig
 from ..errors import SimulationError
 from ..memory.controller import MemoryController
 from ..memory.main_memory import PAGE_BYTES, MainMemory
-from ..program.linker import Image
+from ..program.linker import FunctionRecord, Image
 from ..sim.cycle import CycleSimulator
 from ..sim.results import SimResult, StallBreakdown
 
@@ -73,10 +92,28 @@ def trace_key(config: PatmosConfig,
 def traces_of(image: Image) -> dict:
     """The traces cached on ``image``, by :func:`trace_key`.
 
-    Only complete recordings belong here; pickling an image drops them, and
-    clearing the dict makes the next co-simulation record again.
+    Only complete recordings belong here.  The cache may be shared with
+    images of equal content (:func:`share_traces`).  Pickling an image
+    drops it, and clearing the dict makes the next co-simulation record
+    again.
     """
     return image._caches.setdefault("cosim_traces", {})
+
+
+def share_traces(image: Image, twin: Image) -> None:
+    """Give ``image`` the trace cache of ``twin``, an image of equal content
+    linked for a config that differs only in the method cache, so that
+    :func:`recorded_trace` can offer ``image`` the twin's recordings."""
+    image._caches["cosim_traces"] = traces_of(twin)
+
+
+#: What :func:`recorded_trace` has done in this process: traces recorded,
+#: traces reused from another method-cache configuration, candidates whose
+#: method-cache accesses did not replay identically, and the seconds spent
+#: on cache misses (recording, or checking candidates); and the seconds the
+#: event scheduler of :mod:`repro.cmp.system` spent replaying traces.
+trace_counts = {"recorded": 0, "reused": 0, "rejected": 0, "miss_s": 0.0,
+                "replay_s": 0.0}
 
 
 def recorded_trace(image: Image, config: PatmosConfig, strict: bool,
@@ -86,12 +123,16 @@ def recorded_trace(image: Image, config: PatmosConfig, strict: bool,
                    ) -> tuple[CoreTrace, bool]:
     """The trace of ``image`` run alone on ``config``, cached or recorded now.
 
-    Returns the trace and whether this call recorded it.  A recording runs
-    a :class:`TraceRecorder` to its halt: ``drive`` runs it (a co-simulation
-    steps it under its watchdog), by default within ``max_bundles``.  Only a
-    recording that halted is cached; a cached trace longer than
-    ``max_bundles`` raises as its run would have.  The trace's ``result``
-    equals that of the same core run alone by
+    Returns the trace and whether this call recorded it.  A trace not yet
+    cached for ``config`` is reused when the cache holds one recorded under
+    another method-cache configuration whose method-cache accesses replay
+    on ``config``'s method cache with the same stalls and statistics (the
+    module docstring says why that suffices); otherwise it is recorded: a
+    :class:`TraceRecorder` runs to its halt, driven by ``drive`` (a
+    co-simulation steps it under its watchdog), by default within
+    ``max_bundles``.  Only a recording that halted is cached; a cached or
+    reused trace longer than ``max_bundles`` raises as its run would have.
+    The trace's ``result`` equals that of the same core run alone by
     :class:`~repro.sim.cycle.CycleSimulator`; it is shared, so callers copy
     before they mutate it.
     """
@@ -99,17 +140,59 @@ def recorded_trace(image: Image, config: PatmosConfig, strict: bool,
     key = trace_key(config, hierarchy_options, strict)
     trace = traces.get(key)
     if trace is None:
-        recorder = TraceRecorder(image, config, strict, hierarchy_options)
-        if drive is None:
-            recorder.run_step(max_bundles=max_bundles)
-        else:
-            drive(recorder)
-        trace = traces[key] = recorder.recording()
-        return trace, True
+        started = time.perf_counter()
+        try:
+            # A conventional instruction cache takes its size from the
+            # method cache's, so only cores with a method cache reuse.
+            if hierarchy_options is None or \
+                    not hierarchy_options.conventional_icache:
+                trace = _reusable_trace(traces, key)
+            if trace is None:
+                recorder = TraceRecorder(image, config, strict,
+                                         hierarchy_options)
+                if drive is None:
+                    recorder.run_step(max_bundles=max_bundles)
+                else:
+                    drive(recorder)
+                trace = traces[key] = recorder.recording()
+                trace_counts["recorded"] += 1
+                return trace, True
+            traces[key] = trace
+        finally:
+            trace_counts["miss_s"] += time.perf_counter() - started
     if trace.bundles > max_bundles:
         raise SimulationError(
             f"program did not halt within {max_bundles} bundles")
     return trace, False
+
+
+def _reusable_trace(traces: dict, key: tuple) -> Optional[CoreTrace]:
+    """A trace in ``traces`` recorded under a key that differs from ``key``
+    only in the method cache and that a recording under ``key`` would
+    equal, or ``None``."""
+    config = key[0]
+    method_cache = config.method_cache
+    for other_key, trace in traces.items():
+        other = other_key[0]
+        if other.method_cache == method_cache or other_key[1:] != key[1:] \
+                or replace(other, method_cache=method_cache) != config:
+            continue
+        if _replays_identically(trace, config):
+            trace_counts["reused"] += 1
+            return trace
+        trace_counts["rejected"] += 1
+    return None
+
+
+def _replays_identically(trace: CoreTrace, config: PatmosConfig) -> bool:
+    """Whether ``trace``'s method-cache accesses, replayed on ``config``'s
+    method cache, stall exactly as recorded and end with its statistics."""
+    cache = MethodCache(config.method_cache, config.memory)
+    access = cache.access
+    for record, stall in zip(trace.method_functions, trace.method_stalls):
+        if access(record.name, record.size_bytes).stall_cycles != stall:
+            return False
+    return vars(cache.stats) == trace.result.cache_stats["method_cache"]
 
 
 def run_alone(image: Image, config: PatmosConfig, strict: bool,
@@ -119,8 +202,9 @@ def run_alone(image: Image, config: PatmosConfig, strict: bool,
 
     On the fast engine this is the result of the image's recording
     (:func:`recorded_trace`), so every single-core cell, loop check and
-    co-simulation of one (image, config, hierarchy, strict) shares one run;
-    the result is shared and read-only.  Any other engine runs a fresh
+    co-simulation of one (image, config, hierarchy, strict) shares one run,
+    and so do method-cache configurations that change no fill; the result
+    is shared and read-only.  Any other engine runs a fresh
     :class:`~repro.sim.cycle.CycleSimulator`, the oracle.
     """
     if engine == "fast":
@@ -147,6 +231,10 @@ class CoreTrace:
     #: Final contents of the core's bank
     #: (:meth:`~repro.memory.main_memory.MainMemory.nonzero_regions`).
     memory: tuple
+    #: The function of every method-cache access, in order.
+    method_functions: list[FunctionRecord]
+    #: The stall each of those accesses cost (0 for a hit).
+    method_stalls: array
 
     @property
     def bundles(self) -> int:
@@ -170,7 +258,8 @@ class _TrackedMemory(MainMemory):
 
 
 class TraceRecorder(CycleSimulator):
-    """A core run alone with zero-wait arbitration, recording its points.
+    """A core run alone with zero-wait arbitration, recording its points
+    and its method-cache accesses.
 
     Drive it with :meth:`run_step` (the fast engine) and call
     :meth:`recording` once it has halted.
@@ -184,6 +273,8 @@ class TraceRecorder(CycleSimulator):
         self._cycles = array("q")
         self._kinds = array("b")
         self._values = array("q")
+        self._method_functions: list[FunctionRecord] = []
+        self._method_stalls = array("q")
 
     def _point(self, kind: int, value: int) -> None:
         self._cycles.append(self.cycles)
@@ -193,6 +284,12 @@ class TraceRecorder(CycleSimulator):
     def _arbitration(self, words: int, stall: str) -> int:
         self._point(_ARBITRATED_KINDS[stall], self._bus_cycles(words))
         return 0
+
+    def _method_cache_stall(self, record: FunctionRecord) -> int:
+        stall = super()._method_cache_stall(record)
+        self._method_functions.append(record)
+        self._method_stalls.append(stall)
+        return stall
 
     def _buffer_store(self, stall: str) -> int:
         # No arbiter is attached, so a store into an entry-less buffer costs
@@ -211,7 +308,9 @@ class TraceRecorder(CycleSimulator):
         return CoreTrace(cycles=self._cycles, kinds=self._kinds,
                          values=self._values, result=self.result(),
                          memory=self.memory.nonzero_regions(
-                             self.memory.pages))
+                             self.memory.pages),
+                         method_functions=self._method_functions,
+                         method_stalls=self._method_stalls)
 
 
 class TraceReplay:

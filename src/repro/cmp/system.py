@@ -21,7 +21,9 @@ Two interleaving schedulers produce bit-identical timing:
   move.  Each distinct (image, core config, cache organisation, strict) is
   run once, alone and with zero-wait arbitration, and its timing-dependent
   points are recorded (:mod:`repro.cmp.replay`); the trace is cached on the
-  image, so every arbiter and core count of one kernel shares it.  The
+  image, so every arbiter and core count of one kernel shares it, and so
+  does an image of equal content under a method cache that fills the
+  same way.  The
   traces are then replayed through the real arbiter ports: a heap keyed on
   ``(next_request_cycle, arbiter_preference, core_id)`` hands the shared
   arbiter every request in global time order, and under the
@@ -71,7 +73,8 @@ from ..program.linker import Image
 from ..sim.cycle import CycleSimulator
 from ..sim.results import SimResult
 from ..wcet.analyzer import WcetOptions, WcetResult, analyze_wcet
-from .replay import CoreTrace, TraceReplay, recorded_trace, run_alone
+from .replay import (CoreTrace, TraceReplay, recorded_trace, run_alone,
+                     trace_counts)
 
 
 #: Sentinel cycle for draining post-halt memory flips onto the final image.
@@ -596,6 +599,7 @@ class MulticoreSystem:
                                        base=core_id * bank_bytes)
             replays.append(TraceReplay(
                 trace, self._core_port(arbiter, core_id), config))
+        replay_started = time.perf_counter()
         watched = max_cycles is not None or deadline is not None
 
         def finished(core_id: int) -> None:
@@ -629,6 +633,7 @@ class MulticoreSystem:
                     finished(core_id)
                 else:
                     heapq.heappush(heap, (stamp, ranks[core_id], core_id))
+        trace_counts["replay_s"] += time.perf_counter() - replay_started
         return replays, {"scheduler": "event",
                          "slices": len(replays) + releases,
                          "releases": releases, "recorded": recorded}

@@ -15,10 +15,15 @@ arbiter of one kernel x hardware point shares one
 layout and its co-simulation recording
 (:func:`~repro.cmp.replay.recorded_trace`).  The same key is each cell's
 lease affinity, so a parallel sweep keeps an image's cells on the worker
-that compiled it.  Patmos is statically scheduled, so a fast-engine
-single-core point is exactly that recording: it reports the recording's
-result instead of simulating again.  Points on
-the reference engine still run the interpreter, the oracle.
+that compiled it.  Points that differ only in the method cache compile to
+separate images, often of equal content, which share one recording when
+the other method cache changes no fill; their affinities form one lease
+group (:func:`~repro.workloads.images.image_group`), so a worker done with
+one image's cells moves on to another image of the same group and records
+each content of the group once.  Patmos is statically scheduled, so a
+fast-engine single-core point is exactly that recording: it reports the
+recording's result instead of simulating again.  Points on the reference
+engine still run the interpreter, the oracle.
 
 Everything in the model is deterministic, so a parallel sweep produces
 byte-identical results to a serial one; the runner preserves spec order
@@ -44,7 +49,7 @@ from ..hw.pipeline import estimate_pipeline_timing
 from ..jobs import (JobCell, RetryPolicy, RunDirectory, run_jobs,
                     sweep_interrupted)
 from ..wcet.analyzer import analyze_wcet
-from ..workloads.images import compiled_kernel, image_key
+from ..workloads.images import compiled_kernel, image_group, image_key
 from ..workloads.suite import resolve_kernels
 from .cache import ResultCache
 from .pareto import DEFAULT_OBJECTIVES, pareto_frontier, pareto_table
@@ -126,9 +131,22 @@ def _image_key(spec: ExperimentSpec) -> tuple:
     """The content key of ``spec``'s image in the per-process memo
     (:func:`~repro.workloads.images.image_key`).  It is also the cell
     affinity the runner leases by, so a worker's cells of one image share
-    it."""
+    it; its :func:`~repro.workloads.images.image_group` is the cell's lease
+    group."""
     return image_key(spec.kernel, spec.kernel_params, spec.config,
                      spec.options)
+
+
+def _job_cell(key: str, spec: ExperimentSpec) -> JobCell:
+    """The cell that runs ``spec``.  Cells of one image lease to the worker
+    that already compiled and recorded it, which takes the rest of the
+    image's group (its images under other method caches) next; RTOS points
+    share no image."""
+    if spec.rtos:
+        return JobCell(key=key, label=spec.label(), payload=spec)
+    affinity = _image_key(spec)
+    return JobCell(key=key, label=spec.label(), payload=spec,
+                   affinity=affinity, group=image_group(affinity))
 
 
 def execute_spec(spec: ExperimentSpec) -> SpecResult:
@@ -464,11 +482,7 @@ class ExplorationRunner:
             if self.cache is not None:
                 self.cache.put(result.key, result.to_record())
 
-        # Cells of one image lease to the worker that already compiled and
-        # recorded it (RTOS points share no image).
-        cells = [JobCell(key=key, label=spec.label(), payload=spec,
-                         affinity=None if spec.rtos else _image_key(spec))
-                 for key, spec in pending]
+        cells = [_job_cell(key, spec) for key, spec in pending]
 
         # Cache every completed design point as it arrives and persist even
         # when the sweep is interrupted, so a re-run is incremental.  Failed

@@ -32,6 +32,12 @@ class SpecialReg(Enum):
     #: Return offset within the caller function.
     SRO = "sro"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact and, unlike ``Enum.__hash__``, runs no Python code: the
+    # simulators key their special-register files on members.  Nothing
+    # iterates a set of members, so no order depends on it.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -43,7 +43,8 @@ Module map
 :mod:`repro.jobs.supervisor`
     :func:`~repro.jobs.supervisor.run_jobs` — the execution engine.
     Workers heartbeat; a free worker leases a cell of its own affinity
-    first (cells sharing per-process state, e.g. one compiled image);
+    first (cells sharing per-process state, e.g. one compiled image), then
+    one of its affinity's group (e.g. images that share a recording);
     lost workers' leased cells are returned to the queue and work-stolen
     by survivors while a replacement respawns;
     cells that keep killing workers become structured

@@ -24,11 +24,15 @@ Supervision model (``jobs > 1``):
   exact: a crash can only ever lose (and re-run) the cells that were
   actually in flight;
 * cells may carry an *affinity* (any hashable: cells with equal values
-  share per-process state, such as a compiled image).  A free worker
-  leases the first ready cell of its own affinity (the one it last ran),
-  else the first ready cell whose affinity no other worker holds, else the
-  first ready cell, so it never idles while a cell is ready.  A respawned
-  worker starts with no affinity; cells without one keep FIFO order;
+  share per-process state, such as a compiled image) and a coarser
+  *group* of affinities that share some state too (such as a recording
+  that serves several images).  A free worker leases the first ready cell
+  of its own affinity (the one it last ran), else the first ready cell of
+  its own group whose affinity no other worker holds, else the first ready
+  cell whose group no other worker holds, else the first whose affinity
+  no other worker holds, else the first ready cell, so it never idles
+  while a cell is ready.  A respawned worker starts with neither; cells
+  without an affinity keep FIFO order;
 * each worker reports over its own result pipe, so a worker killed while
   writing can tear only its own pipe, never block the others' results;
 * a worker whose supervisor dies without a shutdown (SIGKILL, OOM) exits
@@ -85,13 +89,21 @@ class JobCell:
 
     ``affinity`` (any hashable, or ``None``) marks cells that share
     per-process state: the supervisor keeps them on the worker that ran
-    one of them while other cells are ready elsewhere.
+    one of them while other cells are ready elsewhere.  ``group`` (any
+    hashable; ``None`` means the affinity itself) marks affinities that
+    share some state too: a worker done with its affinity's cells moves on
+    to another affinity of its group before it starts a new group.
     """
 
     key: str
     label: str
     payload: Any
     affinity: Any = None
+    group: Any = None
+
+    def __post_init__(self):
+        if self.group is None:
+            object.__setattr__(self, "group", self.affinity)
 
 
 @dataclass
@@ -245,8 +257,10 @@ class _Slot:
         self.result_conn = None
         self.lease: Optional[tuple[JobCell, int]] = None  # (cell, attempt)
         self.lease_started = 0.0
-        #: Affinity of the last cell this worker process was leased.
+        #: Affinity and group of the last cell this worker process was
+        #: leased.
         self.affinity: Any = None
+        self.group: Any = None
 
 
 class _Supervisor:
@@ -429,7 +443,7 @@ class _Supervisor:
             cell, attempt, _ = ready
             slot.lease = (cell, attempt)
             slot.lease_started = now
-            slot.affinity = cell.affinity
+            slot.affinity, slot.group = cell.affinity, cell.group
             self._journal_cell(cell.key, "running", attempt,
                                worker=slot.index)
             slot.task_queue.put((cell.payload,))  # None means shut down
@@ -439,26 +453,36 @@ class _Supervisor:
         """The pending entry ``slot`` leases next (``None``: none is ready).
 
         In order: the first ready cell of the slot's own affinity; the first
-        ready cell whose affinity no other slot holds (no affinity counts as
-        unheld); the first ready cell.
+        ready cell of the slot's own group whose affinity no other slot
+        holds; the first ready cell whose group no other slot holds (no
+        affinity counts as unheld); the first ready cell whose affinity no
+        other slot holds; the first ready cell.
         """
-        own = slot.affinity
-        held = [other.affinity for other in self.slots
-                if other is not slot and other.affinity is not None]
-        first = unheld = None
+        own, own_group = slot.affinity, slot.group
+        others = [other for other in self.slots
+                  if other is not slot and other.affinity is not None]
+        held = [other.affinity for other in others]
+        held_groups = [other.group for other in others]
+        first = sibling = unheld = spare = None
         for entry in self.pending:
             if entry[2] > now:
                 continue
-            affinity = entry[0].affinity
-            if own is not None and affinity == own:
+            cell = entry[0]
+            if own is not None and cell.affinity == own:
                 return entry
             if first is None:
                 first = entry
-            if unheld is None and affinity not in held:
+            if cell.affinity in held:
+                continue
+            if own is not None and cell.group == own_group:
+                sibling = sibling or entry
+            elif cell.group not in held_groups:
                 if own is None:
                     return entry  # no own-affinity cell can come first
-                unheld = entry
-        return unheld or first
+                unheld = unheld or entry
+            else:
+                spare = spare or entry
+        return sibling or unheld or spare or first
 
     def _receive(self) -> None:
         from multiprocessing.connection import wait
@@ -534,8 +558,8 @@ class _Supervisor:
         process = slot.process
         slot.process = None
         # The process and its per-process state are gone: a respawned
-        # worker has no claim on the lost cell's affinity.
-        slot.affinity = None
+        # worker has no claim on the lost cell's affinity or group.
+        slot.affinity = slot.group = None
         if process is None:
             return
         if process.is_alive():

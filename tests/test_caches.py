@@ -332,8 +332,8 @@ class TestCacheHierarchy:
         hierarchy = CacheHierarchy(PatmosConfig(),
                                    HierarchyOptions(conventional_icache=True))
         assert not hierarchy.uses_method_cache
-        assert hierarchy.fetch_access(0x10000).stall_cycles > 0
-        assert hierarchy.fetch_access(0x10000).stall_cycles == 0  # now cached
+        assert hierarchy.fetch_stall(0x10000) > 0
+        assert hierarchy.fetch_stall(0x10000) == 0  # now cached
 
     def test_ideal_data_caches_option(self):
         hierarchy = CacheHierarchy(PatmosConfig(),

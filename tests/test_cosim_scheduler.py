@@ -12,9 +12,11 @@ paths — halting order, ``max_bundles`` exhaustion, strict-mode runs,
 heterogeneous configurations and the engine fallback — and the trace cache
 the event scheduler replays from: one recording per image, config,
 organisation and strictness, dropped by pickling, and the bundle budget and
-cycle watchdog on cached traces.  A recording's result is the core's run
-alone, field for field, which is what lets single-core exploration points
-report it instead of simulating again.
+cycle watchdog on cached traces.  A trace reused under another method-cache
+configuration equals a fresh recording there, and every configuration
+whose method cache fills differently records again.  A recording's result
+is the core's run alone, field for field, which is what lets single-core
+exploration points report it instead of simulating again.
 
 The event-driven fast engine is also checked directly against quantum
 polling of the reference interpreter, on every matrix cell and on the
@@ -30,14 +32,18 @@ import pytest
 from repro import PatmosConfig, compile_and_link
 from repro.caches.hierarchy import HierarchyOptions
 from repro.cmp import MulticoreSystem
+from repro.cmp import replay as replay_module
 from repro.cmp.replay import (P_SPLIT, P_STORE, P_WMEM, P_WRITE,
-                              recorded_trace, traces_of)
-from repro.errors import ConfigError, SimulationError, SimulationTimeout
+                              TraceRecorder, recorded_trace, run_alone,
+                              traces_of)
+from repro.errors import (CompilerError, ConfigError, SimulationError,
+                          SimulationTimeout)
 from repro.memory import TdmaSchedule
 from repro.program import DataSpace, ProgramBuilder
 from repro.sim.cycle import CycleSimulator
 from repro.sim.results import SimResult
 from repro.workloads import build_kernel
+from repro.workloads import images as images_module
 from repro.workloads.suite import KERNEL_BUILDERS
 
 CONFIG = PatmosConfig()
@@ -429,3 +435,156 @@ def test_store_buffer_and_split_loads_replay_identically(images, entries,
         assert event.cores[0].sim.output == expected
     (trace,) = traces_of(image).values()
     assert {P_STORE, P_WRITE, P_SPLIT, P_WMEM} <= set(trace.kinds)
+
+
+# ---------------------------------------------------------------------------
+# One recording across method-cache configurations
+# ---------------------------------------------------------------------------
+
+#: Method-cache sizes of the reuse tests; each kernel starts at the smallest
+#: it compiles for.
+METHOD_CACHE_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def _with_method_cache(size, replacement="fifo"):
+    return dataclasses.replace(CONFIG, method_cache=dataclasses.replace(
+        CONFIG.method_cache, size_bytes=size, replacement=replacement))
+
+
+@pytest.fixture
+def memo():
+    """An empty image memo, emptied again afterwards."""
+    images_module._images.clear()
+    yield images_module
+    images_module._images.clear()
+
+
+@pytest.fixture
+def counts():
+    """What :func:`recorded_trace` does during the test."""
+    before = dict(replay_module.trace_counts)
+
+    def delta():
+        return {name: replay_module.trace_counts[name] - before[name]
+                for name in ("recorded", "reused", "rejected")}
+    return delta
+
+
+def _recording(trace):
+    return (trace.cycles, trace.kinds, trace.values, trace.result,
+            trace.memory)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
+def test_reused_trace_equals_a_fresh_recording(kernel, memo, counts):
+    """Over every method-cache size and both replacement policies, the
+    trace :func:`recorded_trace` hands out equals a fresh recording, and it
+    records exactly the configurations no earlier one of equal content
+    recorded identically."""
+    earlier = []  # (content hash, fresh recording) per configuration
+    recorded = expected = 0
+    for replacement in ("fifo", "lru"):
+        compiled = False
+        for size in METHOD_CACHE_SIZES:
+            config = _with_method_cache(size, replacement)
+            try:
+                image, _ = memo.compiled_kernel(kernel, (), config)
+            except CompilerError:
+                assert not compiled, (kernel, size)  # only below the first
+                continue
+            compiled = True
+            recorder = TraceRecorder(image, config, True)
+            recorder.run_step()
+            fresh = _recording(recorder.recording())
+            trace, made = recorded_trace(image, config, True)
+            assert _recording(trace) == fresh, (kernel, size, replacement)
+            alone = run_alone(image, config, True)
+            reference = run_alone(image, config, True, engine="reference")
+            for field in dataclasses.fields(SimResult):
+                assert (getattr(alone, field.name)
+                        == getattr(reference, field.name)), (kernel, size)
+            content = image.content_hash()
+            recorded += made
+            expected += (content, fresh) not in earlier
+            earlier.append((content, fresh))
+    assert len(memo._images) == len(earlier)  # the memo kept every image
+    assert recorded == expected == counts()["recorded"]
+    assert counts()["reused"] == len(earlier) - recorded
+
+
+def test_method_cache_that_evicts_records_again(memo, counts):
+    """call_tree compiles to equal content from 512 B up, but at 512 B its
+    method cache evicts: that size records again, and the sizes that fill
+    as 1024 B does reuse its trace."""
+    images = {size: memo.compiled_kernel("call_tree", (),
+                                         _with_method_cache(size))[0]
+              for size in (256, 512, 1024, 2048, 4096)}
+    assert images[512].content_hash() == images[4096].content_hash()
+    assert images[256].content_hash() != images[4096].content_hash()
+    made = {}
+    for size in (1024, 512, 2048, 256, 4096):
+        trace, made[size] = recorded_trace(images[size],
+                                           _with_method_cache(size), True)
+        evictions = trace.result.cache_stats["method_cache"]["evictions"]
+        assert (evictions > 0) == (size <= 512)
+    assert made == {1024: True, 512: True, 2048: False, 256: True,
+                    4096: False}
+    # 512 B was checked against 1024 B and rejected; 2048 B and 4096 B were
+    # each accepted at their first candidate.
+    assert counts() == {"recorded": 3, "reused": 2, "rejected": 1}
+    shared = traces_of(images[1024])[
+        replay_module.trace_key(_with_method_cache(1024), None, True)]
+    for size in (2048, 4096):
+        assert traces_of(images[size])[replay_module.trace_key(
+            _with_method_cache(size), None, True)] is shared
+
+
+def test_eviction_that_changes_no_stall_records_again(memo, counts):
+    """main calls two leaves once each.  At 256 B under LRU the second
+    leaf's fill evicts the first, which is never called again: every access
+    stalls as at 512 B, but the statistics differ, so 256 B records."""
+    params = (("iterations", 1), ("num_functions", 2),
+              ("pad_instructions", 24))
+    traces = {}
+    images = []
+    for size in (512, 256):
+        config = _with_method_cache(size, "lru")
+        image, _ = memo.compiled_kernel("call_tree", params, config)
+        images.append(image)
+        traces[size], made = recorded_trace(image, config, True)
+        assert made
+    assert traces_of(images[0]) is traces_of(images[1])
+    assert counts() == {"recorded": 2, "reused": 0, "rejected": 1}
+    assert traces[256].method_stalls == traces[512].method_stalls
+    assert [traces[size].result.cache_stats["method_cache"]["evictions"]
+            for size in (512, 256)] == [0, 1]
+
+
+def test_images_of_different_content_never_share_a_trace(memo, counts,
+                                                          monkeypatch):
+    """Only images of equal content share a trace cache, even when every
+    cheap fingerprint of the images matches."""
+    monkeypatch.setattr(memo, "_code_size", lambda image: (0, 0))
+    images = {size: memo.compiled_kernel("call_tree", (),
+                                         _with_method_cache(size))[0]
+              for size in (1024, 256, 512)}
+    assert images[256].content_hash() != images[512].content_hash()
+    assert traces_of(images[512]) is traces_of(images[1024])
+    assert traces_of(images[256]) is not traces_of(images[1024])
+    made = [recorded_trace(images[size], _with_method_cache(size), True)[1]
+            for size in (1024, 256)]
+    assert made == [True, True]
+    assert counts() == {"recorded": 2, "reused": 0, "rejected": 0}
+
+
+def test_images_compiled_outside_the_memo_share_nothing(counts):
+    """An image linked directly has its own trace cache: nothing is
+    offered to it from another image, and no image is hashed."""
+    first = compile_and_link(build_kernel("vector_sum").program,
+                             _with_method_cache(4096))[0]
+    second = compile_and_link(build_kernel("vector_sum").program,
+                              _with_method_cache(1024))[0]
+    for image, size in ((first, 4096), (second, 1024)):
+        assert recorded_trace(image, _with_method_cache(size), True)[1]
+    assert counts() == {"recorded": 2, "reused": 0, "rejected": 0}
+    assert "content_hash" not in first._caches

@@ -24,7 +24,8 @@ from repro.explore import (
 )
 from repro.explore import runner as runner_module
 from repro.explore.cli import coerce_value, main, parse_axis
-from repro.jobs import RunDirectory
+from repro.jobs import RetryPolicy, RunDirectory
+from repro.jobs.supervisor import _Slot, _Supervisor
 from repro.sim.cycle import CycleSimulator
 from repro.workloads import images as images_module
 
@@ -367,7 +368,8 @@ class TestRunner:
 
 
 class TestImageMemo:
-    """A process compiles and records each image of a sweep once."""
+    """A process compiles each image of a sweep once and records each
+    content once per method cache that fills differently."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
@@ -406,7 +408,9 @@ class TestImageMemo:
         counts = self._counted(monkeypatch)
         memo = ExplorationRunner().run(self._space())
         assert memo.ok and memo.cache_misses == 10
-        assert counts == {"compiled": 2, "recorded": 2}
+        # vector_sum compiles to equal content for both method caches, and
+        # neither evicts: the second image reuses the first one's trace.
+        assert counts == {"compiled": 2, "recorded": 1}
 
         execute = runner_module.execute_spec
 
@@ -426,9 +430,9 @@ class TestImageMemo:
         parallel = ExplorationRunner(jobs=2).run(self._space())
         assert parallel.ok and parallel.to_records() == serial.to_records()
 
-    def test_workers_compile_each_image_once(self, monkeypatch, tmp_path):
-        """Cells lease to the worker holding their image: every image is
-        compiled once, plus at most one steal at the tail of the sweep."""
+    @staticmethod
+    def _worker_compiles(monkeypatch, tmp_path, axis):
+        """Compiles by two workers of a 6-cell sweep over 3 images."""
         log = tmp_path / "compiles"
         compile_and_link = images_module.compile_and_link
 
@@ -442,10 +446,64 @@ class TestImageMemo:
         # Cores outermost: consecutive cells alternate between images.
         space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
                  .axis("cores", [1, 2])
-                 .axis("method_cache_size", [1024, 2048, 4096]))
+                 .axis(axis, [1024, 2048, 4096]))
         result = ExplorationRunner(jobs=2).run(space)
         assert result.ok and len(result) == 6
-        assert len(log.read_text().split()) <= 3 + 1
+        return len(log.read_text().split())
+
+    def test_workers_compile_each_image_once(self, monkeypatch, tmp_path):
+        """Cells lease to the worker holding their image: every image is
+        compiled once, plus at most one steal at the tail of the sweep,
+        also when the images differ only in the method cache and so form
+        one lease group."""
+        assert self._worker_compiles(monkeypatch, tmp_path,
+                                     "method_cache_size") <= 3 + 1
+
+    def test_workers_compile_each_image_of_separate_groups_once(
+            self, monkeypatch, tmp_path):
+        """The same bound when every image is its own lease group."""
+        assert self._worker_compiles(monkeypatch, tmp_path,
+                                     "stack_cache_size") <= 3 + 1
+
+    @pytest.mark.parametrize("axis", ["method_cache_size",
+                                      "stack_cache_size"])
+    def test_leases_keep_each_image_on_one_worker(self, axis):
+        """The runner's cells under the supervisor's lease choice, with two
+        workers finishing in turn: each of the 3 images goes to one
+        worker, plus at most one steal, whether or not they form one lease
+        group."""
+        space = (ParameterSpace(["vector_sum"], analyse_wcet=False)
+                 .axis("cores", [1, 2])
+                 .axis(axis, [1024, 2048, 4096]))
+        cells = [runner_module._job_cell(str(index), spec)
+                 for index, spec in enumerate(space.specs())]
+        supervisor = _Supervisor(
+            cells, None, jobs=2, policy=RetryPolicy(), journal=None,
+            worker_init=None, init_args=(), contain=None,
+            crash_failure=None, encode=None, on_result=None)
+        supervisor.slots = [_Slot(0), _Slot(1)]
+        compiled = set()
+        for turn in range(len(cells)):
+            slot = supervisor.slots[turn % 2]
+            entry = supervisor._choose(slot, 0.0)
+            supervisor.pending.remove(entry)
+            slot.affinity, slot.group = entry[0].affinity, entry[0].group
+            compiled.add((slot.index, slot.affinity))
+        assert len({affinity for _, affinity in compiled}) == 3
+        assert len(compiled) <= 3 + 1
+
+    def test_method_caches_of_one_image_share_a_lease_group(self):
+        """Every image is its own lease affinity; the images that differ
+        only in the method cache form one lease group."""
+        specs = (ParameterSpace(["vector_sum"])
+                 .axis("method_cache_size", [1024, 4096])
+                 .axis("method_cache_replacement", ["fifo", "lru"])
+                 .axis("stack_cache_size", [256, 512])).specs()
+        affinities = {runner_module._image_key(spec) for spec in specs}
+        assert len(affinities) == len(specs)
+        groups = {images_module.image_group(affinity)
+                  for affinity in affinities}
+        assert len(groups) == 2
 
     def test_memo_is_bounded(self, monkeypatch):
         counts = self._counted(monkeypatch)

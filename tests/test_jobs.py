@@ -411,15 +411,16 @@ class TestRunJobsParallel:
 
 
 def _supervisor(cells, *affinities):
-    """A supervisor over ``cells`` whose slots hold ``affinities``, with no
-    worker processes: enough to drive its lease choice by hand."""
+    """A supervisor over ``cells`` whose slots hold ``affinities`` (each
+    its own group), with no worker processes: enough to drive its lease
+    choice by hand."""
     supervisor = _Supervisor(
         cells, _square, jobs=len(affinities), policy=RetryPolicy(),
         journal=None, worker_init=None, init_args=(), contain=None,
         crash_failure=None, encode=None, on_result=None)
     supervisor.slots = [_Slot(index) for index in range(len(affinities))]
     for slot, affinity in zip(supervisor.slots, affinities):
-        slot.affinity = affinity
+        slot.affinity = slot.group = affinity
     return supervisor
 
 
@@ -462,6 +463,39 @@ class TestDispatchChoice:
         assert [slot.affinity for slot in supervisor.slots] == ["A", "A"]
         assert supervisor.pending == []
 
+    def test_moves_on_within_its_group_before_a_new_group(self):
+        """A slot done with its affinity takes an unheld affinity of its
+        own group, then an unheld group, then an unheld affinity of a group
+        another slot holds, and steals only after that."""
+        def cells(*pairs):
+            return [JobCell(key=key, label=key, payload=0, affinity=key[0],
+                            group=group) for key, group in pairs]
+
+        def chosen(pending, own, other):
+            supervisor = _supervisor(pending, own[0], other[0])
+            for slot, (_, group) in zip(supervisor.slots, (own, other)):
+                slot.group = group
+            return supervisor._choose(supervisor.slots[0], 0.0)[0].key
+
+        pending = cells(("y1", "H"), ("c1", "G"), ("b1", "G"), ("x1", "K"),
+                        ("d1", "G"))
+        # c is held by the other slot; b is the first free sibling.
+        assert chosen(pending, ("a", "G"), ("c", "G")) == "b1"
+        # No free sibling: the first group no other slot holds.
+        assert chosen(pending[:2] + pending[3:], ("a", "G"),
+                      ("y", "H")) == "c1"
+        # Every group held: an affinity no slot holds, before a steal.
+        assert chosen(cells(("y1", "H"), ("z1", "H")), ("a", "G"),
+                      ("y", "H")) == "z1"
+        assert chosen(cells(("y1", "H")), ("a", "G"), ("y", "H")) == "y1"
+        # A fresh slot starts a group no other slot holds.
+        assert chosen(pending, (None, None), ("c", "G")) == "y1"
+
+    def test_group_defaults_to_the_affinity(self):
+        assert JobCell(key="a1", label="a1", payload=0,
+                       affinity="A").group == "A"
+        assert JobCell(key="x", label="x", payload=0).group is None
+
     def test_respects_backoff(self):
         supervisor = _supervisor(
             self._grouped(("a1", "A"), ("b1", "B"), ("c1", "C")), "A", None)
@@ -493,6 +527,7 @@ class TestDispatchChoice:
         supervisor.draining = True  # no respawn in a unit test
         supervisor._check_liveness(time.monotonic())
         assert supervisor.slots[0].affinity is None
+        assert supervisor.slots[0].group is None
         assert [entry[0] for entry in supervisor.pending] == [cell]
         assert supervisor.outcome.lost_workers == 1
 

@@ -25,6 +25,7 @@ from repro.errors import (ExplorationError, SimulationError,
 from repro.explore import ExperimentSpec, ParameterSpace
 from repro.jobs import RunDirectory
 from repro.memory import TdmaBusArbiter, TdmaSchedule
+from repro.program.linker import Image
 from repro.sim.cycle import CycleSimulator
 from repro.verify import (
     DEFAULT_ARBITERS,
@@ -43,6 +44,7 @@ from repro.verify.cli import main
 from repro.verify.loopcheck import check_loops
 from repro.wcet import WcetOptions, analyze_wcet
 from repro.workloads import build_kernel
+from repro.workloads.suite import KERNEL_BUILDERS
 from repro.workloads.synthetic import random_alu_kernel
 
 CONFIG = PatmosConfig()
@@ -431,6 +433,25 @@ class TestRecordingReuse:
         recordings = sim_counts["recordings"]
         assert len(set(recordings)) == len(recordings)
         assert len(recordings) == len(REUSE_KERNELS) * len(hardwares)
+
+    def test_default_matrix_records_54_traces_and_hashes_no_image(
+            self, monkeypatch, sim_counts):
+        """The matrix has one method-cache configuration, so no recording
+        is offered for reuse and no image is hashed to look for one."""
+        hashed = []
+        content_hash = Image.content_hash
+
+        def counted_hash(image):
+            hashed.append(image)
+            return content_hash(image)
+
+        monkeypatch.setattr(Image, "content_hash", counted_hash)
+        report = run_conformance()
+        assert len(report.outcomes) == 1008
+        hardwares = {variant.hardware for variant in DEFAULT_VARIANTS}
+        assert len(sim_counts["recordings"]) == 54 == \
+            len(KERNEL_BUILDERS) * len(hardwares)
+        assert hashed == []
 
     def test_report_equals_cold_recordings_and_the_interpreter(
             self, monkeypatch, sim_counts):
