@@ -9,7 +9,7 @@ activity (slices / releases / recorded traces per run), verifies the TDMA
 decoupling property (co-simulated per-core cycles identical to each core
 simulated alone on its port of a ``TdmaBusArbiter``) *and* the scheduler
 equivalence (event and reference timing bit-identical), and emits a machine-readable ``BENCH_cmp.json``
-(schema v4)::
+(schema v5)::
 
     python benchmarks/bench_cmp_throughput.py [--smoke] [--output PATH]
                                               [--min-speedup X] [--profile]
@@ -18,18 +18,25 @@ The event scheduler is timed twice per configuration: *cold* runs start
 from images without cached traces, so every run records its traces before
 replaying them (what the first co-simulation of a fresh image costs);
 *warm* runs reuse the traces the previous run cached (what every further
-arbiter or core count of the same image costs).
+arbiter or core count of the same image costs).  A warm run still replays:
+the replay memo, which would answer a rerun of the same traces under the
+same arbitration without replaying, is dropped before every run.  Host
+speed swings between timing loops, so the cold and quantum rows are each
+the median of :data:`REPEATS` loops, taken in interleaved cold/quantum
+pairs, with their quartiles; ``cold_vs_quantum_speedup`` is the median of
+the pairs' ratios.
 
 The ``method_cache_sweep`` stage times a seeded ``repro.explore`` sweep
 (jobs=1, no WCET) of scaled kernels over method-cache sizes, one and two
 cores, from cold images.  It reports the recordings made, the traces
 reused from another method cache and the candidates rejected because that
-method cache fills differently, ``record_s``, the time spent on trace
+method cache fills differently, the co-simulations replayed and those
+answered from the replay memo, ``record_s``, the time spent on trace
 cache misses (recording, or checking a candidate), and ``replay_s``, the
 time the event scheduler spent replaying traces, all read from
 :data:`repro.cmp.replay.trace_counts`; ``wall_s`` also covers compiling
-and the runner.  On a source without those counters the stage reports
-``wall_s`` only.  A committed report may also carry a ``baseline``: the
+and the runner.  On a source without some of those counters the stage
+reports the others.  A committed report may also carry a ``baseline``: the
 same script's report on an earlier commit's source, for comparison; the
 script never writes it.
 
@@ -37,9 +44,9 @@ script never writes it.
 decoupling and scheduler-equivalence gates still apply, so a CI step
 catches an interference leak or a scheduler divergence even without stable
 timing.  ``--min-speedup X`` additionally fails the run when the measured
-``cold_vs_quantum_speedup`` on the 4-core TDMA mix falls below ``X`` (the
-CI perf gate).  ``--profile`` dumps the top 20 functions by cumulative time
-so future performance work starts from data.
+``cold_vs_quantum_speedup`` (the median ratio) on the 4-core TDMA mix
+falls below ``X`` (the CI perf gate).  ``--profile`` dumps the top 20
+functions by cumulative time so future performance work starts from data.
 """
 
 from __future__ import annotations
@@ -86,6 +93,11 @@ SWEEP_KERNELS = {
 SWEEP_SIZES = (256, 512, 1024, 2048, 4096)
 SWEEP_SEED = 7
 SWEEP_REPEATS = 5
+#: Interleaved cold/quantum timing loops per configuration (full mode).
+REPEATS = 5
+#: Counters of :data:`repro.cmp.replay.trace_counts` the sweep reports.
+SWEEP_COUNTS = ("recorded", "reused", "rejected", "replays",
+                "replays_reused")
 
 
 def _images(config):
@@ -100,16 +112,20 @@ def _measure(images, config, arbiter: str, scheduler: str,
              min_seconds: float, cold: bool = False):
     """Run one co-simulation repeatedly; returns (report_row, result).
 
-    ``cold`` drops the images' cached traces before every run.
+    ``cold`` drops the images' cached traces before every run; otherwise
+    only their replay memo is dropped, so every run replays.
     """
+    forget = getattr(replay, "forget_replays", None)
     elapsed = 0.0
     bundles = 0
     runs = 0
     result = None
     while elapsed < min_seconds or result is None:
-        if cold:
-            for image in images:
+        for image in images:
+            if cold:
                 traces_of(image).clear()
+            elif forget is not None:
+                forget(image)
         system = MulticoreSystem(images, config, arbiter=arbiter,
                                  scheduler=scheduler)
         started = time.perf_counter()
@@ -130,6 +146,50 @@ def _measure(images, config, arbiter: str, scheduler: str,
         "recorded": stats.get("recorded"),
     }
     return row, result
+
+
+def _quartiles(values: list) -> list:
+    """First quartile, median and third quartile of ``values``."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4)
+
+
+def _median_row(rows: list) -> dict:
+    """One row for several timing loops of a configuration: the median
+    throughput and time per run, the throughput's quartiles and the
+    number of loops."""
+    row = dict(rows[0])
+    rates = [r["bundles_per_sec"] for r in rows]
+    q1, median, q3 = _quartiles(rates)
+    row.update(
+        bundles_per_sec=round(median, 1),
+        bundles_per_sec_quartiles=[round(q1, 1), round(q3, 1)],
+        wall_s_per_run=round(statistics.median(
+            r["wall_s_per_run"] for r in rows), 6),
+        repeats=len(rows))
+    return row
+
+
+def _measure_pairs(images, config, arbiter: str, min_seconds: float,
+                   repeats: int):
+    """Interleaved cold event and quantum timing loops.
+
+    Returns the cold row, the quantum row and its result, and the median
+    of the pairs' cold/quantum throughput ratios: a pair's two loops run
+    back to back, so a swing of the host's speed moves both.
+    """
+    colds, quanta, ratios = [], [], []
+    for _ in range(repeats):
+        cold, _ = _measure(images, config, arbiter, "event", min_seconds,
+                           cold=True)
+        quantum, reference = _measure(images, config, arbiter, "reference",
+                                      min_seconds)
+        colds.append(cold)
+        quanta.append(quantum)
+        ratios.append(cold["bundles_per_sec"] / quantum["bundles_per_sec"])
+    return (_median_row(colds), _median_row(quanta), reference,
+            round(statistics.median(ratios), 2))
 
 
 def _sweep_space() -> ParameterSpace:
@@ -161,7 +221,7 @@ def _sweep_once(space: ParameterSpace) -> dict:
     run = {"cells": len(outcome.results), "wall_s": wall_s}
     if counts is not None:
         run.update({name: counts[name] - before[name]
-                    for name in ("recorded", "reused", "rejected")},
+                    for name in SWEEP_COUNTS if name in counts},
                    record_s=counts["miss_s"] - before["miss_s"],
                    replay_s=counts["replay_s"] - before["replay_s"])
     return run
@@ -174,7 +234,7 @@ def run_sweep_stage(smoke: bool) -> dict:
     stage = {"seed": SWEEP_SEED, "kernels": SWEEP_KERNELS,
              "method_cache_sizes": list(SWEEP_SIZES), "cores": [1, 2],
              "repeats": len(runs)}
-    for name in ("cells", "recorded", "reused", "rejected"):
+    for name in ("cells",) + SWEEP_COUNTS:
         if name in runs[0]:
             stage[name] = runs[0][name]
     for name in ("wall_s", "record_s", "replay_s"):
@@ -183,8 +243,7 @@ def run_sweep_stage(smoke: bool) -> dict:
                                                   for run in runs), 6)
     print("method-cache sweep: " + ", ".join(
         f"{name} {stage[name]}" for name in
-        ("cells", "recorded", "reused", "rejected", "record_s", "replay_s",
-         "wall_s")
+        ("cells",) + SWEEP_COUNTS + ("record_s", "replay_s", "wall_s")
         if name in stage))
     return stage
 
@@ -193,8 +252,9 @@ def run_benchmark(smoke: bool) -> dict:
     config = PatmosConfig()
     base_images = _images(config)
     min_seconds = 0.0 if smoke else 0.3
+    repeats = 1 if smoke else REPEATS
     report: dict = {
-        "schema": "bench_cmp_throughput/v4",
+        "schema": "bench_cmp_throughput/v5",
         "mode": "smoke" if smoke else "full",
         "mix": list(MIX),
         "cores": {},
@@ -204,17 +264,16 @@ def run_benchmark(smoke: bool) -> dict:
         images = [base_images[i % len(MIX)] for i in range(cores)]
         per_arbiter = {}
         for arbiter in ARBITERS:
-            cold, _ = _measure(images, config, arbiter, "event",
-                               min_seconds, cold=True)
+            cold, quantum, reference, speedup = _measure_pairs(
+                images, config, arbiter, min_seconds, repeats)
             warm, event = _measure(images, config, arbiter, "event",
                                    min_seconds)
-            quantum, reference = _measure(images, config, arbiter,
-                                          "reference", min_seconds)
             cell: dict = {"event": {"cold": cold, "warm": warm},
-                          "reference": quantum}
-            for kind, row in (("cold", cold), ("warm", warm)):
-                cell[f"{kind}_vs_quantum_speedup"] = round(
-                    row["bundles_per_sec"] / quantum["bundles_per_sec"], 2)
+                          "reference": quantum,
+                          "cold_vs_quantum_speedup": speedup,
+                          "warm_vs_quantum_speedup": round(
+                              warm["bundles_per_sec"]
+                              / quantum["bundles_per_sec"], 2)}
             # Scheduler-equivalence gate: the event-driven and quantum
             # schedulers must report bit-identical per-core timing.
             cell["schedulers_match"] = (
@@ -271,7 +330,8 @@ def main(argv=None) -> int:
                         metavar="X",
                         help="fail unless cold event runs (recording "
                              "included) are at least X times faster than "
-                             "the quantum scheduler on the 4-core TDMA mix")
+                             "the quantum scheduler on the 4-core TDMA mix "
+                             "(median of the interleaved pairs' ratios)")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 20 "
                              "functions by cumulative time")

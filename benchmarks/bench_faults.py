@@ -13,9 +13,11 @@ Two measurements, one machine-readable ``BENCH_faults.json``:
   :class:`~repro.faults.FaultPlan`.  A sample of a side is the CPU time of
   K warm co-simulations, K calibrated so that a baseline sample takes at
   least 100 ms; each of N samples interleaves the two sides run by run, and
-  each side keeps its best.  The empty plan must stay bit-identical and
-  (with ``--max-overhead``) within a few percent of the baseline —
-  resilience hooks must not tax the fault-free fast path.
+  each side keeps its best.  Warm runs reuse the recorded traces, but the
+  replay memo is dropped before every run, so each run replays them.  The
+  empty plan must stay bit-identical and (with ``--max-overhead``) within a
+  few percent of the baseline — resilience hooks must not tax the
+  fault-free fast path.
 
 ::
 
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import PatmosConfig, compile_and_link  # noqa: E402
 from repro.cmp import MulticoreSystem  # noqa: E402
+from repro.cmp.replay import forget_replays  # noqa: E402
 from repro.faults import FaultPlan, run_fault_campaign  # noqa: E402
 from repro.workloads import build_kernel  # noqa: E402
 
@@ -50,6 +53,13 @@ def _cosimulate(images, config, faults) -> list:
     return system.run(analyse=False).observed_by_core()
 
 
+def _forget_replays(images) -> None:
+    """Keep the images' traces but drop their replay memo, so that the
+    next co-simulation times a real replay."""
+    for image in images:
+        forget_replays(image)
+
+
 def _calibrate(images, config) -> int:
     """Co-simulations per sample: double until that many baseline runs
     take at least :data:`MIN_SAMPLE_S` of CPU time."""
@@ -57,6 +67,7 @@ def _calibrate(images, config) -> int:
     while True:
         started = time.process_time()
         for _ in range(runs):
+            _forget_replays(images)
             _cosimulate(images, config, None)
         if time.process_time() - started >= MIN_SAMPLE_S:
             return runs
@@ -77,6 +88,7 @@ def _sample_pair(images, config, runs: int) -> tuple[float, float, bool]:
     identical = True
     for index in range(runs):
         for side in sides if index % 2 == 0 else sides[::-1]:
+            _forget_replays(images)
             started = time.process_time()
             cycles[side] = _cosimulate(images, config, plans[side])
             seconds[side] += time.process_time() - started

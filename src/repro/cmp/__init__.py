@@ -14,7 +14,8 @@ Module map
     through the real arbiter ports: a heap keyed on
     ``(next_request_cycle, arbiter_preference, core_id)`` orders the
     requests of all cores (under order-independent TDMA each core replays
-    on its own), so the cost scales with bus events, not bundles.  Agents
+    on its own), so the cost scales with bus events, not bundles; each
+    distinct set of traces and arbitration is replayed once.  Agents
     that cannot replay — the RTOS task runtimes — keep the event-driven
     pause protocol over persistent :class:`~repro.sim.engine.EngineContext`
     objects (``_schedule_event``).  ``scheduler="reference"`` is the

@@ -46,13 +46,25 @@ logged and the final statistics are equal: then every point, the result
 and the bank contents are those a new recording would give (a trace-driven
 cache evaluation in the manner of Mattson et al., 1970).  Otherwise it
 records as usual.
+
+A co-simulation of plain cores is then a pure function of its cores' traces
+and of the arbitration: the arbiter's kind and geometry, and each core's
+memory timing and store-buffer size, the only parts of its config a
+:class:`TraceReplay` reads.  So each distinct set of traces and arbitration
+is replayed once.
+:meth:`~repro.cmp.system.MulticoreSystem._schedule_replay` keeps the
+:class:`ReplayOutcome` of every core, the scheduler statistics and the
+arbiter's final state in :attr:`CoreTrace.replays` of the first core's
+trace, and a later co-simulation of the same traces under the same
+arbitration returns those instead of replaying again.  The memo lives and
+dies with the trace, so clearing :func:`traces_of` an image drops it too.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..caches.hierarchy import HierarchyOptions
@@ -95,7 +107,7 @@ def traces_of(image: Image) -> dict:
     Only complete recordings belong here.  The cache may be shared with
     images of equal content (:func:`share_traces`).  Pickling an image
     drops it, and clearing the dict makes the next co-simulation record
-    again.
+    and replay again.
     """
     return image._caches.setdefault("cosim_traces", {})
 
@@ -107,13 +119,23 @@ def share_traces(image: Image, twin: Image) -> None:
     image._caches["cosim_traces"] = traces_of(twin)
 
 
+def forget_replays(image: Image) -> None:
+    """Drop the replay memo (:attr:`CoreTrace.replays`) of ``image``'s
+    traces but keep the traces, so that the next co-simulation replays
+    without recording."""
+    for trace in traces_of(image).values():
+        trace.replays.clear()
+
+
 #: What :func:`recorded_trace` has done in this process: traces recorded,
 #: traces reused from another method-cache configuration, candidates whose
 #: method-cache accesses did not replay identically, and the seconds spent
-#: on cache misses (recording, or checking candidates); and the seconds the
-#: event scheduler of :mod:`repro.cmp.system` spent replaying traces.
+#: on cache misses (recording, or checking candidates); and what the event
+#: scheduler of :mod:`repro.cmp.system` has done: co-simulations replayed,
+#: co-simulations answered from :attr:`CoreTrace.replays`, and the seconds
+#: spent replaying.
 trace_counts = {"recorded": 0, "reused": 0, "rejected": 0, "miss_s": 0.0,
-                "replay_s": 0.0}
+                "replays": 0, "replays_reused": 0, "replay_s": 0.0}
 
 
 def recorded_trace(image: Image, config: PatmosConfig, strict: bool,
@@ -235,6 +257,10 @@ class CoreTrace:
     method_functions: list[FunctionRecord]
     #: The stall each of those accesses cost (0 for a hit).
     method_stalls: array
+    #: Finished co-simulations whose first core ran this trace, by the
+    #: traces and arbitration they replayed (the module docstring says
+    #: why that suffices); filled by the event scheduler.
+    replays: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def bundles(self) -> int:
@@ -400,8 +426,32 @@ class TraceReplay:
             self.pos = i
             self.shift = shift
 
+    def outcome(self) -> ReplayOutcome:
+        """What this (finished) replay adds to its trace's result."""
+        store_stats = self.controller.stats
+        return ReplayOutcome(self.trace, self.shift, tuple(self.extra),
+                             self.arbitration,
+                             store_stats.write_stall_cycles,
+                             store_stats.arbitration_cycles)
+
+
+@dataclass(frozen=True, slots=True)
+class ReplayOutcome:
+    """The end state of a finished :class:`TraceReplay`: the shift of its
+    clock, the extra stall per point kind, the arbitration waits and the
+    store buffer's statistics.  It is all a core's result needs besides
+    the trace, so the replay memo keeps it instead of the replay."""
+
+    trace: CoreTrace
+    shift: int
+    extra: tuple
+    arbitration: int
+    write_stall_cycles: int
+    arbitration_cycles: int
+
     def result(self) -> SimResult:
-        """The core's result: the recording's, on the replayed clock."""
+        """The core's result: the recording's, on the replayed clock; a
+        new object on every call."""
         recorded = self.trace.result
         extra = self.extra
         stalls = StallBreakdown(**recorded.stalls.to_dict())
@@ -413,12 +463,11 @@ class TraceReplay:
         stalls.arbitration = self.arbitration
         cache_stats = {name: dict(counters)
                        for name, counters in recorded.cache_stats.items()}
-        store_stats = self.controller.stats
         cache_stats["memory_controller"].update(
-            write_stall_cycles=store_stats.write_stall_cycles,
-            arbitration_cycles=store_stats.arbitration_cycles)
+            write_stall_cycles=self.write_stall_cycles,
+            arbitration_cycles=self.arbitration_cycles)
         return SimResult(
-            cycles=self.cycles, bundles=recorded.bundles,
+            cycles=recorded.cycles + self.shift, bundles=recorded.bundles,
             instructions=recorded.instructions, nops=recorded.nops,
             output=list(recorded.output), stalls=stalls,
             block_counts=dict(recorded.block_counts),

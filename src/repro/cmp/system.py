@@ -29,7 +29,9 @@ Two interleaving schedulers produce bit-identical timing:
   arbiter every request in global time order, and under the
   order-independent TDMA arbiter each core replays on its own.  The cost
   of a co-simulation thus scales with its bus events, not with the
-  bundles its cores issue.
+  bundles its cores issue, and each distinct set of traces and
+  arbitration is replayed once: a rerun of the same traces under the same
+  arbitration restores the finished replay.
 * ``scheduler="reference"`` is the original quantum-polling loop: always
   advance the core with the smallest local clock up to one ``quantum`` past
   the next core's clock, yielding early on every arbitrated transfer (the
@@ -263,6 +265,9 @@ class MulticoreSystem:
             self._arbiter_template = arbiter
             self.arbiter_kind = arbiter.kind
             self.schedule = getattr(arbiter, "schedule", None)
+            # A caller's arbiter may be of any class or state, so its
+            # replays are never memoised.
+            self._arbitration = None
         else:
             if arbiter != "tdma" and (schedule is not None or slot_weights):
                 raise ConfigError(
@@ -285,6 +290,11 @@ class MulticoreSystem:
                 schedule=schedule, priorities=priorities)
             self.arbiter_kind = arbiter
             self.schedule = schedule if arbiter == "tdma" else None
+            #: Everything the replay memo's key needs of the arbiter.
+            self._arbitration = (
+                arbiter, len(images), self.schedule,
+                self._arbiter_template.priorities
+                if arbiter == "priority" else None)
         self._validate_schedule()
 
         #: Fault plan of this system (``None`` or empty = fault-free), the
@@ -584,23 +594,45 @@ class MulticoreSystem:
         arbiter (TDMA) every grant is a pure function of the requesting
         core and cycle, so each core replays start to finish on its own.
 
+        Returns one :class:`~repro.cmp.replay.ReplayOutcome` per core and
+        the scheduler statistics.  Each distinct set of traces and
+        arbitration is replayed once: the outcomes, the statistics and the
+        arbiter's final state are kept on the first core's trace
+        (``CoreTrace.replays``), and a later run of the same traces under
+        the same arbitration (:meth:`_replay_key`) restores those instead;
+        an outcome builds its result afresh on every call.  Runs with a
+        fault plan, an armed watchdog or a caller's arbiter object always
+        replay.
+
         The cycle watchdog fires at the first request bundle at or past
         ``max_cycles``, or when a core is still running at that cycle.
         """
         shared_memory = self._new_shared_memory()
         bank_bytes = self.config.memory.size_bytes
-        replays = []
+        traces = []
         recorded = 0
-        for core_id, config in enumerate(self.configs):
+        for core_id in range(self.num_cores):
             trace, fresh = self._core_trace(core_id, strict, max_bundles,
                                             max_cycles, deadline, max_wall_s)
             recorded += fresh
             shared_memory.load_regions(trace.memory,
                                        base=core_id * bank_bytes)
-            replays.append(TraceReplay(
-                trace, self._core_port(arbiter, core_id), config))
-        replay_started = time.perf_counter()
+            traces.append(trace)
         watched = max_cycles is not None or deadline is not None
+        key = (None if watched or self._injector is not None
+               else self._replay_key(traces))
+        if key is not None:
+            memo = traces[0].replays.get(key)
+            if memo is not None:
+                outcomes, stats, state = memo
+                arbiter.restore(state)
+                trace_counts["replays_reused"] += 1
+                return list(outcomes), {**stats, "recorded": recorded}
+        replays = [TraceReplay(trace, self._core_port(arbiter, core_id),
+                               config)
+                   for core_id, (trace, config) in enumerate(
+                       zip(traces, self.configs))]
+        replay_started = time.perf_counter()
 
         def finished(core_id: int) -> None:
             if watched:  # the last cycle the core is still running
@@ -633,10 +665,28 @@ class MulticoreSystem:
                     finished(core_id)
                 else:
                     heapq.heappush(heap, (stamp, ranks[core_id], core_id))
+        trace_counts["replays"] += 1
         trace_counts["replay_s"] += time.perf_counter() - replay_started
-        return replays, {"scheduler": "event",
-                         "slices": len(replays) + releases,
-                         "releases": releases, "recorded": recorded}
+        outcomes = [replay.outcome() for replay in replays]
+        stats = {"scheduler": "event", "slices": len(replays) + releases,
+                 "releases": releases}
+        if key is not None:
+            # The outcomes hold their traces, so no id in the key can be
+            # reused while the entry lives.
+            traces[0].replays[key] = (tuple(outcomes), stats,
+                                      arbiter.snapshot())
+        return outcomes, {**stats, "recorded": recorded}
+
+    def _replay_key(self, traces: list) -> Optional[tuple]:
+        """The replay memo's key of ``traces`` on this system: the
+        arbitration, the memory timing (one for all cores) and each trace's
+        identity and store-buffer size, all a replay reads besides the
+        traces; ``None`` under a caller's arbiter object."""
+        if self._arbitration is None:
+            return None
+        return self._arbitration, self.config.memory, tuple(
+            (id(trace), config.pipeline.store_buffer_entries)
+            for trace, config in zip(traces, self.configs))
 
     def _schedule_event(self, cores: list,
                         arbiter: MemoryArbiter, max_bundles: int,

@@ -185,6 +185,17 @@ class MemoryArbiter:
         self.busy_until = 0
         self.last_granted = self.num_cores - 1
 
+    def snapshot(self) -> tuple:
+        """What a run leaves readable of the arbitration (statistics, bus
+        window, last grant), for :meth:`restore`."""
+        return ([(s.requests, s.wait_cycles, s.busy_cycles)
+                 for s in self.stats], self.busy_until, self.last_granted)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to the state of a :meth:`snapshot`."""
+        stats, self.busy_until, self.last_granted = snapshot
+        self.stats = [ArbiterCoreStats(*s) for s in stats]
+
     def describe(self) -> str:
         return f"{self.kind}({self.num_cores} cores)"
 

@@ -16,7 +16,12 @@ cycle watchdog on cached traces.  A trace reused under another method-cache
 configuration equals a fresh recording there, and every configuration
 whose method cache fills differently records again.  A recording's result
 is the core's run alone, field for field, which is what lets single-core
-exploration points report it instead of simulating again.
+exploration points report it instead of simulating again.  A rerun of the
+same traces under the same arbitration restores the first replay from the
+replay memo; it equals a fresh replay and the quantum scheduler, hands out
+results of its own, and never serves changed traces, memory timing,
+store-buffer sizes or arbitration, a fault plan, an armed watchdog or a
+caller's arbiter object.
 
 The event-driven fast engine is also checked directly against quantum
 polling of the reference interpreter, on every matrix cell and on the
@@ -24,8 +29,10 @@ heterogeneous mix, so both the scheduler and the engine differ between
 the two runs.
 """
 
+import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -38,7 +45,9 @@ from repro.cmp.replay import (P_SPLIT, P_STORE, P_WMEM, P_WRITE,
                               traces_of)
 from repro.errors import (CompilerError, ConfigError, SimulationError,
                           SimulationTimeout)
-from repro.memory import TdmaSchedule
+from repro.explore import ExplorationRunner, ParameterSpace
+from repro.faults import BusFault, FaultPlan, MemoryFault
+from repro.memory import RoundRobinArbiter, TdmaSchedule
 from repro.program import DataSpace, ProgramBuilder
 from repro.sim.cycle import CycleSimulator
 from repro.sim.results import SimResult
@@ -588,3 +597,249 @@ def test_images_compiled_outside_the_memo_share_nothing(counts):
         assert recorded_trace(image, _with_method_cache(size), True)[1]
     assert counts() == {"recorded": 2, "reused": 0, "rejected": 0}
     assert "content_hash" not in first._caches
+
+
+# ---------------------------------------------------------------------------
+# One replay per distinct set of traces and arbitration
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def replays():
+    """How many co-simulations the test replayed and reused."""
+    before = dict(replay_module.trace_counts)
+
+    def delta():
+        return {name: replay_module.trace_counts[name] - before[name]
+                for name in ("replays", "replays_reused")}
+    return delta
+
+
+def _observed(system, result):
+    """Everything a co-simulation reports: per-core results, arbiter
+    statistics and final state, and the shared memory's contents."""
+    return ([core.sim for core in result.cores], result.arbiter_stats,
+            system._arbiter_template.snapshot(),
+            bytes(system.shared_memory._data))
+
+
+def _forget(images_for_cores):
+    for image in images_for_cores:
+        replay_module.forget_replays(image)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
+def test_memo_hit_equals_a_fresh_replay(kernel, memo, replays):
+    """Under twin method-cache configs, on 2 and 4 cores and under every
+    arbiter, a memo hit equals a fresh replay (memo dropped) and the
+    quantum scheduler: per-core results, arbiter statistics and state, and
+    the shared memory."""
+    twins = {}
+    for size in (2048, 4096):
+        config = _with_method_cache(size)
+        twins[size] = (memo.compiled_kernel(kernel, (), config)[0], config)
+    shared = (recorded_trace(*twins[2048], True)[0]
+              is recorded_trace(*twins[4096], True)[0])
+    hits = 0
+    for arbiter_name in ("tdma", "round_robin", "priority"):
+        for cores in (2, 4):
+            kwargs = _arbiter_kwargs(arbiter_name, cores)
+            for size in (2048, 4096, 4096):
+                image, config = twins[size]
+                mix = [image] * cores
+
+                def run(scheduler="event"):
+                    system = MulticoreSystem(mix, config,
+                                             scheduler=scheduler, **kwargs)
+                    return system, system.run(analyse=False, strict=True)
+                before = replays()["replays_reused"]
+                hit_system, hit = run()
+                hits += replays()["replays_reused"] - before
+                _forget(mix)
+                fresh_system, fresh = run()
+                assert replays()["replays_reused"] == hits
+                quantum = _observed(*run("reference"))
+                assert _observed(hit_system, hit) == \
+                    _observed(fresh_system, fresh) == quantum, \
+                    (kernel, arbiter_name, cores, size)
+                assert hit.scheduler_stats == fresh.scheduler_stats
+    # Every cell's second 4096 B run hits; so does the first one when the
+    # twins share a trace.
+    assert hits == 6 * (2 if shared else 1)
+
+
+def _cell(image, config=CONFIG, arbiter_name="round_robin", cores=2,
+          **extra):
+    """Run one co-simulation; returns its observed outcome."""
+    kwargs = _arbiter_kwargs(arbiter_name, cores)
+    kwargs.update(extra)
+    system = MulticoreSystem([image] * cores, config, **kwargs)
+    return _observed(system, system.run(analyse=False, strict=True))
+
+
+def _changed(base, **fields):
+    return dataclasses.replace(CONFIG, **{
+        name: dataclasses.replace(getattr(CONFIG, name), **values)
+        for name, values in fields.items()}) if fields else base
+
+
+@pytest.mark.parametrize("entries", (0, 1, 4))
+def test_store_buffer_sizes_never_share_a_replay(entries, replays):
+    image, _ = _store_stream()
+    configs = [_changed(CONFIG, pipeline={"store_buffer_entries": size})
+               for size in (0, 1, 4) if size != entries]
+    config = _changed(CONFIG, pipeline={"store_buffer_entries": entries})
+    for other in configs:
+        _cell(image, other)
+    outcome = _cell(image, config)
+    assert replays() == {"replays": 3, "replays_reused": 0}
+    assert outcome == _cell(image, config, scheduler="reference")
+
+
+def test_changed_memory_timing_never_shares_a_replay(replays):
+    image = _fresh_image("stream_checksum")
+    slow = _changed(CONFIG, memory={"setup_cycles": 9})
+    _cell(image)
+    outcome = _cell(image, slow)
+    assert replays() == {"replays": 2, "replays_reused": 0}
+    assert outcome == _cell(image, slow, scheduler="reference")
+
+
+@pytest.mark.parametrize("arbiter_name, before, after", (
+    ("tdma", {}, {"schedule": TdmaSchedule(2, 28)}),
+    ("tdma", {}, {"schedule": TdmaSchedule(2, 14, (2, 1))}),
+    ("tdma", {"schedule": TdmaSchedule(2, 14, (2, 1))},
+     {"schedule": TdmaSchedule(2, 14, (1, 2))}),
+    ("priority", {"priorities": (1, 0)}, {"priorities": (0, 1)}),
+    ("priority", {"priorities": (0, 1)}, {"priorities": (1, 0)}),
+    ("round_robin", {}, {"cores": 4}),
+))
+def test_changed_arbitration_never_shares_a_replay(arbiter_name, before,
+                                                   after, replays):
+    """Same traces, other arbitration: slot cycles, slot weights,
+    priorities or the core count."""
+    image = _fresh_image("stream_checksum")
+    _cell(image, arbiter_name=arbiter_name, **before)
+    outcome = _cell(image, arbiter_name=arbiter_name, **after)
+    assert replays() == {"replays": 2, "replays_reused": 0}
+    assert outcome == _cell(image, arbiter_name=arbiter_name,
+                            scheduler="reference", **after)
+    # The same arbitration again is a hit.
+    assert _cell(image, arbiter_name=arbiter_name, **after) == outcome
+    assert replays() == {"replays": 2, "replays_reused": 1}
+
+
+def test_different_traces_never_share_a_replay(memo, replays):
+    """call_tree at 512 B evicts, so its trace is not the 1024 B one."""
+    images = {size: memo.compiled_kernel("call_tree", (),
+                                         _with_method_cache(size))[0]
+              for size in (1024, 512)}
+    assert traces_of(images[512]) is traces_of(images[1024])
+    _cell(images[1024], _with_method_cache(1024))
+    outcome = _cell(images[512], _with_method_cache(512))
+    assert replays() == {"replays": 2, "replays_reused": 0}
+    assert outcome == _cell(images[512], _with_method_cache(512),
+                            scheduler="reference")
+
+
+@pytest.mark.parametrize("bypass", ("bus_faults", "memory_flips",
+                                    "max_cycles", "max_wall_s",
+                                    "arbiter_object"))
+def test_bypassed_runs_never_hit(bypass, replays):
+    """Fault plans, an armed watchdog and a caller's arbiter object always
+    replay (or, for memory flips, take the quantum loop)."""
+    image = _fresh_image("stream_checksum")
+    mix = [image] * 2
+    kwargs, run_kwargs = {"arbiter": "round_robin"}, {}
+    if bypass == "bus_faults":
+        kwargs["faults"] = FaultPlan(bus_faults=(BusFault(0, 1),))
+    elif bypass == "memory_flips":
+        kwargs["faults"] = FaultPlan(ecc=True, memory_faults=(
+            MemoryFault(cycle=10, core_id=0, addr=4, bit=1),))
+    elif bypass == "arbiter_object":
+        kwargs["arbiter"] = RoundRobinArbiter(2)
+    else:
+        run_kwargs[bypass] = 10 ** 9
+    results = []
+    for _ in range(3):
+        system = MulticoreSystem(mix, CONFIG, **kwargs)
+        results.append(_observed(system, system.run(
+            analyse=False, strict=True, **run_kwargs)))
+    assert results[0] == results[1] == results[2]
+    expected = 0 if bypass == "memory_flips" else 3
+    assert replays() == {"replays": expected, "replays_reused": 0}
+    # The plain run of the same cell afterwards is a miss, then a hit.
+    _cell(image)
+    _cell(image)
+    assert replays() == {"replays": expected + 1, "replays_reused": 1}
+
+
+def test_hits_hand_out_independent_results(replays):
+    image = _fresh_image("fir_filter")
+    system = MulticoreSystem([image] * 2, CONFIG, arbiter="round_robin")
+    fresh = system.run(analyse=False, strict=True)
+    expected = copy.deepcopy([core.sim for core in fresh.cores])
+    assert fresh.scheduler_stats["recorded"] == 1
+    stats = {**fresh.scheduler_stats, "recorded": 0}  # this call's own
+    for _ in range(2):
+        hit = system.run(analyse=False, strict=True)
+        assert [core.sim for core in hit.cores] == expected
+        assert hit.scheduler_stats == stats
+        for sim in [core.sim for core in hit.cores] + \
+                [core.sim for core in fresh.cores]:
+            sim.output.append(-1)
+            sim.stalls.arbitration += 1
+            sim.block_counts.clear()
+            sim.call_counts["spurious"] = 1
+            for counters in sim.cache_stats.values():
+                counters.clear()
+        hit.scheduler_stats["slices"] = -1
+    assert replays() == {"replays": 1, "replays_reused": 2}
+
+
+def test_clearing_the_traces_replays_again(replays):
+    image = _fresh_image("stream_checksum")
+    first = _cell(image)
+    traces_of(image).clear()
+    system = MulticoreSystem([image] * 2, CONFIG, arbiter="round_robin")
+    result = system.run(analyse=False, strict=True)
+    assert result.scheduler_stats["recorded"] == 1
+    assert _observed(system, result) == first
+    assert replays() == {"replays": 2, "replays_reused": 0}
+    # A hit still honours a smaller bundle budget.
+    bundles = result.cores[0].sim.bundles
+    with pytest.raises(SimulationError, match="did not halt"):
+        system.run(analyse=False, strict=True, max_bundles=bundles - 1)
+    assert system.run(analyse=False, strict=True).scheduler_stats[
+        "recorded"] == 0
+    assert replays() == {"replays": 2, "replays_reused": 1}
+
+
+#: The space of perfbench's ``explore_cosim`` workload (scaled kernels,
+#: data seeded from the workload seed).
+EXPLORE_COSIM_KERNELS = {
+    "matmul": {"n": 12},
+    "bubble_sort": {"n": 48},
+    "fir_filter": {"taps": 16, "n": 256},
+    "stream_checksum": {"n": 512},
+    "pointer_chase": {"n": 384},
+    "call_tree": {"iterations": 128},
+}
+
+
+def test_explore_cosim_sweep_reuses_half_its_replays(memo, replays):
+    """At jobs=1 on seed 7, the 4096 B points of the 72 multicore cells
+    replay the 1024 B traces under the same arbitration: 36 reuse."""
+    rng = random.Random(7)
+    params = {}
+    for kernel, sizes in EXPLORE_COSIM_KERNELS.items():
+        params[kernel] = dict(sizes)
+        if kernel != "call_tree":
+            params[kernel]["seed"] = rng.randrange(1, 2 ** 31)
+    space = (ParameterSpace(list(EXPLORE_COSIM_KERNELS),
+                            kernel_params=params, analyse_wcet=False)
+             .axis("cores", [1, 2, 4, 8])
+             .axis("arbiter", ["tdma", "round_robin"])
+             .axis("method_cache_size", [1024, 4096]))
+    outcome = ExplorationRunner(jobs=1, cache=None).run(space)
+    assert outcome.ok and len(outcome.results) == 96
+    assert replays() == {"replays": 36, "replays_reused": 36}
