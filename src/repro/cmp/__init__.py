@@ -17,10 +17,12 @@ Module map
     on its own), so the cost scales with bus events, not bundles; each
     distinct set of traces and arbitration is replayed once.  Agents
     that cannot replay — the RTOS task runtimes — keep the event-driven
-    pause protocol over persistent :class:`~repro.sim.engine.EngineContext`
-    objects (``_schedule_event``).  ``scheduler="reference"`` is the
-    quantum-polling oracle retained for differential testing, and also runs
-    memory-flip fault plans and ``engine="reference"``.  All produce
+    pause protocol over each job simulator's own
+    :class:`~repro.sim.engine.EngineContext` (``_schedule_event``).
+    ``scheduler="reference"`` is the quantum-polling oracle retained for
+    differential testing (each slice a ``run_step`` that resumes the core's
+    one engine context), and also runs memory-flip fault plans and
+    ``engine="reference"``.  All produce
     bit-identical timing (``tests/test_cosim_scheduler.py``);
     ``CmpResult.scheduler_stats`` records slices/releases (and, for
     replays, how many traces the run recorded).

@@ -33,10 +33,11 @@ Two interleaving schedulers produce bit-identical timing:
   arbitration is replayed once: a rerun of the same traces under the same
   arbitration restores the finished replay.
 * ``scheduler="reference"`` is the original quantum-polling loop: always
-  advance the core with the smallest local clock up to one ``quantum`` past
-  the next core's clock, yielding early on every arbitrated transfer (the
-  engine's run-until-memory-event stepping).  It interprets every bundle
-  of every core and exists as the differential oracle of the golden
+  advance the core with the smallest local clock up to the next core's
+  clock, yielding early on every arbitrated transfer (the engine's
+  run-until-memory-event stepping).  It executes every bundle of every
+  core — on the fast engine each core's ``run_step`` resumes that core's
+  one engine context — and exists as the differential oracle of the golden
   equivalence suite (mirroring the ``engine="fast"|"reference"`` pattern).
 
 Both deliver requests to the arbiter in global time order at bundle
@@ -187,17 +188,16 @@ class MulticoreSystem:
     ``scheduler`` picks the co-simulation interleaving: the default
     ``"event"`` replays traces recorded once per image, while
     ``"reference"`` is the quantum-polling oracle — both produce
-    bit-identical timing (see the module docstring).  ``quantum`` only
-    affects the reference scheduler; values above 1 trade request-ordering
-    fidelity for fewer engine re-entries.
+    bit-identical timing (see the module docstring).
 
     ``faults`` threads a :class:`~repro.faults.FaultPlan` through the run.
     An empty plan is indistinguishable from no plan: the unmodified
-    scheduler code paths run and no injector objects exist.  A plan with memory flips forces the quantum scheduler — a flip
-    can change data-dependent control flow and hence the request stream, so
-    slices are clipped to the next flip cycle; bus-only plans keep the
-    configured scheduler because retries happen inside a single arbitration
-    call, which a replay makes through the same fault-wrapped port.
+    scheduler code paths run and no injector objects exist.  A plan with
+    memory flips forces the quantum scheduler — a flip can change
+    data-dependent control flow and hence the request stream, so slices are
+    clipped to the next flip cycle; bus-only plans keep the configured
+    scheduler because retries happen inside a single arbitration call,
+    which a replay makes through the same fault-wrapped port.
     """
 
     #: Plain cores co-simulate by trace replay.  Subclasses whose
@@ -218,7 +218,7 @@ class MulticoreSystem:
                  slot_weights: Optional[Sequence[int]] = None,
                  priorities: Optional[Sequence[int]] = None,
                  engine: str = "fast",
-                 scheduler: str = "event", quantum: int = 1,
+                 scheduler: str = "event",
                  hierarchy_options: Optional[HierarchyOptions] = None,
                  faults: Optional[FaultPlan] = None):
         if not images:
@@ -226,8 +226,6 @@ class MulticoreSystem:
         if scheduler not in ("event", "reference"):
             raise ConfigError(
                 f"unknown scheduler {scheduler!r}; use 'event' or 'reference'")
-        if quantum < 1:
-            raise ConfigError("scheduler quantum must be at least one cycle")
         self.images = list(images)
         if configs is not None:
             if len(configs) != len(images):
@@ -244,7 +242,6 @@ class MulticoreSystem:
                     "share one physical memory and bus")
         self.engine = engine
         self.scheduler = scheduler
-        self.quantum = quantum
         #: Shared physical memory of the most recent run (all banks);
         #: exposed for memory-image inspection and tests.
         self.shared_memory: Optional[MainMemory] = None
@@ -480,8 +477,8 @@ class MulticoreSystem:
         returns preemptive task runtimes that multiplex several programs on
         each core — as long as every agent speaks the scheduler protocols:
         ``cycles``/``run_step``/``result`` for the quantum scheduler, plus
-        the :class:`~repro.sim.engine.EngineContext` ``advance``/``export``
-        protocol for :meth:`_schedule_event`.
+        the :class:`~repro.sim.engine.EngineContext` ``advance`` protocol
+        for :meth:`_schedule_event`.
         """
         shared_memory = self._new_shared_memory()
         bank_bytes = self.config.memory.size_bytes
@@ -723,33 +720,24 @@ class MulticoreSystem:
         started = [False] * len(cores)
         slices = 0
         releases = 0
-        try:
-            while heap:
-                stamp, core_id = self._pop_next(heap, arbiter, dynamic_ties)
-                slices += 1
-                if max_cycles is not None or deadline is not None:
-                    # Memory-event granularity: an agent pauses at every
-                    # arbitrated transfer, so the watchdog fires at the
-                    # first event past the budget (max_bundles bounds
-                    # transfer-free runaways).
-                    self._check_watchdog(stamp, core_id, max_cycles,
-                                         deadline, max_wall_s)
-                agent = cores[core_id]
-                release = started[core_id]
-                started[core_id] = True
-                releases += release
-                status = agent.advance(max_bundles, release=release,
-                                       sync=bool(heap))
-                if status == "sync":
-                    heapq.heappush(heap,
-                                   (agent.cycles, ranks[core_id], core_id))
-        finally:
-            # Export the in-flight state back to the simulators so results
-            # and post-mortem inspection (also after a mid-run exception)
-            # are indistinguishable from the reference path.
-            for agent, began in zip(cores, started):
-                if began:
-                    agent.export()
+        while heap:
+            stamp, core_id = self._pop_next(heap, arbiter, dynamic_ties)
+            slices += 1
+            if max_cycles is not None or deadline is not None:
+                # Memory-event granularity: an agent pauses at every
+                # arbitrated transfer, so the watchdog fires at the first
+                # event past the budget (max_bundles bounds transfer-free
+                # runaways).
+                self._check_watchdog(stamp, core_id, max_cycles, deadline,
+                                     max_wall_s)
+            agent = cores[core_id]
+            release = started[core_id]
+            started[core_id] = True
+            releases += release
+            status = agent.advance(max_bundles, release=release,
+                                   sync=bool(heap))
+            if status == "sync":
+                heapq.heappush(heap, (agent.cycles, ranks[core_id], core_id))
         return {"scheduler": "event", "slices": slices, "releases": releases}
 
     def _schedule_quantum(self, cores: list,
@@ -761,13 +749,13 @@ class MulticoreSystem:
         """Reference scheduler: quantum-bounded polling of the slowest core.
 
         Always advance the core with the smallest local clock (ties broken
-        in the arbiter's service order), up to one quantum past the next
-        core's clock, yielding early on every arbitrated transfer.  Requests
-        therefore reach the shared arbiter in global time order at bundle
-        granularity.  The loop itself is allocation-free — one min/second-min
-        scan per slice and a reused tie buffer — so scheduler overhead
-        measured against the event-driven path reflects the engine
-        re-entries, not per-slice garbage.
+        in the arbiter's service order), up to the next core's clock,
+        yielding early on every arbitrated transfer.  Requests therefore
+        reach the shared arbiter in global time order at bundle
+        granularity.  The loop itself is allocation-free — one
+        min/second-min scan per slice and a reused tie buffer — and on the
+        fast engine each ``run_step`` resumes the core's one engine context,
+        so a slice costs a context re-entry and an export.
 
         With an ``injector``, every slice is additionally clipped to the
         chosen core's next scheduled memory flip: the core pauses at the
@@ -777,7 +765,6 @@ class MulticoreSystem:
         restarts.  Flips scheduled past a core's halt land on its final
         memory image without extending execution.
         """
-        quantum = self.quantum
         alive = [True] * len(cores)
         n_active = len(cores)
         tied: list[int] = []  # reused tie buffer
@@ -827,11 +814,10 @@ class MulticoreSystem:
                 # it: a core catching up from behind yields exactly at clock
                 # equality, so every simultaneous request is tie-broken by
                 # the arbiter's preference order rather than by scheduling
-                # history.  (own + quantum keeps a tied core progressing by
-                # at least one bundle per slice.)
+                # history.  (own + 1 keeps a tied core progressing by at
+                # least one bundle per slice.)
                 others_min = min1 if tie else min2
-                horizon = max(others_min + quantum - 1,
-                              sim.cycles + quantum)
+                horizon = max(others_min, sim.cycles + 1)
             else:
                 horizon = None
             if injector is not None:
@@ -859,8 +845,7 @@ class MulticoreSystem:
                                                      sim)
                 alive[core_id] = False
                 n_active -= 1
-        stats = {"scheduler": "reference", "quantum": quantum,
-                 "slices": slices}
+        stats = {"scheduler": "reference", "slices": slices}
         if injector is not None:
             stats["faults_executed"] = len(injector.log)
         return stats

@@ -1,14 +1,14 @@
-"""Per-core preemptive task schedulers driving resumable engine contexts.
+"""Per-core preemptive task schedulers driving resumable simulators.
 
 :class:`CoreTaskRuntime` multiplexes the jobs of one core's
 :class:`~repro.rtos.task.TaskSet` onto the cycle-accurate simulator.  Each
 job runs on its own :class:`~repro.sim.cycle.CycleSimulator` over a private
 memory bank (tasks have overlapping address layouts, so they cannot share a
-bank), resumed across preemptions through a persistent
-:class:`~repro.sim.engine.EngineContext` whose clock is *warped* forward
-over the cycles the job was switched out.  All cores still share one bus
-and arbiter — which is exactly the interference the paper's TDMA story is
-about.
+bank), resumed across preemptions through the simulator's own engine
+context (:meth:`~repro.sim.base.BaseSimulator.engine_context`); on resume
+the job's clock is set forward to the core's over the cycles it was
+switched out.  All cores still share one bus and arbiter — which is
+exactly the interference the paper's TDMA story is about.
 
 Two scheduling policies:
 
@@ -26,9 +26,9 @@ Two scheduling policies:
 The runtime speaks *both* co-simulation scheduler protocols of
 :class:`~repro.cmp.system.MulticoreSystem` and is driven by them unchanged:
 ``run_step``/``cycles`` for the quantum-polling reference scheduler and the
-``advance``/``export`` event protocol for the event-driven one (a task
-runtime cannot replay a recorded trace: interrupts and preemption change its
-cache state, so it keeps executing under co-simulation).  The invariant
+``advance`` event protocol for the event-driven one (a task runtime cannot
+replay a recorded trace: interrupts and preemption change its cache state,
+so it keeps executing under co-simulation).  The invariant
 that makes the two bit-identical is that every scheduling overhead
 (interrupt entry/exit, context switch, CRPD) is charged *eagerly* at its
 decision point and touches no shared state, so whenever the runtime pauses
@@ -46,7 +46,6 @@ from ..config import PatmosConfig
 from ..errors import RtosError
 from ..faults.injector import FaultInjector
 from ..sim.cycle import CycleSimulator
-from ..sim.engine import EngineContext
 from ..sim.results import SimResult, StallBreakdown
 from .interrupt import ReleaseEvent, build_timeline
 from .task import RtosOptions, TaskSet
@@ -64,7 +63,7 @@ class _Job:
     """One task activation: release bookkeeping plus its private simulator."""
 
     __slots__ = ("task", "task_index", "job_index", "release", "start",
-                 "finish", "sim", "context", "started", "result", "killed")
+                 "finish", "sim", "started", "result", "killed")
 
     def __init__(self, task, task_index: int, job_index: int, release: int):
         self.task = task
@@ -74,7 +73,6 @@ class _Job:
         self.start: Optional[int] = None
         self.finish: Optional[int] = None
         self.sim = None
-        self.context: Optional[EngineContext] = None
         self.started = False
         self.result: Optional[SimResult] = None
         self.killed = False
@@ -214,15 +212,6 @@ class CoreTaskRuntime:
         return self._drive(until_cycle, watch, max_bundles,
                            event_mode=True, grant=release, sync_enabled=sync)
 
-    def export(self) -> None:
-        """Write every live engine context back to its simulator."""
-        for job in ([self.running] if self.running is not None else []):
-            if job.context is not None:
-                job.context.export()
-        for job in self.ready:
-            if job.context is not None:
-                job.context.export()
-
     # ------------------------------------------------------------------
     # The unified scheduling loop
     # ------------------------------------------------------------------
@@ -268,25 +257,24 @@ class CoreTaskRuntime:
                 if watch and port.events != events_before:
                     return "memory_event"
                 continue
-            self._sync_job_clock(job)
+            job.sim.cycles = self.cycles  # resumes after any switched-out gap
             bound = self._next_decision()
             horizon = bound
             if until_cycle is not None:
                 horizon = until_cycle if horizon is None \
                     else min(horizon, until_cycle)
-            if job.context is not None:
-                status = job.context.advance(
+            if self.engine == "fast":
+                status = job.sim.engine_context().advance(
                     max_bundles, release=grant,
                     sync=event_mode and sync_enabled,
                     until_cycle=horizon,
                     event_source=port if watch else None)
                 grant = False
-                self.cycles = job.context.cycles
             else:
                 status = job.sim.run_step(
                     until_cycle=horizon, stop_on_memory_event=watch,
                     max_bundles=max_bundles)
-                self.cycles = job.sim.cycles
+            self.cycles = job.sim.cycles
             if status == "halted":
                 self._finish(job)
                 if watch and port.events != events_before:
@@ -434,22 +422,8 @@ class CoreTaskRuntime:
         job.started = True
         sim._ensure_started()  # entry method-cache fill at the current clock
         self.cycles = sim.cycles
-        if self.engine == "fast":
-            job.context = EngineContext(sim)
-            job.context.enable_sync()
-
-    def _sync_job_clock(self, job: _Job) -> None:
-        """Warp a resumed job's clock forward over its switched-out gap."""
-        if job.context is not None:
-            if job.context.cycles < self.cycles:
-                job.context.warp_to(self.cycles)
-        elif job.sim.cycles < self.cycles:
-            job.sim.cycles = self.cycles
 
     def _finish(self, job: _Job) -> None:
-        if job.context is not None:
-            job.context.export()
-            job.context = None
         result = job.sim.result()
         job.result = result
         job.sim = None

@@ -207,7 +207,6 @@ class RtosSystem(MulticoreSystem):
                  options: Optional[RtosOptions] = None,
                  horizon: Optional[int] = None, seed: int = 0,
                  engine: str = "fast", scheduler: str = "event",
-                 quantum: int = 1,
                  hierarchy_options: Optional[HierarchyOptions] = None,
                  faults=None):
         if not tasksets:
@@ -223,7 +222,7 @@ class RtosSystem(MulticoreSystem):
                          config=config, configs=configs, arbiter=arbiter,
                          schedule=schedule, slot_weights=slot_weights,
                          priorities=priorities, engine=engine,
-                         scheduler=scheduler, quantum=quantum,
+                         scheduler=scheduler,
                          hierarchy_options=hierarchy_options, faults=faults)
         self.tasksets = coerced
         self.policy = policy

@@ -32,11 +32,14 @@ Module map
     is how the quantum co-simulation oracle (:mod:`repro.cmp`) interleaves
     N cores on one clock, and how a co-simulation records each core's
     trace once before replaying it (:mod:`repro.cmp.replay`).  The engine's
-    hot loop lives in :class:`~repro.sim.engine.EngineContext` — a
-    persistent per-core execution context whose ``advance`` method
-    re-enters the dispatch loop at method-call cost and can pause *before*
-    a bundle that may register an arbitrated memory transfer; the RTOS task
-    runtimes (:mod:`repro.rtos`) hold one context per job and the
+    hot loop lives in :class:`~repro.sim.engine.EngineContext`; each
+    simulator owns one (``BaseSimulator.engine_context``), built at its
+    first fast-engine step and resumed by every later one until its result
+    is read after the halt.  Its ``advance`` method re-enters the dispatch
+    loop at method-call cost, shares the simulator's clock and can pause
+    *before* a bundle that may register an arbitrated memory transfer.  ``run_step`` exports the
+    context's in-flight state on every return; the RTOS task runtimes
+    (:mod:`repro.rtos`) drive each job simulator's context directly and the
     event-driven scheduler releases them in global time order.
 ``executor``
     Pure evaluation of ALU/compare/predicate/multiply semantics shared by

@@ -70,33 +70,9 @@ class _PendingMainLoad:
     ready_cycle: int
 
 
-#: Execution internals of the reference interpreter.  A subclass overriding
-#: any of these has changed the semantics the pre-decoded engine hard-codes,
-#: so ``run()`` silently falls back to the interpreter for it.
-_REFERENCE_SEMANTICS_METHODS = (
-    "_step", "_execute", "_execute_load", "_execute_store", "_execute_wmem",
-    "_execute_stack_control", "_execute_control", "_commit_due_writes",
-    "_schedule_write", "_check_stale", "_read_gpr", "_read_pred",
-    "_read_special", "_guard_true", "_effective_address", "_resolved_target",
-    "_take_control",
-)
-
-_reference_semantics_cache: dict[type, bool] = {}
-
 #: The execution engines every simulator accepts: the pre-decoded micro-op
 #: engine (the default) and the reference interpreter it is checked against.
 ENGINES = ("fast", "reference")
-
-
-def _uses_reference_semantics(cls: type) -> bool:
-    """True if ``cls`` keeps every execution internal of the base class."""
-    cached = _reference_semantics_cache.get(cls)
-    if cached is None:
-        cached = all(
-            getattr(cls, name) is getattr(BaseSimulator, name)
-            for name in _REFERENCE_SEMANTICS_METHODS)
-        _reference_semantics_cache[cls] = cached
-    return cached
 
 
 class BaseSimulator:
@@ -107,9 +83,10 @@ class BaseSimulator:
     :meth:`_execute` below, and the pre-decoded fast engine of
     :mod:`repro.sim.engine` (the default), which compiles the image into a
     micro-op table once and is several times faster.  Pass
-    ``engine="reference"`` to force the interpreter; subclasses that
-    override any execution internal (``_step``, ``_execute`` and the helpers
-    they dispatch to) fall back to it automatically.
+    ``engine="reference"`` to run the interpreter.  Subclasses change the
+    timing hooks below, never the execution internals (``_step``,
+    ``_execute`` and the helpers they dispatch to), which only the
+    interpreter runs.
     """
 
     def __init__(self, image: Image, config: Optional[PatmosConfig] = None,
@@ -154,6 +131,7 @@ class BaseSimulator:
         self._pc = image.entry_addr
         self._current_func: FunctionRecord = image.function_at(image.entry_addr)
         self._started = False
+        self._context = None  # the fast engine's (engine_context)
 
     # ------------------------------------------------------------------
     # Hooks overridden by the cycle-accurate simulator
@@ -276,6 +254,23 @@ class BaseSimulator:
         """
         return None
 
+    def engine_context(self):
+        """This simulator's :class:`~repro.sim.engine.EngineContext`.
+
+        Built at the first call, on the started simulator, and kept until
+        :meth:`result` is read after the halt, so every fast-engine step
+        resumes it.  A caller that drives its ``advance`` directly (the
+        RTOS task runtimes) reads the clock from :attr:`cycles` and
+        everything else through :meth:`result`, which exports the context
+        first.
+        """
+        context = self._context
+        if context is None:
+            from .engine import EngineContext
+            self._ensure_started()
+            context = self._context = EngineContext(self)
+        return context
+
     def run(self, max_bundles: int = 2_000_000) -> SimResult:
         """Run until ``halt`` (or until ``max_bundles`` bundles were issued)."""
         self.run_step(max_bundles=max_bundles)
@@ -289,7 +284,11 @@ class BaseSimulator:
         The simulator keeps all in-flight state (pending writes, delayed
         control transfers, outstanding split loads) between calls, so a
         global multicore scheduler can interleave several cores on one clock
-        without losing the pre-decoded fast path.  Returns one of:
+        without losing the pre-decoded fast path: the fast engine resumes
+        the simulator's one :meth:`engine_context` and exports its state on
+        every return, also on exceptions.  A caller may move :attr:`cycles`
+        forward between calls (an ECC correction charge); the next call
+        runs from the moved clock.  Returns one of:
 
         * ``"halted"`` — the program executed ``halt``;
         * ``"memory_event"`` — ``stop_on_memory_event`` was set and the core
@@ -304,10 +303,13 @@ class BaseSimulator:
         self._ensure_started()
         source = self._memory_event_source() if stop_on_memory_event else None
         events_before = source.events if source is not None else 0
-        if self.engine == "fast" and _uses_reference_semantics(type(self)):
-            from .engine import run_predecoded
-            run_predecoded(self, max_bundles, until_cycle=until_cycle,
-                           event_source=source)
+        if self.engine == "fast" and not self.state.halted:
+            context = self.engine_context()
+            try:
+                context.advance(max_bundles, sync=False,
+                                until_cycle=until_cycle, event_source=source)
+            finally:
+                context.export()
         else:
             while not self.state.halted:
                 if self.issued >= max_bundles:
@@ -602,6 +604,15 @@ class BaseSimulator:
     # ------------------------------------------------------------------
 
     def result(self) -> SimResult:
+        context = self._context
+        if context is not None:
+            context.export()
+            if self.state.halted:
+                # A halted simulator never steps again.  The context refers
+                # back to the simulator, so dropping it here frees both by
+                # reference counting instead of leaving the pair to the
+                # cycle collector.
+                self._context = None
         return SimResult(
             cycles=self.cycles,
             bundles=self.issued,

@@ -24,13 +24,14 @@ interpretation à la the interpreter literature cited in PAPERS.md):
   ``Format`` if-chain, no per-step dict probes, and the linear
   ``_pending_writes`` scan is replaced by a small ring of write slots indexed
   by due-issue, so committing exposed-delay results is O(writes due now).
-  The context is *persistent*: in-flight state stays inside it between
-  :meth:`~EngineContext.advance` calls, so a multicore scheduler re-enters
-  the hot loop at method-call cost (:func:`run_predecoded` wraps a
-  throw-away context for the single-shot case).  With
-  :meth:`~EngineContext.enable_sync` the context additionally pauses before
-  any bundle that may register a shared-bus transfer — the next-event
-  lookahead protocol of the event-driven co-simulation.
+  Each simulator owns one context, built at its first fast-engine step and
+  kept until its result is read after the halt
+  (:meth:`~repro.sim.base.BaseSimulator.engine_context`): in-flight state
+  stays inside it between :meth:`~EngineContext.advance` calls, so a
+  scheduler that steps a core slice by slice re-enters the hot loop at
+  method-call cost.  With ``sync=True`` the context additionally pauses
+  before any bundle that may register a shared-bus transfer — the
+  next-event lookahead protocol of the RTOS task runtimes' co-simulation.
 * ``strict`` and ``trace`` handling are hoisted out of the hot loop into
   *decode-time variants*, so the common path pays nothing for either
   feature.  Strict staleness checks exist only in the strict decode: an ALU
@@ -41,13 +42,16 @@ interpretation à la the interpreter literature cited in PAPERS.md):
   present) in the trace decode.
 
 The engine drives an ordinary :class:`~repro.sim.base.BaseSimulator` (or
-:class:`~repro.sim.cycle.CycleSimulator`) instance: it imports the
-simulator's architectural state on entry, mutates the *same* state objects
-(register file, memories, caches, statistics) through the timing hooks, and
-exports the in-flight state (pending writes/control/load) back to the
-simulator's reference-format attributes on exit — even on exceptions — so
-results, strict violations and post-run inspection are indistinguishable from
-the reference interpreter for every run that completes a bundle.  (The one
+:class:`~repro.sim.cycle.CycleSimulator`) instance: its context starts on
+the freshly started simulator, mutates the *same* state objects (register
+file, memories, caches, statistics) through the timing hooks, shares the
+simulator's clock (``sim.cycles``, read on entry to every
+:meth:`~EngineContext.advance` and written back on exit), and exports the
+in-flight state (pending writes/control/load) to the simulator's
+reference-format attributes whenever ``run_step`` returns — even on
+exceptions — and before every ``result()``, so results, strict violations
+and post-run inspection are indistinguishable from the reference
+interpreter for every run that completes a bundle.  (The one
 known post-mortem difference: after an exception *inside* a bundle, the
 aggregate ``instructions``/``nops`` counters exclude that partial bundle
 entirely, whereas the reference counts its already-executed slots — the
@@ -220,7 +224,7 @@ class DecodedProgram:
     strict: bool
     trace: bool
     #: Memoised per-bundle may-arbitrate flags, keyed by the cache/store
-    #: organisation signature (see :meth:`EngineContext.enable_sync`).
+    #: organisation signature (see :meth:`EngineContext._sync_flags`).
     sync_flags_cache: dict = field(default_factory=dict)
 
 
@@ -667,35 +671,48 @@ def _uop_may_arbitrate(u: tuple, uses_method_cache: bool, unified: bool,
 class EngineContext:
     """Persistent, resumable execution context of one pre-decoded simulator.
 
-    The fast engine's per-call prologue — decoding-cache lookup, some forty
-    local aliases, materialising the due-issue ring and pending-write
-    counters, resolving the timing hooks — is cheap once per *run* but
-    dominates wall-clock when a multicore scheduler re-enters the engine
-    every few bundles.  An ``EngineContext`` hoists all of that into one
-    object created once per core per co-simulation: :meth:`advance` re-binds
+    The fast engine's prologue — decoding-cache lookup, some forty local
+    aliases, the due-issue ring and pending-write counters, resolving the
+    timing hooks — is cheap once per *run* but dominates wall-clock when a
+    scheduler re-enters the engine every few bundles.  So each simulator
+    owns exactly one context
+    (:meth:`~repro.sim.base.BaseSimulator.engine_context`), built on the
+    freshly started simulator at its first fast-engine step and kept until
+    the simulator's result is read after its halt: :meth:`advance` re-binds
     locals from the context and continues exactly where the previous call
-    stopped, so a slice re-entry costs a method call instead of a full
-    import/export of the in-flight state.
+    stopped, so a slice re-entry costs a method call.
+
+    The clock is the simulator's: :meth:`advance` starts from
+    ``sim.cycles`` and writes it back on exit, so a caller that moves the
+    clock between slices (an ECC correction charge, an RTOS job resumed
+    after preemption) reaches the context without a further call.  The
+    clock only moves forward; a clock set back since the last exit would
+    re-order already-issued arbitration requests and is rejected.  Between
+    slices a moved clock leaves every absolute-cycle state consistent: TDMA
+    slot phases, store-buffer drain times and a pending split load's ready
+    cycle are compared against it, so an in-flight memory operation simply
+    completes during a preemption gap — exactly what the hardware would do
+    while the core executes another task.
 
     The context also implements the *next-event lookahead* protocol of the
-    event-driven co-simulation scheduler: :meth:`enable_sync` classifies
-    every decoded bundle by whether it can register a transfer with the
-    shared memory arbiter (see :func:`_uop_may_arbitrate`), and
-    :meth:`advance` then pauses *before* executing such a bundle, reporting
-    ``"sync"`` with the core's clock — which is the exact global cycle its
-    next arbitration request would be stamped with.  The scheduler releases
-    paused cores in global time order (``release=True`` executes the pending
-    bundle), so requests reach the shared arbiter exactly as the quantum
-    scheduler's interleaving would deliver them, while the core runs
-    completely undisturbed between its own memory events.
+    event-driven co-simulation of the RTOS task runtimes: with
+    ``sync=True``, :meth:`advance` classifies every decoded bundle by
+    whether it can register a transfer with the shared memory arbiter (see
+    :func:`_uop_may_arbitrate`) and pauses *before* executing such a
+    bundle, reporting ``"sync"`` with the core's clock — which is the exact
+    global cycle its next arbitration request would be stamped with.  The
+    scheduler releases paused cores in global time order (``release=True``
+    executes the pending bundle), so requests reach the shared arbiter
+    exactly as the quantum scheduler's interleaving would deliver them,
+    while the core runs completely undisturbed between its own memory
+    events.
 
-    In-flight state lives in the context between calls; :meth:`export`
-    writes it back to the simulator's reference-format attributes
-    (``_pending_writes`` and friends) so results, resumption by the
-    interpreter and post-mortem inspection are indistinguishable from the
-    reference engine.  ``export`` is idempotent and must be called after the
-    final :meth:`advance` (also on exceptions — :func:`run_predecoded` and
-    the co-sim scheduler both guarantee this with ``finally``).
+    Other in-flight state lives in the context between calls;
+    :meth:`export` writes it to the simulator's reference-format attributes
+    (``_pending_writes`` and friends), which ``run_step`` does on every
+    return and ``result()`` before it reads them, so results and post-mortem
+    inspection are indistinguishable from the reference engine.  ``export``
+    is idempotent.
     """
 
     def __init__(self, sim):
@@ -737,9 +754,9 @@ class EngineContext:
         self.split_hook = _hook(sim, BaseSimulator, "_split_load_latency")
         self.wait_hook = _hook(sim, BaseSimulator, "_split_load_wait")
 
-        # -- dynamic state import ----------------------------------------------
-        issued = sim.issued
-        self.issued = issued
+        # -- dynamic state of the started simulator (nothing in flight) --------
+        self.issued = sim.issued
+        #: The simulator's clock at the last exit of :meth:`advance`.
         self.cycles = sim.cycles
         self.instructions = sim.instructions
         self.nops = sim.nops
@@ -747,67 +764,29 @@ class EngineContext:
         self.cur_func = sim._current_func
         self.idx = (sim._pc - self.base) >> 2
 
-        ring: list[list] = [[] for _ in range(nring)]
-        pg = [0] * NUM_GPRS
-        pp = [0] * NUM_PREDS
-        ps: dict = {}
-        regs = self.regs
-        preds = self.preds
-        specials = self.specials
-        for write in sim._pending_writes:
-            kind_id = (0 if write.kind == "gpr"
-                       else 1 if write.kind == "pred" else 2)
-            if write.due_issue <= issued:
-                # Would commit at the next reference step start: apply now.
-                if kind_id == 0:
-                    regs[write.index] = write.value & _M
-                elif kind_id == 1:
-                    preds[write.index] = bool(write.value)
-                else:
-                    specials[write.index] = write.value & _M
-                continue
-            ring[write.due_issue & self.ring_mask].append(
-                (kind_id, write.index, write.value))
-            if kind_id == 0:
-                pg[write.index] += 1
-            elif kind_id == 1:
-                pp[write.index] += 1
-            else:
-                ps[write.index] = ps.get(write.index, 0) + 1
-        self.ring = ring
-        self.pg = pg
-        self.pp = pp
-        self.ps = ps
+        self.ring: list[list] = [[] for _ in range(nring)]
+        self.pg = [0] * NUM_GPRS
+        self.pp = [0] * NUM_PREDS
+        self.ps: dict = {}
 
         self.ctrl_cd = 0
         self.ctrl_tidx = -1
         self.ctrl_target = 0
         self.ctrl_is_call = False
         self.ctrl_name = None
-        if sim._pending_control is not None:
-            pending = sim._pending_control
-            self.ctrl_cd = pending.countdown
-            self.ctrl_target = pending.target
-            self.ctrl_tidx = (pending.target - self.base) >> 2
-            self.ctrl_is_call = pending.is_call
-            self.ctrl_name = pending.call_target_name
 
-        self.has_pml = sim._pending_main_load is not None
+        self.has_pml = False
         self.pml_rd = self.pml_val = self.pml_ready = 0
-        if self.has_pml:
-            pml = sim._pending_main_load
-            self.pml_rd, self.pml_val, self.pml_ready = \
-                pml.rd, pml.value, pml.ready_cycle
 
         #: Stall cycles accumulated since the last :meth:`export`.
         self.s_icache = self.s_data = self.s_method = 0
         self.s_stack = self.s_split = self.s_store = 0
 
         #: Per-bundle "may register an arbitrated transfer" flags
-        #: (:meth:`enable_sync`); ``None`` disables the pause protocol.
+        #: (:meth:`_sync_flags`).
         self.sync_flags = None
 
-    def enable_sync(self) -> None:
+    def _sync_flags(self) -> list:
         """Classify every bundle for the pause-before-memory-event protocol.
 
         The flags depend on the core's cache organisation and store-buffer
@@ -816,7 +795,8 @@ class EngineContext:
         decode per organisation signature: ``None`` when no shared arbiter
         is attached (no bundle can ever register a transfer), otherwise
         exactly the configuration bits :func:`_uop_may_arbitrate`
-        classifies against.
+        classifies against.  Built by the first :meth:`advance` with
+        ``sync=True``.
         """
         sim = self.sim
         hierarchy = getattr(sim, "hierarchy", None)
@@ -845,6 +825,7 @@ class EngineContext:
                             break
             self.program.sync_flags_cache[key] = flags
         self.sync_flags = flags
+        return flags
 
     def export(self) -> None:
         """Write the in-flight state back to the simulator (idempotent)."""
@@ -852,7 +833,6 @@ class EngineContext:
 
         sim = self.sim
         sim.issued = self.issued
-        sim.cycles = self.cycles
         sim.instructions = self.instructions
         sim.nops = self.nops
         stalls = sim.stalls
@@ -883,45 +863,21 @@ class EngineContext:
                     index=write[1], value=write[2]))
         sim._pending_writes = pending_writes
 
-    def warp_to(self, cycle: int) -> None:
-        """Advance the context's clock to ``cycle`` without issuing bundles.
-
-        A preemptive task scheduler (:mod:`repro.rtos`) suspends a context
-        mid-program and resumes it later on the same core; the cycles in
-        between belong to other tasks and to scheduling overhead, so on
-        resume the context's notion of *now* must jump forward to the core's
-        clock.  All absolute-cycle state stays consistent under the warp:
-        TDMA slot phases, store-buffer drain times and a pending split
-        load's ready cycle are compared against the warped clock, so an
-        in-flight memory operation simply completes during the preemption
-        gap — exactly what the hardware would do while the core executes
-        another task.
-
-        The clock only moves forward; warping backwards would re-order
-        already-issued arbitration requests and is rejected.
-        """
-        if cycle < self.cycles:
-            raise SimulationError(
-                f"cannot warp context clock backwards ({self.cycles} -> "
-                f"{cycle})")
-        self.cycles = cycle
-        self.sim.cycles = cycle
-
     def advance(self, max_bundles: int, release: bool = False,
                 sync: bool = True, until_cycle=None, event_source=None) -> str:
         """Run until the next scheduling point; returns why it stopped.
 
         * ``"halted"`` — the program executed ``halt``;
-        * ``"sync"`` — sync flags are enabled and the *next* bundle may
-          register an arbitrated transfer (the bundle has **not** executed;
-          ``self.cycles`` is the global cycle its requests would carry);
-        * ``"memory_event"`` / ``"cycle_limit"`` — the reference stepping
-          conditions, for :func:`run_predecoded` compatibility.
+        * ``"sync"`` — ``sync`` is set and the *next* bundle may register
+          an arbitrated transfer (the bundle has **not** executed;
+          ``sim.cycles`` is the global cycle its requests would carry);
+        * ``"memory_event"`` / ``"cycle_limit"`` — the stepping conditions
+          of :meth:`~repro.sim.base.BaseSimulator.run_step`.
 
         ``release=True`` executes the pending flagged bundle (the scheduler
         granting this core its turn) before pausing again; ``sync=False``
-        ignores the flags entirely — used for single-core runs and for the
-        last surviving core of a co-simulation, whose requests can no longer
+        ignores the flags entirely — used by ``run_step`` and for the last
+        surviving core of a co-simulation, whose requests can no longer
         interleave with anyone.
 
         ``until_cycle`` doubles as the *interrupt check* of the RTOS layer:
@@ -974,8 +930,12 @@ class EngineContext:
         split_hook = self.split_hook
         wait_hook = self.wait_hook
 
+        cycles = sim.cycles
+        if cycles < self.cycles:
+            raise SimulationError(
+                f"cannot move a core's clock backwards ({self.cycles} -> "
+                f"{cycles})")
         issued = self.issued
-        cycles = self.cycles
         instructions = self.instructions
         nops = self.nops
         halted = self.halted
@@ -1004,7 +964,12 @@ class EngineContext:
         s_split = self.s_split
         s_store = self.s_store
 
-        sync_flags = self.sync_flags if sync else None
+        if sync:
+            sync_flags = self.sync_flags
+            if sync_flags is None:
+                sync_flags = self._sync_flags()
+        else:
+            sync_flags = None
         skip_sync = release
         status = "cycle_limit"
 
@@ -1463,12 +1428,13 @@ class EngineContext:
                         ctrl_name = None
                 idx = next_idx
         finally:
-            # Store the in-flight scalars back into the context; the ring,
-            # pending counters and statistics dicts are mutated in place.
-            # Resumption needs no further work, and :meth:`export` can
-            # rebuild the reference representation at any time.
+            # Store the clock back into the simulator and the in-flight
+            # scalars into the context; the ring, pending counters and
+            # statistics dicts are mutated in place.  Resumption needs no
+            # further work, and :meth:`export` can rebuild the reference
+            # representation at any time.
+            sim.cycles = self.cycles = cycles
             self.issued = issued
-            self.cycles = cycles
             self.instructions = instructions
             self.nops = nops
             self.halted = halted
@@ -1491,30 +1457,3 @@ class EngineContext:
             self.s_store = s_store
         return "halted" if halted else status
 
-
-def run_predecoded(sim, max_bundles: int, until_cycle=None,
-                   event_source=None) -> None:
-    """Run ``sim`` to completion (or ``max_bundles``) on the fast engine.
-
-    Mutates the simulator in place exactly like its reference ``_step`` loop
-    would; the caller produces the :class:`SimResult` afterwards.
-
-    The two stepping parameters make the engine resumable for multicore
-    co-simulation without giving up the pre-decoded fast path: with
-    ``until_cycle`` the loop stops before issuing a bundle once the local
-    clock reaches the horizon, and with ``event_source`` (an object whose
-    ``events`` counter ticks on every arbitrated shared-memory transfer) it
-    stops after the bundle that performed a transfer.  On any stop (also on
-    exceptions) the complete in-flight state is exported, so a later call
-    resumes exactly where this one left off.
-
-    Each call builds a fresh :class:`EngineContext` and tears it down again;
-    a scheduler that re-enters a core every few bundles should hold on to
-    one context per core instead (the event-driven co-simulation does).
-    """
-    context = EngineContext(sim)
-    try:
-        context.advance(max_bundles, sync=False, until_cycle=until_cycle,
-                        event_source=event_source)
-    finally:
-        context.export()

@@ -252,7 +252,6 @@ def test_scheduler_stats_recorded(images):
     _, reference = _run(mix, "reference", "round_robin", 2)
     assert event.scheduler_stats["slices"] > 0
     assert event.scheduler_stats["releases"] >= 0
-    assert reference.scheduler_stats["quantum"] == 1
     # The entire point: the event scheduler re-enters the engine far less
     # often than quantum polling.
     assert event.scheduler_stats["slices"] < \

@@ -12,6 +12,8 @@ the error paths (strict schedule violations, stack-window violations,
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import (
@@ -92,6 +94,73 @@ def test_golden_equivalence(compiled_kernels, name, sim_cls):
                 f"{name}: {engine} diverges with strict={strict}, " \
                 f"trace={trace}"
             assert got.output == kernel.expected_output
+
+
+def _between_slices(sim):
+    """What a caller can read between two ``run_step`` slices: the result
+    and the reference-format in-flight state, copied (the interpreter
+    counts a pending control transfer down in place).  Pending writes are
+    compared by due bundle (the interpreter keeps them in scheduling
+    order)."""
+    pending = sorted(sim._pending_writes, key=lambda write: write.due_issue)
+    return (canonical(sim.result()), pending,
+            copy.copy(sim._pending_control),
+            copy.copy(sim._pending_main_load), sim._pc,
+            sim._current_func.name)
+
+
+@pytest.mark.parametrize("strict", (False, True))
+@pytest.mark.parametrize("name", sorted(KERNEL_BUILDERS))
+def test_sliced_stepping_only_mirrors_state(compiled_kernels, name, strict):
+    """Stepping a core in 1- and 7-cycle slices, reading ``result()`` and
+    the pending writes after every slice, changes nothing.
+
+    The fast engine resumes the simulator's one engine context across all
+    slices and exports after each, so the export must only ever mirror the
+    context, never feed back into it: every snapshot equals the reference
+    interpreter's at the same slice boundary, and each sliced run ends
+    with the result of an unsliced one.
+    """
+    config, compiled = compiled_kernels
+    image, _ = compiled[name]
+    whole = canonical(CycleSimulator(image, config=config, strict=strict,
+                                     engine="reference").run())
+    for width in (1, 7):
+        snapshots = {}
+        for engine in ("reference",) + ENGINES:
+            sim = CycleSimulator(image, config=config, strict=strict,
+                                 engine=engine)
+            taken = []
+            while sim.run_step(until_cycle=sim.cycles + width) != "halted":
+                taken.append(_between_slices(sim))
+            taken.append(_between_slices(sim))
+            assert taken[-1][0] == whole, \
+                f"{name}: {engine} in {width}-cycle slices diverges"
+            snapshots[engine] = taken
+        for engine in ENGINES:
+            assert snapshots[engine] == snapshots["reference"], \
+                f"{name}: {engine} state between {width}-cycle slices"
+        assert len(snapshots["reference"]) > 1
+
+
+def test_halted_state_survives_result_and_rerun():
+    """Reading the result of a halted simulator releases its engine
+    context; running it again must neither step nor lose the in-flight
+    state it halted with."""
+    image = _raw_image([
+        [Instruction(Opcode.LWC, rd=1, rs1=0, imm=0)],
+        [Instruction(Opcode.HALT)],
+    ])
+    states = []
+    for engine in ("reference",) + ENGINES:
+        sim = FunctionalSimulator(image, engine=engine)
+        first = canonical(sim.run())
+        pending = list(sim._pending_writes)
+        assert pending  # the load's result is still in flight at the halt
+        assert canonical(sim.run()) == first
+        assert sim._pending_writes == pending
+        states.append((first, pending))
+    assert all(state == states[0] for state in states)
 
 
 def _raw_image(bundle_lists):

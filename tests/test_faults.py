@@ -186,6 +186,56 @@ class TestMemoryFaultInjection:
             MulticoreSystem([image] * 2, CONFIG, faults=plan)
 
 
+class TestMemoryFlipEngines:
+    """Memory-flip plans take the quantum loop on both engines.  On the fast
+    engine every core resumes one held engine context across its slices,
+    so that context must see each ECC charge the loop puts on the core's
+    clock and each flip written into the shared memory in place, exactly as
+    the reference interpreter does."""
+
+    @staticmethod
+    def _plan(image, cores, ecc):
+        # Flip bits of the kernel's own data, spread over all cores, so the
+        # flips change what the cores compute and the ECC charges land
+        # between their bus requests.  A charge longer than a TDMA period
+        # cannot vanish into a wait for the core's next slot.
+        data = sorted(image.initial_memory)
+        return FaultPlan(memory_faults=tuple(
+            MemoryFault(cycle=30 + 41 * k, core_id=k % cores,
+                        addr=data[(5 * k) % len(data)], bit=k % 8)
+            for k in range(3 * cores)), ecc=ecc, ecc_latency_cycles=97)
+
+    @pytest.mark.parametrize("arbiter", ["tdma", "round_robin", "priority"])
+    @pytest.mark.parametrize("cores", [2, 4])
+    @pytest.mark.parametrize("ecc", [False, True])
+    def test_fast_engine_matches_reference(self, arbiter, cores, ecc):
+        image, _ = _image("checksum")
+        plan = self._plan(image, cores, ecc)
+        runs = {}
+        for engine in ("fast", "reference"):
+            system = MulticoreSystem([image] * cores, CONFIG,
+                                     arbiter=arbiter, engine=engine,
+                                     faults=plan)
+            result = system.run(analyse=False)
+            assert result.scheduler == "reference"
+            runs[engine] = ([core.sim for core in result.cores],
+                            result.arbiter_stats,
+                            result.fault_log.determinism_hash(),
+                            system.shared_memory.image_digest())
+        assert runs["fast"] == runs["reference"]
+        counts = result.fault_log.counts()
+        assert counts == ({"corrected": 3 * cores} if ecc
+                          else {"flipped": 3 * cores})
+        baseline = MulticoreSystem([image] * cores, CONFIG, arbiter=arbiter,
+                                   scheduler="reference").run(analyse=False)
+        if ecc:  # the charges moved every clock
+            assert all(core.cycles > clean for core, clean in zip(
+                runs["fast"][0], baseline.observed_by_core()))
+        else:  # the flips changed what the cores compute
+            assert [core.output for core in runs["fast"][0]] != \
+                [core.sim.output for core in baseline.cores]
+
+
 class TestBusFaultInjection:
     def test_bounded_retry_delays_only_the_faulted_core(self):
         image, _ = _image()
